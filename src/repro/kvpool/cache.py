@@ -12,7 +12,11 @@ After prefill, the serving backend packs the context region
 (:meth:`PagedKVCache.pack_context`): quantized token rows become bit-packed
 codes + scales inside their pages, FP16-marked rows and all generated
 tokens stay full precision — matching the paper, which never quantizes
-decode-phase tokens.  Gathering dequantizes per page and is bit-for-bit
+decode-phase tokens.  Both directions work at the granularity the paper's
+chunk reordering exists for — one dense call per precision, not per page:
+packing bit-packs each tensor's rows of one bitwidth once and hands pages
+their slices, and gathering decodes every same-codec run of a layer's
+context in one call (:meth:`PagedKVCache.gather_context`), bit-for-bit
 identical to the dense fake-quant cache (see :mod:`repro.kvpool.codecs`).
 
 Preemption uses the pool's swap interface: :meth:`swap_out` detaches every
@@ -36,9 +40,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kvpool.codecs import TensorEncoding
-from repro.kvpool.pool import Block, BlockPool, PoolExhausted, pack_block_runs
+from repro.kvpool.pool import Block, BlockPool, PackedRun, PoolExhausted, decode_runs
 from repro.profiling import span as profiling_span
 from repro.quant.dtypes import BitWidth, bytes_for_elements
+from repro.quant.packing import pack_code_rows
 
 
 class _GatherBuffer:
@@ -378,8 +383,7 @@ class PagedKVCache:
         down to a page boundary; the page straddling the context/decode
         boundary keeps taking live appends and is gathered separately).
         This is the batched decode path's hot read: once a request's
-        context is packed those pages never change again, so the gather —
-        including the per-page dequantization of the packed runs — is
+        context is packed those pages never change again, so the gather is
         memoized against ``(n_blocks, _context_version)``, a pair of plain
         counters this cache already maintains.  A warm hit is therefore two
         integer compares — no per-page ``pool.get`` walk to rebuild a key
@@ -387,6 +391,12 @@ class PagedKVCache:
         mutation that can reach a context page (COW fork, context
         overwrite, repack, adoption) bumps ``_context_version``; a swap
         round-trip clears the memo outright.
+
+        A miss dequantizes per codec, not per page: each tensor's packed
+        runs are grouped by :meth:`~repro.kvpool.codecs.TokenRowCodec.batch_key`
+        across all pages (adopted pages carry another request's codec
+        objects), decoded by one :func:`~repro.kvpool.pool.decode_runs`
+        call per group and scattered over the pages' float rows.
 
         Callers must treat the returned arrays as read-only.
         """
@@ -402,17 +412,35 @@ class PagedKVCache:
         if memo is not None and memo[0] == key:
             return memo[1]
         with profiling_span("gather"):
-            k = np.empty(
-                (n_blocks * bs, self.n_kv_heads, self.head_dim), dtype=np.float32
+            blocks = [self.pool.get(bid) for bid in self.table.block_ids[:n_blocks]]
+            result = (
+                self._gather_tensor(
+                    [block.fp_k[layer_index] for block in blocks],
+                    [block.packed_k[layer_index] for block in blocks],
+                ),
+                self._gather_tensor(
+                    [block.fp_v[layer_index] for block in blocks],
+                    [block.packed_v[layer_index] for block in blocks],
+                ),
             )
-            v = np.empty_like(k)
-            for index, block_id in enumerate(self.table.block_ids[:n_blocks]):
-                block_k, block_v = self.pool.get(block_id).gather(layer_index, bs)
-                k[index * bs : (index + 1) * bs] = block_k
-                v[index * bs : (index + 1) * bs] = block_v
-        result = (k, v)
         self._context_memo[layer_index] = (key, result)
         return result
+
+    def _gather_tensor(
+        self, page_rows: list[np.ndarray], page_runs: list[list[PackedRun]]
+    ) -> np.ndarray:
+        """Full pages' float rows with every packed run decoded over them."""
+        bs = self.table.block_size
+        out = np.concatenate(page_rows)
+        groups: dict[object, tuple[list[PackedRun], list[np.ndarray]]] = {}
+        for index, runs in enumerate(page_runs):
+            for run in runs:
+                members, rows = groups.setdefault(run.codec.batch_key(), ([], []))
+                members.append(run)
+                rows.append(run.rows + index * bs)
+        for members, rows in groups.values():
+            out[np.concatenate(rows)] = decode_runs(members)
+        return out
 
     def gather_layer(self, layer_index: int) -> tuple[np.ndarray, np.ndarray]:
         """Materialise one layer's valid rows as float32 ``(length, h, d)``.
@@ -577,9 +605,11 @@ class PagedKVCache:
         """Convert the context region's pages to packed quantized storage.
 
         ``encodings`` holds one ``(K, V)`` :class:`TensorEncoding` pair per
-        layer, covering exactly the ``n_context`` leading tokens.  Each page
-        overlapping the context packs its quantized rows per precision run;
-        FP16-marked rows stay as float rows inside the page.
+        layer, covering exactly the ``n_context`` leading tokens.  Each
+        tensor's rows of one bitwidth are bit-packed in a single call and
+        every page overlapping the context receives its slice of the result
+        as one :class:`~repro.kvpool.pool.PackedRun`; FP16-marked rows stay
+        as float rows inside the page.
 
         ``first_block`` skips the leading pages — a warm request whose
         prefix matched the index adopted those pages already packed, so only
@@ -599,7 +629,7 @@ class PagedKVCache:
             raise ValueError(f"first_block {first_block} outside the block table")
         if len(encodings) != self.n_layers:
             raise ValueError(f"expected {self.n_layers} layer encodings, got {len(encodings)}")
-        reference_bits = encodings[0][0].token_bits if encodings else None
+        reference_bits = encodings[0][0].token_bits
         for k_enc, v_enc in encodings:
             for enc in (k_enc, v_enc):
                 if enc.n_tokens != self.n_context:
@@ -613,35 +643,31 @@ class PagedKVCache:
                         "compact rows another tensor still stores as floats)"
                     )
         bs = self.table.block_size
-        for index in range(first_block, len(self.table.block_ids)):
-            start = index * bs
-            if start >= self.n_context:
-                break
-            stop = min(start + bs, self.n_context)
-            rows = np.arange(stop - start, dtype=np.int64)
-            block = self._writable_block(index)
-            bytes_before = block.storage_bytes()
-            for layer_index, (k_enc, v_enc) in enumerate(encodings):
-                for tensor, enc in (("k", k_enc), ("v", v_enc)):
-                    if not enc.codecs:
-                        continue
-                    bits = enc.token_bits[start:stop]
-                    pack_block_runs(
-                        block,
-                        layer_index,
-                        tensor,
-                        rows,
-                        bits,
-                        enc.codes[start:stop],
-                        enc.meta[start:stop],
-                        enc.codecs,
-                    )
-            if reference_bits is not None:
-                quantized = rows[reference_bits[start:stop] != int(BitWidth.FP16)]
-            else:
-                quantized = rows[:0]
-            block.seal_quantized_rows(quantized, stop - start)
-            self.pool.note_block_repacked(block.storage_bytes() - bytes_before)
+        lo = first_block * bs
+        n_pages = BlockTable.blocks_for_tokens(self.n_context, bs) - first_block
+        blocks = [self._writable_block(first_block + page) for page in range(n_pages)]
+        bytes_before = [block.storage_bytes() for block in blocks]
+        token_bits = reference_bits[lo:]
+        page_edges = np.arange(n_pages + 1) * bs
+        for bits in sorted(set(token_bits.tolist()) - {int(BitWidth.FP16)}):
+            rows = np.flatnonzero(token_bits == bits)
+            cuts = np.searchsorted(rows, page_edges).tolist()
+            for layer_index, pair in enumerate(encodings):
+                for tensor, enc in zip("kv", pair):
+                    codec = enc.codecs[bits]
+                    packed = pack_code_rows(enc.codes[lo + rows], bits)
+                    meta = enc.meta[lo + rows]
+                    for page, (a, b) in enumerate(zip(cuts, cuts[1:])):
+                        if a < b:
+                            run = PackedRun(
+                                codec.bits, rows[a:b] - page * bs, packed[a:b], meta[a:b], codec
+                            )
+                            blocks[page].add_packed_run(layer_index, tensor, run)
+        for page, block in enumerate(blocks):
+            page_bits = token_bits[page * bs : (page + 1) * bs]
+            quantized = np.flatnonzero(page_bits != int(BitWidth.FP16))
+            block.seal_quantized_rows(quantized, page_bits.size)
+            self.pool.note_block_repacked(block.storage_bytes() - bytes_before[page])
         self._shared_metadata_bytes = sum(
             enc.shared_bytes() for pair in encodings for enc in pair
         )

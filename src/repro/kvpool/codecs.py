@@ -20,6 +20,13 @@ token-local).  Code rows are what the pool's pages bit-pack; metadata that
 is *shared* across tokens (per-channel scales, nuq codebooks) lives on the
 codec itself and is byte-accounted once per sequence via
 :meth:`TokenRowCodec.shared_bytes`.
+
+Decode is batched, not per page: the paged cache hands
+:meth:`TokenRowCodec.decode` every row of one layer's tensor that shares a
+:meth:`~TokenRowCodec.batch_key` in a single call.  That is why each codec
+decodes with the plain elementwise float32 ops of the fake-quant path: over
+the hundreds of rows of one call they cost less than building per-group
+lookup tables would.
 """
 
 from __future__ import annotations
@@ -39,22 +46,6 @@ from repro.quant.uniform import QuantizedTensor
 #: :func:`repro.quant.dtypes.metadata_bytes_for_groups`).
 META_VALUE_BYTES = 2
 
-#: Widest code for which decode goes through a dequantization lookup table:
-#: for 2–4 bit codes a ``2^bits``-entry table per scale group is (much)
-#: smaller than the group itself, so building the table and gathering by
-#: code replaces the full elementwise affine pass.  The tables are computed
-#: with the *exact* float32 ops of :func:`repro.quant.uniform.dequantize`
-#: — ``(level - zero_point) * scale`` per (group, level) — so a gathered
-#: row is bit-for-bit the row the elementwise path would produce.
-LUT_MAX_BITS = 4
-
-
-def _affine_lut(
-    levels: np.ndarray, scale: np.ndarray, zero_point: np.ndarray
-) -> np.ndarray:
-    """Per-group dequant table ``lut[..., level] = (level - zp) * scale``."""
-    return ((levels - zero_point) * scale).astype(np.float32)
-
 
 class TokenRowCodec(abc.ABC):
     """Encodes/decodes per-token rows of one layer's context K or V tensor."""
@@ -69,6 +60,14 @@ class TokenRowCodec(abc.ABC):
     @abc.abstractmethod
     def decode(self, codes: np.ndarray, meta: np.ndarray) -> np.ndarray:
         """Decode ``(m, code_width)`` code rows back to ``(m, h, d)`` floats."""
+
+    def batch_key(self):
+        """Runs whose codecs share this key may decode in one :meth:`decode` call.
+
+        A fitted codec carries sequence-global parameters, so only its own
+        runs qualify; token-local codecs override this with their geometry.
+        """
+        return id(self)
 
     def shared_bytes(self) -> int:
         """Bytes of cross-token metadata stored once per sequence."""
@@ -99,11 +98,10 @@ class PerTokenGroupCodec(TokenRowCodec):
         self.n_groups = (head_dim + self.pad) // group_size
         self.code_width = n_kv_heads * self.n_groups * group_size
         self.meta_width = 2 * n_kv_heads * self.n_groups
-        self._lut_levels = (
-            np.arange(1 << int(self.bits), dtype=np.float32)
-            if int(self.bits) <= LUT_MAX_BITS
-            else None
-        )
+
+    def batch_key(self):
+        # Scales travel with the rows: any codec of this geometry decodes them.
+        return (type(self), self.bits, self.n_kv_heads, self.head_dim, self.group_size)
 
     def encode(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Encode ``(m, h, d)`` float rows into code + metadata rows."""
@@ -122,16 +120,6 @@ class PerTokenGroupCodec(TokenRowCodec):
         half = h * g
         scale = meta[:, :half].reshape(m, h, g, 1)
         zero_point = meta[:, half:].reshape(m, h, g, 1)
-        if self._lut_levels is not None:
-            # One (m, h, g, 2^bits) table, then a gather per code: for
-            # group_size >> 2^bits this replaces two full-size elementwise
-            # passes with table-size ones.  Same reshape/pad-strip sequence
-            # as GroupQuantizedTensor.dequantize.
-            lut = _affine_lut(self._lut_levels, scale, zero_point)
-            flat = np.take_along_axis(lut, grouped, axis=3).reshape(m, h, g * gs)
-            if self.pad:
-                flat = flat[..., : -self.pad]
-            return flat.reshape(m, h, self.head_dim)
         inner = QuantizedTensor(grouped, scale, zero_point, self.bits)
         return GroupQuantizedTensor(
             inner=inner,
@@ -154,11 +142,10 @@ class PerTokenCodec(TokenRowCodec):
         self.head_dim = head_dim
         self.code_width = n_kv_heads * head_dim
         self.meta_width = 2 * n_kv_heads
-        self._lut_levels = (
-            np.arange(1 << int(self.bits), dtype=np.float32)
-            if int(self.bits) <= LUT_MAX_BITS
-            else None
-        )
+
+    def batch_key(self):
+        # Scales travel with the rows: any codec of this geometry decodes them.
+        return (type(self), self.bits, self.n_kv_heads, self.head_dim)
 
     def encode(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Encode ``(m, h, d)`` float rows into code + metadata rows."""
@@ -175,11 +162,6 @@ class PerTokenCodec(TokenRowCodec):
         h, d = self.n_kv_heads, self.head_dim
         scale = meta[:, :h].reshape(m, h, 1)
         zero_point = meta[:, h:].reshape(m, h, 1)
-        if self._lut_levels is not None:
-            # (m, h, 2^bits) table + gather: 2^bits <= 16 entries per row
-            # versus head_dim elementwise affine ops.
-            lut = _affine_lut(self._lut_levels, scale, zero_point)
-            return np.take_along_axis(lut, codes.reshape(m, h, d), axis=2)
         return QuantizedTensor(
             codes.reshape(m, h, d), scale, zero_point, self.bits
         ).dequantize()
@@ -207,15 +189,6 @@ class PerChannelCodec(TokenRowCodec):
         self.scale = qt.scale  # (1, h, d)
         self.zero_point = qt.zero_point
         self._codes = qt.codes.reshape(x.shape[0], self.code_width)
-        self._lut_flat = None
-        if int(self.bits) <= LUT_MAX_BITS:
-            # The scales are fitted once for the whole sequence, so the
-            # (2^bits, h*d) table is built once here and decode is a pure
-            # per-channel gather.
-            levels = np.arange(1 << int(self.bits), dtype=np.float32)
-            lut = _affine_lut(levels.reshape(-1, 1, 1), self.scale, self.zero_point)
-            self._lut_flat = np.ascontiguousarray(lut.reshape(-1, self.code_width))
-            self._channel_index = np.arange(self.code_width)
 
     def take_codes(self) -> np.ndarray:
         """Code rows of the tensor the codec was fitted on."""
@@ -223,12 +196,8 @@ class PerChannelCodec(TokenRowCodec):
 
     def decode(self, codes: np.ndarray, meta: np.ndarray) -> np.ndarray:
         del meta
-        m = codes.shape[0]
-        if self._lut_flat is not None:
-            rows = self._lut_flat[codes.reshape(m, self.code_width), self._channel_index]
-            return rows.reshape(m, self.n_kv_heads, self.head_dim)
         return QuantizedTensor(
-            codes.reshape(m, self.n_kv_heads, self.head_dim),
+            codes.reshape(codes.shape[0], self.n_kv_heads, self.head_dim),
             self.scale,
             self.zero_point,
             self.bits,
@@ -263,18 +232,6 @@ class NuqChannelNormCodec(TokenRowCodec):
         nq = nuq_quantize(centered / self.scale, self.bits)
         self.codebook = nq.codebook
         self._codes = nq.codes.reshape(x.shape[0], self.code_width)
-        self._lut_flat = None
-        if int(self.bits) <= LUT_MAX_BITS:
-            # Codebook, scale, and mean are all sequence-global, so the full
-            # denormalisation ``codebook[l] * scale + mean`` folds into one
-            # (2^bits, h*d) table at fit time — same float32 op order as the
-            # fallback decode, so gathered rows are bit-identical.
-            lut = (
-                self.codebook.astype(np.float32).reshape(-1, 1, 1) * self.scale
-                + self.channel_mean
-            )
-            self._lut_flat = np.ascontiguousarray(lut.reshape(-1, self.code_width))
-            self._channel_index = np.arange(self.code_width)
 
     def take_codes(self) -> np.ndarray:
         """Code rows of the tensor the codec was fitted on."""
@@ -282,11 +239,7 @@ class NuqChannelNormCodec(TokenRowCodec):
 
     def decode(self, codes: np.ndarray, meta: np.ndarray) -> np.ndarray:
         del meta
-        m = codes.shape[0]
-        shape = (m, self.n_kv_heads, self.head_dim)
-        if self._lut_flat is not None:
-            rows = self._lut_flat[codes.reshape(m, self.code_width), self._channel_index]
-            return rows.reshape(shape)
+        shape = (codes.shape[0], self.n_kv_heads, self.head_dim)
         dequantized = self.codebook[codes].reshape(shape).astype(np.float32)
         return dequantized * self.scale + self.channel_mean
 

@@ -7,13 +7,14 @@ and V), so a sequence needs a single block table regardless of depth.
 
 Blocks start in full-precision form (token rows are appended during prefill
 and decode).  When a request's context region is quantized, the covering
-blocks are *packed*: the quantized rows' ``uint8`` codes are bit-packed per
-page with :func:`repro.quant.packing.pack_codes` and the full-precision
-copies are zeroed out, so the pool's byte accounting reflects what a real
-device allocation would hold.  Bytes follow the repo-wide device model: FP16
-rows are charged 2 bytes per element (the NumPy substrate computes in
-float32), packed payloads are charged their actual buffer size, and
-scale/zero-point metadata is charged at FP16 per value.
+blocks are *packed*: the quantized rows' ``uint8`` codes are bit-packed
+(:func:`repro.quant.packing.pack_code_rows`, once per tensor — each page
+holds its rows of the result) and the full-precision copies are zeroed
+out, so the pool's byte accounting reflects what a real device allocation
+would hold.  Bytes follow the repo-wide device model: FP16 rows are charged
+2 bytes per element (the NumPy substrate computes in float32), packed
+payloads are charged their actual buffer size, and scale/zero-point
+metadata is charged at FP16 per value.
 
 Accounting is *page-granular* for full-precision storage: an allocated
 block charges all ``block_size`` rows it reserves even when only some are
@@ -36,14 +37,14 @@ give pages back when an allocation would otherwise fail.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 import numpy as np
 
 from repro.kvpool.codecs import META_VALUE_BYTES, TokenRowCodec
 from repro.profiling import span as profiling_span
 from repro.quant.dtypes import BitWidth, bytes_for_elements
-from repro.quant.packing import pack_codes, unpack_codes
+from repro.quant.packing import unpack_code_rows
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import (cycle guard)
     from repro.hardware.gpu import GPUSpec
@@ -72,6 +73,8 @@ class BlockReclaimer(Protocol):
 class PackedRun:
     """A same-precision run of packed token rows inside one block.
 
+    Runs are immutable once built, so clones of a page share them.
+
     Attributes
     ----------
     bits:
@@ -79,10 +82,8 @@ class PackedRun:
     rows:
         Row offsets within the block, in encoding order.
     packed_codes:
-        Bit-packed ``uint8`` payload (:func:`repro.quant.packing.pack_codes`
-        of the run's flattened code rows).
-    code_width:
-        Codes per token row (needed to unpack).
+        ``(n_rows, row_bytes)`` bit-packed ``uint8`` payload — the run's
+        rows of :func:`repro.quant.packing.pack_code_rows`.
     meta:
         ``(n_rows, meta_width)`` float32 per-token metadata rows.
     codec:
@@ -92,31 +93,31 @@ class PackedRun:
     bits: BitWidth
     rows: np.ndarray
     packed_codes: np.ndarray
-    code_width: int
     meta: np.ndarray
     codec: TokenRowCodec
-
-    def __post_init__(self) -> None:
-        self._decoded: np.ndarray | None = None
 
     @property
     def n_rows(self) -> int:
         return int(self.rows.size)
 
-    def decode(self) -> np.ndarray:
-        """Dequantized ``(n_rows, h, d)`` float rows (cached; runs are immutable)."""
-        if self._decoded is None:
-            with profiling_span("dequant"):
-                n_codes = self.n_rows * self.code_width
-                codes = unpack_codes(self.packed_codes, self.bits, n_codes)
-                self._decoded = self.codec.decode(
-                    codes.reshape(self.n_rows, self.code_width), self.meta
-                )
-        return self._decoded
-
     def storage_bytes(self) -> int:
         """Packed payload plus per-token metadata bytes."""
         return int(self.packed_codes.nbytes) + self.meta.size * META_VALUE_BYTES
+
+
+def decode_runs(runs: Sequence[PackedRun]) -> np.ndarray:
+    """Dequantize runs sharing one codec ``batch_key`` with a single decode.
+
+    Returns the ``(total rows, h, d)`` float rows in run order.  This is
+    the only dequantization path: a lone page's gather passes one run, the
+    context gather passes a tensor's runs from every page at once.
+    """
+    first = runs[0]
+    with profiling_span("dequant"):
+        packed = np.concatenate([run.packed_codes for run in runs])
+        meta = np.concatenate([run.meta for run in runs])
+        codes = unpack_code_rows(packed, first.bits, first.codec.code_width)
+        return first.codec.decode(codes, meta)
 
 
 class Block:
@@ -204,7 +205,7 @@ class Block:
         v = self.fp_v[layer, :n_rows].copy()
         for runs, out in ((self.packed_k[layer], k), (self.packed_v[layer], v)):
             for run in runs:
-                out[run.rows] = run.decode()
+                out[run.rows] = decode_runs([run])
         return k, v
 
     # -- accounting ----------------------------------------------------------
@@ -525,36 +526,3 @@ class BlockPool:
         assert walked == self._resident_bytes
         if self.capacity_blocks is not None:
             assert len(self._blocks) <= self.capacity_blocks
-
-
-def pack_block_runs(
-    block: Block,
-    layer: int,
-    tensor: str,
-    rows: np.ndarray,
-    token_bits: np.ndarray,
-    codes: np.ndarray,
-    meta: np.ndarray,
-    codecs: dict[int, TokenRowCodec],
-) -> None:
-    """Build the packed runs of one block/layer/tensor from encoding rows.
-
-    ``rows`` are offsets within the block; ``token_bits``/``codes``/``meta``
-    are the corresponding rows sliced out of a
-    :class:`~repro.kvpool.codecs.TensorEncoding`.
-    """
-    for bits in sorted(set(token_bits.tolist())):
-        if bits == int(BitWidth.FP16):
-            continue
-        mask = token_bits == bits
-        codec = codecs[bits]
-        run_codes = codes[mask]
-        run = PackedRun(
-            bits=BitWidth.from_bits(bits),
-            rows=rows[mask],
-            packed_codes=pack_codes(run_codes.reshape(-1), bits),
-            code_width=codec.code_width,
-            meta=meta[mask].copy(),
-            codec=codec,
-        )
-        block.add_packed_run(layer, tensor, run)

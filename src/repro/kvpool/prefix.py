@@ -34,6 +34,7 @@ are never touched.
 from __future__ import annotations
 
 import hashlib
+import heapq
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -272,13 +273,9 @@ class PrefixCache:
             if node.block_id != -1:  # roots are anchors, not entries
                 yield node
 
-    def _evictable_leaves(self) -> list[_RadixNode]:
-        """Leaf entries nobody is reading (index holds the only reference)."""
-        return [
-            node
-            for node in self._iter_nodes()
-            if not node.children and self.pool.refcount(node.block_id) == 1
-        ]
+    def _is_idle_leaf(self, node: _RadixNode) -> bool:
+        """A leaf entry nobody is reading (the index holds the only reference)."""
+        return not node.children and self.pool.refcount(node.block_id) == 1
 
     def reclaimable_blocks(self) -> int:
         """Pages that could be freed by cascading idle-leaf eviction.
@@ -320,16 +317,27 @@ class PrefixCache:
 
         Eviction cascades leaf-first: removing a leaf may expose its parent
         as the next candidate.  Entries under a live reader (pool refcount
-        above one) are skipped — shared pages are never evicted.
+        above one) are skipped — shared pages are never evicted.  The tree
+        is walked once: idle leaves go on a heap by stamp, and a parent
+        joins it when its last child is dropped (dropping changes nobody
+        else's reference count, so nothing else can become a candidate).
         """
+        heap = [
+            (node.stamp, order, node)
+            for order, node in enumerate(self._iter_nodes())
+            if self._is_idle_leaf(node)
+        ]
+        heapq.heapify(heap)
+        order = len(heap)  # tie-break: nodes themselves do not compare
         freed = 0
-        while freed < n_blocks:
-            leaves = self._evictable_leaves()
-            if not leaves:
-                break
-            victim = min(leaves, key=lambda node: node.stamp)
+        while freed < n_blocks and heap:
+            victim = heapq.heappop(heap)[2]
+            parent = victim.parent
             self._drop(victim)
             freed += 1
+            if parent.block_id != -1 and self._is_idle_leaf(parent):
+                heapq.heappush(heap, (parent.stamp, order, parent))
+                order += 1
         self.stats.n_evicted_blocks += freed
         return freed
 

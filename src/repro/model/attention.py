@@ -10,15 +10,13 @@ gathers and dequantizes packed context pages on the fly).
 
 Decode hot-path notes
 ---------------------
-``attend`` used to rebuild ``np.arange``/mask arrays and take two
-``ascontiguousarray`` transpose copies of the full K/V history per layer per
-step.  Three profiling-guided changes remove that:
+A decode step is one query row at the last position, and everything on
+that path is bit-preserving — the same GEMMs/ufuncs on the same operand
+values, with fewer kernel launches and allocations:
 
-- the strictly-causal decode case (one query at the last position) skips
-  masking entirely — the mask is all-``False`` there, so ``np.where`` was a
-  full-size copy that changed nothing;
-- multi-query (prefill) masks are cached per ``(n_q, n_kv)`` for the
-  standard "queries are the cache tail" layout;
+- the strictly-causal case skips masking entirely (the mask is
+  all-``False`` there, so ``np.where`` was a full-size copy that changed
+  nothing);
 - caches may expose ``kv_mirrors()`` returning head-major transposed K/V
   views maintained incrementally (see ``PagedLayerView``), which replaces
   both per-call transpose copies with buffer reuse;
@@ -28,8 +26,20 @@ step.  Three profiling-guided changes remove that:
   the separate GEMMs' columns — ``test_merged_projection_bit_identity``
   guards this), and softmax runs in place on the logits buffer.
 
-All of these are bit-preserving: they feed the same GEMMs/ufuncs the same
-operand values, only with fewer kernel launches and allocations.
+Prefill kernel
+--------------
+Multi-row queries (one-shot and chunked prefill alike) run a triangular
+tiled kernel: query tiles of :data:`PREFILL_TILE` rows score only the keys
+at or before the tile's last row, the causal mask is a constant triangle
+written in place over the diagonal block alone, the scale is folded into
+``q`` and the softmax denominator divides the ``(tile, head_dim)`` context
+rather than the ``(tile, n_kv)`` probabilities.  Roughly half the score
+square is never computed and the rest is streamed through memory three
+times instead of seven.  This path reorders float32 reductions, so its
+contract is weaker than decode's: outputs within ``1e-5`` of the textbook
+masked softmax, and identical greedy tokens however the prompt is chunked
+(``tests/test_model_attention.py`` keeps the full-square formulation as
+the oracle).
 """
 
 from __future__ import annotations
@@ -53,42 +63,26 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return exps / np.sum(exps, axis=axis, keepdims=True)
 
 
-#: Cached ``(expected_positions, mask)`` pairs keyed on ``(n_q, n_kv)`` for
-#: the standard prefill layout (queries occupy the last ``n_q`` cache rows).
-#: Bounded: cleared wholesale when it grows past ``_MASK_CACHE_MAX`` keys.
-_MASK_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-_MASK_CACHE_MAX = 256
+#: Query rows per prefill tile.  At 128 the ``(heads, tile, n_kv)`` score
+#: block of a few-thousand-token prompt stays cache-resident while the
+#: per-tile Python dispatch is still a small share of the GEMM time.
+PREFILL_TILE = 128
+
+#: Causal mask of a full diagonal block (``col > row``: keys after the
+#: query); a shorter last tile uses its top-left corner.
+_TILE_TRIANGLE = np.triu(np.ones((PREFILL_TILE, PREFILL_TILE), dtype=bool), k=1)
+_TILE_TRIANGLE.setflags(write=False)
 
 
-def _causal_mask(n_q: int, n_kv: int, positions: np.ndarray) -> np.ndarray | None:
-    """Return the ``(n_q, n_kv)`` causal mask, or ``None`` when all-``False``.
+def _decode_mask(n_kv: int, position: int) -> np.ndarray | None:
+    """Causal mask of one query row, or ``None`` when all-``False``.
 
     ``None`` means no key is masked — the caller may skip ``np.where``
     entirely (bit-identical: masking with an all-``False`` mask is a copy).
-    Standard tail layouts are served from :data:`_MASK_CACHE`; arbitrary
-    position vectors (e.g. the blockwise chunk path) fall back to computing
-    the mask directly.
     """
-    if n_q == 1:
-        p = int(positions[0])
-        if p >= n_kv - 1:
-            return None
-        return np.arange(n_kv)[None, :] > p
-    first = int(positions[0])
-    if first == n_kv - n_q:
-        cached = _MASK_CACHE.get((n_q, n_kv))
-        if cached is None:
-            expected = np.arange(first, n_kv)
-            mask = np.arange(n_kv)[None, :] > expected[:, None]
-            expected.setflags(write=False)
-            mask.setflags(write=False)
-            if len(_MASK_CACHE) >= _MASK_CACHE_MAX:
-                _MASK_CACHE.clear()
-            _MASK_CACHE[(n_q, n_kv)] = cached = (expected, mask)
-        expected, mask = cached
-        if np.array_equal(positions, expected):
-            return mask
-    return np.arange(n_kv)[None, :] > np.asarray(positions)[:, None]
+    if position >= n_kv - 1:
+        return None
+    return np.arange(n_kv)[None, :] > position
 
 
 @dataclass(frozen=True)
@@ -233,7 +227,8 @@ class AttentionLayer:
             ``None`` when ``kv_mirrors`` is given.
         query_positions:
             Global position of each query; a query at position ``p`` may
-            attend to cache rows ``0..p`` inclusive.
+            attend to cache rows ``0..p`` inclusive.  Several queries must
+            be the last ``n_q`` cache rows, in order.
         kv_mirrors:
             Optional pre-transposed ``(n_heads, head_dim, n_kv)`` keys and
             ``(n_heads, n_kv, head_dim)`` values (the layout the per-head
@@ -249,35 +244,81 @@ class AttentionLayer:
         with profiling_span("attend"):
             if kv_mirrors is not None:
                 k_heads, v_heads = kv_mirrors
-                n_kv = k_heads.shape[2]
             else:
                 keys_full = self._expand_kv_heads(keys)
                 values_full = self._expand_kv_heads(values)
                 k_heads = np.ascontiguousarray(keys_full.transpose(1, 2, 0))
                 v_heads = np.ascontiguousarray(values_full.transpose(1, 0, 2))
-                n_kv = keys_full.shape[0]
-            # (n_heads, n_q, n_kv) logits via per-head GEMMs.  The matmul
-            # output is freshly owned, so the scale runs in place.
-            q_heads = np.ascontiguousarray(q.transpose(1, 0, 2))
-            logits = q_heads @ k_heads
-            np.multiply(logits, self._scale, out=logits)
-            mask = _causal_mask(q.shape[0], n_kv, query_positions)
-            if mask is not None:
-                logits = np.where(mask[None, :, :], np.float32(-1e9), logits)
-            # In-place softmax: same subtract/exp/divide as `softmax` on a
-            # buffer this method owns, minus the temporaries.
-            np.subtract(
-                logits, np.max(logits, axis=-1, keepdims=True), out=logits
-            )
-            np.exp(logits, out=logits)
-            probs = logits
-            probs /= np.sum(probs, axis=-1, keepdims=True)
-            context = probs @ v_heads  # (n_heads, n_q, head_dim)
+            if q.shape[0] == 1:
+                context = self._attend_row(q, k_heads, v_heads, int(query_positions[0]))
+            else:
+                context = self._attend_tiled(q, k_heads, v_heads, query_positions)
             n_heads, n_q, head_dim = context.shape
             # Output projection: concatenate heads and apply one GEMM.
             context_flat = context.transpose(1, 0, 2).reshape(n_q, n_heads * head_dim)
             wo_flat = self.weights.wo.reshape(n_heads * head_dim, -1)
             return self._as_f32(context_flat @ wo_flat)
+
+    def _attend_row(
+        self, q: np.ndarray, k_heads: np.ndarray, v_heads: np.ndarray, position: int
+    ) -> np.ndarray:
+        """One query row (the decode step): ``(n_heads, 1, head_dim)`` context."""
+        # (n_heads, 1, n_kv) logits via per-head GEMMs.  The matmul output
+        # is freshly owned, so the scale runs in place.
+        q_heads = np.ascontiguousarray(q.transpose(1, 0, 2))
+        logits = q_heads @ k_heads
+        np.multiply(logits, self._scale, out=logits)
+        mask = _decode_mask(k_heads.shape[2], position)
+        if mask is not None:
+            logits = np.where(mask[None, :, :], np.float32(-1e9), logits)
+        # In-place softmax: same subtract/exp/divide as `softmax` on a
+        # buffer this method owns, minus the temporaries.
+        np.subtract(logits, np.max(logits, axis=-1, keepdims=True), out=logits)
+        np.exp(logits, out=logits)
+        probs = logits
+        probs /= np.sum(probs, axis=-1, keepdims=True)
+        return probs @ v_heads
+
+    def _attend_tiled(
+        self,
+        q: np.ndarray,
+        k_heads: np.ndarray,
+        v_heads: np.ndarray,
+        query_positions: np.ndarray,
+    ) -> np.ndarray:
+        """Triangular tiled causal attention: ``(n_heads, n_q, head_dim)`` context.
+
+        The queries must be the last ``n_q`` cache rows (what prefill
+        produces); tile ``[start, stop)`` then sees keys ``[0, offset +
+        stop)`` and only its diagonal block needs masking.
+        """
+        n_q = q.shape[0]
+        n_kv = k_heads.shape[2]
+        offset = n_kv - n_q
+        if query_positions[0] != offset or query_positions[-1] != n_kv - 1:
+            raise ValueError(
+                f"multi-row attention needs the queries to be the last {n_q} "
+                f"of {n_kv} cache rows, got positions "
+                f"{int(query_positions[0])}..{int(query_positions[-1])}"
+            )
+        q_heads = q.transpose(1, 0, 2) * np.float32(self._scale)
+        context = np.empty((q.shape[1], n_q, q.shape[2]), dtype=np.float32)
+        for start in range(0, n_q, PREFILL_TILE):
+            stop = min(start + PREFILL_TILE, n_q)
+            visible = offset + stop
+            scores = q_heads[:, start:stop] @ k_heads[:, :, :visible]
+            rows = stop - start
+            np.copyto(
+                scores[:, :, offset + start :],
+                np.float32(-1e9),
+                where=_TILE_TRIANGLE[:rows, :rows],
+            )
+            scores -= np.max(scores, axis=-1, keepdims=True)
+            np.exp(scores, out=scores)
+            denominator = np.sum(scores, axis=-1, keepdims=True)
+            tile = np.matmul(scores, v_heads[:, :visible], out=context[:, start:stop])
+            tile /= denominator
+        return context
 
     def _attend_cache(
         self, q: np.ndarray, cache, positions: np.ndarray
@@ -291,9 +332,16 @@ class AttentionLayer:
     def forward_prefill(
         self, hidden: np.ndarray, cache: LayerKVCache, positions: np.ndarray
     ) -> np.ndarray:
-        """Process a block of tokens, appending their K/V to ``cache``."""
+        """Process a block of tokens, appending their K/V to ``cache``.
+
+        A block landing in an empty cache attends over its own just-projected
+        K/V — the cache would hand back the same float32 rows, after a gather.
+        """
         q, k, v = self.project_qkv(hidden, positions)
+        was_empty = cache.length == 0
         cache.append(k, v)
+        if was_empty:
+            return self.attend(q, k, v, positions)
         return self._attend_cache(q, cache, positions)
 
     def forward_decode(
@@ -353,13 +401,3 @@ class AttentionLayer:
         for i, (cache, position) in enumerate(zip(caches, positions)):
             out[i] = self.forward_decode(hidden[i : i + 1], cache, int(position))[0]
         return out
-
-    def attend_with_external_kv(
-        self,
-        q: np.ndarray,
-        keys: np.ndarray,
-        values: np.ndarray,
-        query_positions: np.ndarray,
-    ) -> np.ndarray:
-        """Attention against caller-provided K/V (used by the Cocktail blockwise path)."""
-        return self.attend(q, keys, values, query_positions)

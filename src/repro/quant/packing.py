@@ -98,3 +98,27 @@ def packed_nbytes(n_codes: int, bits: BitWidth | int) -> int:
         return n_codes
     per_byte = _codes_per_byte(bits)
     return (n_codes + per_byte - 1) // per_byte
+
+
+def pack_code_rows(codes: np.ndarray, bits: BitWidth | int) -> np.ndarray:
+    """Pack a ``(m, width)`` code matrix into ``(m, row_bytes)`` ``uint8``.
+
+    Every row starts on a byte boundary (a row that does not fill its last
+    byte is zero-padded), so any run of token rows is a plain slice of the
+    result: a tensor is packed once and handed out page by page.
+    """
+    bits = BitWidth.from_bits(int(bits))
+    m, width = codes.shape
+    pad = (-width) % (8 // int(bits))
+    if pad:
+        codes = np.pad(codes, ((0, 0), (0, pad)))
+    return pack_codes(codes, bits).reshape(m, packed_nbytes(width, bits))
+
+
+def unpack_code_rows(
+    packed: np.ndarray, bits: BitWidth | int, width: int
+) -> np.ndarray:
+    """Unpack :func:`pack_code_rows` output back to ``(m, width)`` codes."""
+    m, row_bytes = packed.shape
+    stored = row_bytes * 8 // int(bits)
+    return unpack_codes(packed, bits, m * stored).reshape(m, stored)[:, :width]

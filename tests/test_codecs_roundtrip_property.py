@@ -6,7 +6,8 @@ floats **bit for bit**, across arbitrary shapes, group sizes and bitwidths.
 These tests drive randomized configurations (seeded, so failures replay)
 through ``quant.packing``/``quant.schemes`` and the
 :class:`~repro.kvpool.codecs` encoders, decoding both directly and through
-:class:`~repro.kvpool.pool.PackedRun` — the exact storage object pages hold.
+:class:`~repro.kvpool.pool.PackedRun` — the exact storage object pages hold
+— via :func:`~repro.kvpool.pool.decode_runs`, the one dequantization path.
 """
 
 from __future__ import annotations
@@ -20,11 +21,16 @@ from repro.kvpool.codecs import (
     PerTokenCodec,
     PerTokenGroupCodec,
 )
-from repro.kvpool.pool import PackedRun
+from repro.kvpool.pool import PackedRun, decode_runs
 from repro.quant.dtypes import BitWidth
 from repro.quant.group import group_quantize
 from repro.quant.nonuniform import nuq_quantize
-from repro.quant.packing import pack_codes, unpack_codes
+from repro.quant.packing import (
+    pack_code_rows,
+    pack_codes,
+    unpack_code_rows,
+    unpack_codes,
+)
 from repro.quant.schemes import (
     fake_quantize_per_channel,
     fake_quantize_per_token,
@@ -49,17 +55,26 @@ def random_case(seed: int):
 
 
 def roundtrip_through_packed_run(codec, codes, meta, bits) -> np.ndarray:
-    """Decode via a PackedRun, i.e. the exact path a page gather takes."""
+    """Decode via PackedRuns, i.e. the exact path a gather takes.
+
+    The rows are split over two runs at an arbitrary point, as two pages
+    would hold them: batching must not change a bit.
+    """
     n_rows = codes.shape[0]
-    run = PackedRun(
-        bits=bits,
-        rows=np.arange(n_rows, dtype=np.int64),
-        packed_codes=pack_codes(codes.reshape(-1), int(bits)),
-        code_width=codec.code_width,
-        meta=meta.copy(),
-        codec=codec,
-    )
-    return run.decode()
+    packed = pack_code_rows(codes, bits)
+    cut = n_rows // 3
+    runs = [
+        PackedRun(
+            bits=bits,
+            rows=np.arange(lo, hi, dtype=np.int64),
+            packed_codes=packed[lo:hi],
+            meta=meta[lo:hi],
+            codec=codec,
+        )
+        for lo, hi in ((0, cut), (cut, n_rows))
+        if hi > lo
+    ]
+    return decode_runs(runs)
 
 
 @pytest.mark.parametrize("seed", range(N_CASES))
@@ -72,6 +87,19 @@ class TestRandomizedRoundTrips:
         packed = pack_codes(codes, bits)
         assert packed.nbytes == -(-n * bits // 8)  # tight bit packing
         np.testing.assert_array_equal(unpack_codes(packed, bits, n), codes)
+
+    def test_row_packing_is_lossless_and_sliceable(self, seed):
+        rng = np.random.default_rng(seed)
+        bits = int(rng.choice(QUANT_BITS))
+        m, width = int(rng.integers(0, 30)), int(rng.integers(1, 40))
+        codes = rng.integers(0, 2**bits, size=(m, width)).astype(np.uint8)
+        packed = pack_code_rows(codes, bits)
+        assert packed.shape == (m, -(-width * bits // 8))  # rows byte-aligned
+        np.testing.assert_array_equal(unpack_code_rows(packed, bits, width), codes)
+        # Whole-byte rows pack to the same bytes as the flat per-run packer.
+        if (width * bits) % 8 == 0:
+            lo, hi = sorted(rng.integers(0, m + 1, size=2).tolist())
+            assert packed[lo:hi].tobytes() == pack_codes(codes[lo:hi], bits).tobytes()
 
     def test_per_token_group_codec(self, seed):
         rng, x, bits = random_case(seed)

@@ -1,83 +1,25 @@
 """Decode hot-path optimizations: every fast path must be bit-identical.
 
-The perf pass replaced elementwise dequantization with lookup tables,
-full-history re-gathers with incremental tail fills, separate projection
-GEMMs with merged-weight GEMMs, and the Python n-gram scan with a
-vectorized one.  Each rewrite claims bit-identity with the code it
-replaced; these tests pin that claim against the straightforward
-reference computation.
+The perf pass replaced full-history re-gathers with incremental tail
+fills, separate projection GEMMs with merged-weight GEMMs, and the Python
+n-gram scan with a vectorized one.  Each rewrite claims bit-identity with
+the code it replaced; these tests pin that claim against the
+straightforward reference computation.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.kvpool import BlockPool
-from repro.kvpool.codecs import (
-    NuqChannelNormCodec,
-    PerChannelCodec,
-    PerTokenCodec,
-    PerTokenGroupCodec,
-)
-from repro.model.attention import _MASK_CACHE, _causal_mask, softmax
+from repro.model.attention import _TILE_TRIANGLE, _decode_mask, softmax
 from repro.model.mlp import silu
 from repro.serving.spec import NgramProposer
-
-
-@pytest.fixture()
-def rows(rng) -> np.ndarray:
-    """Random ``(m, h, d)`` float32 KV rows."""
-    return rng.standard_normal((24, 4, 32), dtype=np.float32)
 
 
 def _assert_identical(fast: np.ndarray, reference: np.ndarray) -> None:
     assert fast.dtype == np.float32
     np.testing.assert_array_equal(fast, reference)
-
-
-class TestDequantLUTParity:
-    """LUT gathers decode to the exact bits of the elementwise affine path."""
-
-    @pytest.mark.parametrize("bits", [2, 4])
-    @pytest.mark.parametrize("shape", [(4, 32, 16), (2, 10, 4)])
-    def test_per_token_group(self, rng, bits, shape):
-        h, d, group = shape
-        x = rng.standard_normal((16, h, d), dtype=np.float32)
-        codec = PerTokenGroupCodec(bits, h, d, group)
-        codes, meta = codec.encode(x)
-        assert codec._lut_levels is not None
-        fast = codec.decode(codes, meta)
-        codec._lut_levels = None
-        _assert_identical(fast, codec.decode(codes, meta))
-
-    @pytest.mark.parametrize("bits", [2, 4])
-    def test_per_token(self, rows, bits):
-        codec = PerTokenCodec(bits, rows.shape[1], rows.shape[2])
-        codes, meta = codec.encode(rows)
-        fast = codec.decode(codes, meta)
-        codec._lut_levels = None
-        _assert_identical(fast, codec.decode(codes, meta))
-
-    @pytest.mark.parametrize("bits", [2, 4])
-    def test_per_channel(self, rows, bits):
-        codec = PerChannelCodec(rows, bits)
-        codes = codec.take_codes()
-        fast = codec.decode(codes, None)
-        codec._lut_flat = None
-        _assert_identical(fast, codec.decode(codes, None))
-
-    @pytest.mark.parametrize("bits", [2, 4])
-    def test_nuq_channel_norm(self, rows, bits):
-        codec = NuqChannelNormCodec(rows, bits)
-        codes = codec.take_codes()
-        fast = codec.decode(codes, None)
-        codec._lut_flat = None
-        _assert_identical(fast, codec.decode(codes, None))
-
-    def test_wide_bitwidths_skip_the_table(self, rows):
-        assert PerTokenCodec(8, rows.shape[1], rows.shape[2])._lut_levels is None
-        assert PerChannelCodec(rows, 8)._lut_flat is None
 
 
 class TestMergedProjectionBitIdentity:
@@ -237,30 +179,21 @@ class TestVectorizedNgramParity:
         assert proposer.propose(history, 4) == [3, 4, 1, 2]
 
 
-class TestMaskCache:
+class TestCausalMasks:
     def test_decode_tail_query_needs_no_mask(self):
-        assert _causal_mask(1, 7, np.asarray([6])) is None
-        assert _causal_mask(1, 7, np.asarray([9])) is None
+        assert _decode_mask(7, 6) is None
+        assert _decode_mask(7, 9) is None
 
     def test_decode_mid_history_query_is_masked(self):
-        mask = _causal_mask(1, 5, np.asarray([2]))
+        mask = _decode_mask(5, 2)
         np.testing.assert_array_equal(mask, [[False, False, False, True, True]])
 
-    def test_prefill_tail_layout_is_cached(self):
-        _MASK_CACHE.clear()
-        positions = np.asarray([3, 4])
-        first = _causal_mask(2, 5, positions)
-        second = _causal_mask(2, 5, positions)
-        assert first is second  # served from the cache, not recomputed
-        expected = np.arange(5)[None, :] > positions[:, None]
-        np.testing.assert_array_equal(first, expected)
-        assert not first.flags.writeable
-
-    def test_arbitrary_positions_fall_back_to_direct_compute(self):
-        positions = np.asarray([1, 4])  # not the contiguous tail
-        mask = _causal_mask(2, 5, positions)
-        expected = np.arange(5)[None, :] > positions[:, None]
-        np.testing.assert_array_equal(mask, expected)
+    def test_tile_triangle_masks_keys_after_the_query(self):
+        n = _TILE_TRIANGLE.shape[0]
+        np.testing.assert_array_equal(
+            _TILE_TRIANGLE, np.arange(n)[None, :] > np.arange(n)[:, None]
+        )
+        assert not _TILE_TRIANGLE.flags.writeable
 
 
 class TestFastMathMode:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.model.attention import AttentionLayer, softmax
+from repro.model.attention import PREFILL_TILE, AttentionLayer, softmax
 from repro.model.config import ModelConfig
 from repro.model.kv_cache import LayerKVCache
 from repro.model.mlp import MLPLayer, MLPWeights, RMSNorm, silu
@@ -107,14 +107,73 @@ class TestAttentionLayer:
         out_b = attn_mha.forward_prefill(hidden, cache_b, np.arange(6))
         np.testing.assert_allclose(out_a, out_b, atol=1e-4)
 
-    def test_attend_with_external_kv(self, rng):
+
+def textbook_attend(layer, q, keys, values, positions):
+    """The full-square masked-softmax formulation: the tiled kernel's oracle."""
+    k_heads = layer._expand_kv_heads(keys).transpose(1, 2, 0)
+    v_heads = layer._expand_kv_heads(values).transpose(1, 0, 2)
+    logits = (q.transpose(1, 0, 2) @ k_heads) * np.float32(layer._scale)
+    mask = np.arange(keys.shape[0])[None, :] > np.asarray(positions)[:, None]
+    probs = softmax(np.where(mask[None], np.float32(-1e9), logits))
+    context = (probs @ v_heads).transpose(1, 0, 2).reshape(q.shape[0], -1)
+    return context @ layer.weights.wo.reshape(context.shape[1], -1)
+
+
+#: ``n_q`` values every seed must cover: one row short of a tile, exactly
+#: one tile, one row over, a short block, and several tiles with a ragged end.
+TILE_EDGE_ROWS = (PREFILL_TILE - 1, PREFILL_TILE, PREFILL_TILE + 1, 7, 3 * PREFILL_TILE + 5)
+
+
+class TestTiledPrefillKernel:
+    @pytest.mark.parametrize("n_kv_heads", [4, 2, 1])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_textbook_masked_softmax(self, seed, n_kv_heads):
+        """Random ``(n_q, cache prefix, gqa_group)``: outputs within 1e-5."""
+        rng = np.random.default_rng(seed)
+        config = _config(n_heads=4, n_kv_heads=n_kv_heads, positional="none")
+        layer = _attention_layer(config, seed=seed)
+        for n_q in (*TILE_EDGE_ROWS, int(rng.integers(2, 2 * PREFILL_TILE))):
+            # Zero is the one-shot prefill; anything else a later chunk.
+            offset = int(rng.choice([0, 1, PREFILL_TILE - 3, 200]))
+            n_kv = offset + n_q
+            q = rng.standard_normal((n_q, 4, config.head_dim), dtype=np.float32)
+            keys = rng.standard_normal(
+                (n_kv, n_kv_heads, config.head_dim), dtype=np.float32
+            )
+            values = rng.standard_normal(keys.shape, dtype=np.float32)
+            positions = np.arange(offset, n_kv)
+            out = layer.attend(q, keys, values, positions)
+            assert out.dtype == np.float32
+            np.testing.assert_allclose(
+                out, textbook_attend(layer, q, keys, values, positions), atol=1e-5
+            )
+
+    def test_chunked_prefill_matches_one_shot(self, rng):
+        """Chunks that split tiles differently stay within tolerance."""
+        config = _config(positional="table")
+        n = 2 * PREFILL_TILE + 40
+        hidden = rng.normal(size=(n, config.d_model)).astype(np.float32)
+        layer = _attention_layer(config)
+        one_shot = layer.forward_prefill(
+            hidden, LayerKVCache(config.n_kv_heads, config.head_dim, n), np.arange(n)
+        )
+        for chunk in (48, PREFILL_TILE, 200):
+            cache = LayerKVCache(config.n_kv_heads, config.head_dim, n)
+            parts = [
+                layer.forward_prefill(
+                    hidden[lo : lo + chunk], cache, np.arange(lo, min(lo + chunk, n))
+                )
+                for lo in range(0, n, chunk)
+            ]
+            np.testing.assert_allclose(np.concatenate(parts), one_shot, atol=1e-5)
+
+    def test_rejects_queries_that_are_not_the_cache_tail(self, rng):
         config = _config(positional="none")
         layer = _attention_layer(config)
-        q = rng.normal(size=(1, config.n_heads, config.head_dim)).astype(np.float32)
-        keys = rng.normal(size=(8, config.n_kv_heads, config.head_dim)).astype(np.float32)
-        values = rng.normal(size=(8, config.n_kv_heads, config.head_dim)).astype(np.float32)
-        out = layer.attend_with_external_kv(q, keys, values, np.asarray([10]))
-        assert out.shape == (1, config.d_model)
+        q = rng.standard_normal((2, 4, config.head_dim), dtype=np.float32)
+        kv = rng.standard_normal((5, 4, config.head_dim), dtype=np.float32)
+        with pytest.raises(ValueError, match="last 2 of 5 cache rows"):
+            layer.attend(q, kv, kv, np.asarray([1, 4]))
 
 
 class TestMLPAndNorm:

@@ -327,3 +327,81 @@ class TestPrefixCacheIndex:
         other.release()
         index.clear()
         assert index.n_blocks == 0 and pool.n_allocated == 0
+
+
+def rewalking_evict(index: PrefixCache, n_blocks: int) -> int:
+    """The implementation ``PrefixCache.evict`` replaced: one tree walk per victim."""
+    freed = 0
+    while freed < n_blocks:
+        leaves = [
+            node
+            for node in index._iter_nodes()
+            if not node.children and index.pool.refcount(node.block_id) == 1
+        ]
+        if not leaves:
+            break
+        index._drop(min(leaves, key=lambda node: node.stamp))
+        freed += 1
+    index.stats.n_evicted_blocks += freed
+    return freed
+
+
+class _EvictionLog:
+    def __init__(self):
+        self.victims: list[str] = []
+
+    def on_insert(self, hashes):
+        pass
+
+    def on_evict(self, hashes):
+        self.victims.extend(hashes)
+
+
+class TestEvictionOrderReplay:
+    """The single-walk heap eviction picks the re-walking version's victims."""
+
+    def run_script(self, seed: int, evict):
+        rng = np.random.default_rng(seed)
+        pool = make_pool()
+        index = PrefixCache(pool, max_blocks=40)
+        if evict is not None:
+            index.evict = lambda n: evict(index, n)
+        log = _EvictionLog()
+        index.add_listener(log)
+        chains: list[tuple[str, list[str]]] = []
+        held: list[list[int]] = []
+        for step in range(400):
+            op = rng.choice(["insert", "insert", "match", "unhold", "evict"])
+            if op == "insert":
+                # Branch off a random existing chain so the tree has forks.
+                fingerprint, stem = f"fp{rng.integers(3)}", []
+                if chains and rng.random() < 0.7:
+                    fingerprint, chain = chains[rng.integers(len(chains))]
+                    stem = chain[: rng.integers(len(chain) + 1)]
+                hashes = stem + [f"{step}/{i}" for i in range(rng.integers(1, 9))]
+                block_ids = [pool.allocate() for _ in hashes]
+                index.insert(fingerprint, hashes, block_ids)
+                for block_id in block_ids:
+                    pool.release(block_id)
+                chains.append((fingerprint, hashes))
+            elif op == "match" and chains:
+                fingerprint, chain = chains[rng.integers(len(chains))]
+                matched = index.match(fingerprint, chain[: rng.integers(len(chain) + 1)])
+                if rng.random() < 0.5:
+                    held.append(matched)  # a live reader pins these pages
+                else:
+                    for block_id in matched:
+                        pool.release(block_id)
+            elif op == "unhold" and held:
+                for block_id in held.pop(rng.integers(len(held))):
+                    pool.release(block_id)
+            elif op == "evict":
+                index.evict(int(rng.integers(1, 7)))
+            index.assert_consistent()
+        return log.victims, index.n_blocks, index.stats.n_evicted_blocks
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_same_victims_in_the_same_order(self, seed):
+        victims, n_blocks, n_evicted = self.run_script(seed, None)
+        assert len(victims) > 100  # the script really evicts
+        assert (victims, n_blocks, n_evicted) == self.run_script(seed, rewalking_evict)

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.config import CocktailConfig
 from repro.kvpool import BlockPool
+from repro.model.attention import PREFILL_TILE
 from repro.model.decode import BatchedDecodeStep, DecodeSession
 from repro.serving.engine import InferenceEngine
 from repro.serving.request import GenerationRequest
@@ -566,6 +567,23 @@ class TestChunkedPrefill:
             )
         )
         assert long_result.token_ids == reference.token_ids
+
+    @pytest.mark.parametrize("budget", [48, PREFILL_TILE, 200])
+    def test_every_chunking_emits_the_one_shot_tokens(
+        self, vocab, tokenizer, retrieval_model, tiny_samples, budget
+    ):
+        """The tiled prefill kernel reorders float32 sums with the chunk
+        boundaries (under, at and over one tile here), so outputs
+        may differ in the last bits — the emitted tokens may not."""
+        backends = ("cocktail", "dense", "fp16", "kivi")
+        requests = make_requests(tiny_samples, backends, max_new_tokens=8)
+        one_shot = make_engine(vocab, tokenizer, retrieval_model).run_batch(requests)
+        chunked = make_engine(
+            vocab, tokenizer, retrieval_model, max_prefill_tokens_per_step=budget
+        ).run_batch(make_requests(tiny_samples, backends, max_new_tokens=8))
+        assert min(r.n_prompt_tokens for r in chunked) > 2 * PREFILL_TILE
+        assert min(r.stats.n_prefill_chunks for r in chunked) > 1
+        assert [r.token_ids for r in chunked] == [r.token_ids for r in one_shot]
 
     def test_budget_validation(self, vocab, tokenizer, retrieval_model):
         with pytest.raises(ValueError, match="max_prefill_tokens_per_step"):
