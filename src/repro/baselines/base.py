@@ -148,9 +148,9 @@ class KVCacheQuantizer(abc.ABC):
     def apply(self, cache: ModelKVCache, plan: KVQuantizationPlan) -> None:
         """Quantize the context region of ``cache`` in place (fake-quant view).
 
-        ``cache`` may be the dense reference :class:`ModelKVCache` *or* a
-        pool-backed :class:`~repro.kvpool.cache.PagedKVCache` — the serving
-        engine passes either; both expose the same layer/context surface.
+        The serving engine only calls this on a request's dense prefill
+        scratch, and only for methods without a packed encoder (see
+        :meth:`encode_context`).
         """
 
     def encode_context(self, cache, plan: KVQuantizationPlan, *, start: int = 0):
@@ -160,10 +160,10 @@ class KVCacheQuantizer(abc.ABC):
         :class:`~repro.kvpool.codecs.TensorEncoding` per layer whose decoded
         floats equal :meth:`apply`'s fake-quant output bit for bit — this is
         what the paged KV cache stores as actually-packed codes + scales.
-        The default returns ``None``, telling the paged backend to fall back
-        to :meth:`apply` (the context pages then hold the fake-quantized
-        floats at full precision, so correctness never depends on a method
-        shipping an encoder).
+        The default returns ``None``, telling the serving backend to fall
+        back to :meth:`apply` on the prefill scratch (the context pages then
+        hold the fake-quantized floats at full precision, so correctness
+        never depends on a method shipping an encoder).
 
         ``start`` is the prefix-reuse hook: the leading ``start`` rows were
         matched in the serving engine's prefix index and adopted already

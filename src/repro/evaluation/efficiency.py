@@ -288,8 +288,8 @@ def serving_stats_table(
     chunk_size: int = 32,
     seed: int = 0,
     repeats: int = 1,
-    prefix_caching: bool | None = None,
-    batched_decode: bool | None = None,
+    prefix_caching: bool = True,
+    batched_decode: bool = True,
     max_prefill_tokens_per_step: int | None = None,
     speculative: "SpeculativeConfig | int | None" = None,
 ) -> ResultTable:
@@ -310,7 +310,7 @@ def serving_stats_table(
     measured prefix-reuse per method — mean pool pages adopted from the
     engine's prefix index and mean measured bytes of prefill storage those
     requests never re-created.  ``prefix_caching`` is forwarded to the
-    engine (``None`` keeps its default: enabled on paged storage).
+    engine.
 
     ``batched_decode`` / ``max_prefill_tokens_per_step`` are forwarded to
     the engine too; the ``fwd/tok`` and ``batch occ`` columns then report

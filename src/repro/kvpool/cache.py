@@ -1,6 +1,6 @@
 """Paged KV cache: a sequence's view onto the shared block pool.
 
-:class:`PagedKVCache` is a drop-in replacement for
+:class:`PagedKVCache` is the decode-time counterpart of
 :class:`~repro.model.kv_cache.ModelKVCache` whose storage lives in a shared
 :class:`~repro.kvpool.pool.BlockPool` instead of private contiguous arrays.
 Each sequence holds a :class:`BlockTable` mapping logical token positions to
@@ -8,7 +8,9 @@ pages; per-layer :class:`PagedLayerView` objects expose the same
 ``append``/``keys``/``values`` surface the attention layer drives, so the
 transformer runs unmodified on either cache.
 
-After prefill, the serving backend packs the context region
+The serving backend fills it from a request's full-precision prefill
+scratch — adopted pages first, then the unmatched rows — and packs the
+context region
 (:meth:`PagedKVCache.pack_context`): quantized token rows become bit-packed
 codes + scales inside their pages, FP16-marked rows and all generated
 tokens stay full precision — matching the paper, which never quantizes
@@ -184,11 +186,11 @@ class PagedKVCache:
             int, tuple[tuple[int, int], tuple[np.ndarray, np.ndarray]]
         ] = {}
         #: Bumped whenever *any* already-written row may have changed
-        #: (COW fork, context overwrite, packing, truncation, adoption);
+        #: (COW fork, packing, truncation, adoption);
         #: retires the per-layer gather buffers.
         self._content_version = 0
         #: Bumped only by mutations that can touch *context-region* pages
-        #: (COW fork, context overwrite, packing, adoption) — deliberately
+        #: (COW fork, packing, adoption) — deliberately
         #: not by :meth:`truncate`, which cannot reach the context region,
         #: so speculative rollbacks keep the context memo warm.
         self._context_version = 0
@@ -291,9 +293,9 @@ class PagedKVCache:
     def _writable_block(self, index: int) -> Block:
         """The page behind table slot ``index``, privately owned.
 
-        Writing to a shared page first copies it (copy-on-write), so decode
-        tails and fake-quant overwrites can never mutate storage another
-        sequence or the prefix index still reads.
+        Writing to a shared page first copies it (copy-on-write), so a decode
+        tail or a repack can never mutate storage another sequence or the
+        prefix index still reads.
         """
         block_id = self.table.block_ids[index]
         new_id = self.pool.copy_on_write(block_id)
@@ -388,8 +390,8 @@ class PagedKVCache:
         counters this cache already maintains.  A warm hit is therefore two
         integer compares — no per-page ``pool.get`` walk to rebuild a key
         tuple, which profiling showed dominating the hit path.  Every
-        mutation that can reach a context page (COW fork, context
-        overwrite, repack, adoption) bumps ``_context_version``; a swap
+        mutation that can reach a context page (COW fork, repack,
+        adoption) bumps ``_context_version``; a swap
         round-trip clears the memo outright.
 
         A miss dequantizes per codec, not per page: each tensor's packed
@@ -451,8 +453,8 @@ class PagedKVCache:
         step's append) copies only the rows appended since the last call —
         appended rows are always full-precision, so a decode step no longer
         re-materialises (or re-dequantizes) its whole history per layer.
-        Only a content mutation (COW fork, overwrite, packing, truncation,
-        adoption — anything that bumps ``_content_version``) rebuilds the
+        Only a content mutation (COW fork, packing, truncation, adoption —
+        anything that bumps ``_content_version``) rebuilds the
         buffer from scratch, with the immutable context prefix coming from
         the :meth:`gather_context` memo as one memcpy.  Rebuilds allocate
         *fresh* arrays: views handed out earlier are never rewritten in
@@ -554,45 +556,13 @@ class PagedKVCache:
             done += take
         return _GatherBuffer(k, v, length, self._content_version)
 
-    # -- the ModelKVCache surface used by quantizers -------------------------
+    # -- context region ------------------------------------------------------
 
     def mark_context(self, n_context: int) -> None:
         """Record how many leading tokens belong to the (quantizable) context."""
         if n_context < 0 or n_context > self.length:
             raise ValueError(f"n_context must be in [0, {self.length}], got {n_context}")
         self.n_context = n_context
-
-    def context_kv(self, layer_index: int) -> tuple[np.ndarray, np.ndarray]:
-        """Return copies of the context-region K and V of one layer."""
-        k, v = self.gather_layer(layer_index)
-        return k[: self.n_context].copy(), v[: self.n_context].copy()
-
-    def replace_context_kv(
-        self, layer_index: int, k_new: np.ndarray, v_new: np.ndarray
-    ) -> None:
-        """Overwrite the context rows of one layer (fake-quant fallback path).
-
-        Quantizers without a packed-storage encoder keep their ``apply``
-        semantics on the paged cache: the context pages simply hold the
-        fake-quantized floats at full precision.
-        """
-        self._check_writable()
-        if self._packed:
-            raise RuntimeError("context was packed; it can no longer be overwritten")
-        if k_new.shape[0] != self.n_context or v_new.shape[0] != self.n_context:
-            raise ValueError(f"expected {self.n_context} context rows, got {k_new.shape[0]}")
-        k_new = np.asarray(k_new, dtype=np.float32)
-        v_new = np.asarray(v_new, dtype=np.float32)
-        done = 0
-        for index in range(len(self.table.block_ids)):
-            if done >= self.n_context:
-                break
-            take = min(self.table.block_size, self.n_context - done)
-            block = self._writable_block(index)
-            block.write(layer_index, 0, k_new[done : done + take], v_new[done : done + take])
-            done += take
-        self._content_version += 1
-        self._context_version += 1
 
     # -- packing -------------------------------------------------------------
 

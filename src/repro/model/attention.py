@@ -358,8 +358,6 @@ class AttentionLayer:
         hidden: np.ndarray,
         caches: Sequence[LayerKVCache],
         positions: Sequence[int],
-        *,
-        fast_math: bool = False,
     ) -> np.ndarray:
         """One decode position for each of ``n`` *independent* sequences.
 
@@ -379,24 +377,7 @@ class AttentionLayer:
         a batched kernel would trade that reduction-order freedom for
         throughput; in this reproduction the fusion win is one model
         invocation per engine step plus the shared gather/bookkeeping path.
-
-        ``fast_math=True`` opts into exactly that trade: the q/k/v
-        projections run as whole-batch stacked GEMMs, so outputs may drift
-        within float tolerance and depend on batch composition.  Attention
-        itself stays per-sequence either way.
         """
-        if fast_math and hidden.shape[0] > 1:
-            pos_array = np.asarray(positions)
-            q, k, v = self.project_qkv(hidden, pos_array)
-            out = np.empty(
-                (hidden.shape[0], self.weights.wo.shape[2]), dtype=np.float32
-            )
-            for i, cache in enumerate(caches):
-                cache.append(k[i : i + 1], v[i : i + 1])
-                out[i] = self._attend_cache(
-                    q[i : i + 1], cache, pos_array[i : i + 1]
-                )[0]
-            return out
         out = np.empty((hidden.shape[0], self.weights.wo.shape[2]), dtype=np.float32)
         for i, (cache, position) in enumerate(zip(caches, positions)):
             out[i] = self.forward_decode(hidden[i : i + 1], cache, int(position))[0]

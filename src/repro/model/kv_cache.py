@@ -20,9 +20,9 @@ class LayerKVCache:
     K and V are float32 arrays of which the first :attr:`length` rows are
     valid.  Storage is allocated lazily with geometric growth up to
     :attr:`capacity`: a freshly created (or cloned) cache only holds its
-    valid region, so the per-preemption recompute path and the evaluation
-    harness's clones no longer pay for zero-initialising ``capacity`` rows
-    they never touch.
+    valid region, so the serving engine's per-request prefill scratch and
+    the evaluation harness's clones do not pay for zero-initialising
+    ``capacity`` rows they never touch.
     """
 
     n_kv_heads: int

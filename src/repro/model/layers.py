@@ -60,8 +60,6 @@ class TransformerBlock:
         hidden: np.ndarray,
         caches: Sequence[LayerKVCache],
         positions: Sequence[int],
-        *,
-        fast_math: bool = False,
     ) -> np.ndarray:
         """Process one token per sequence for ``n`` independent sequences.
 
@@ -70,17 +68,12 @@ class TransformerBlock:
         per-sequence path); attention and the MLP GEMMs run per row — see
         :meth:`AttentionLayer.forward_decode_batch` for why batch-shaped
         GEMMs would break batch-composition invariance.
-
-        ``fast_math=True`` (opt-in, reduced determinism) stacks the
-        projection and MLP GEMMs over the whole batch instead.
         """
         attn_out = self.attention.forward_decode_batch(
-            self.norm_attn.forward(hidden), caches, positions, fast_math=fast_math
+            self.norm_attn.forward(hidden), caches, positions
         )
         hidden = hidden + attn_out
         normed = self.norm_mlp.forward(hidden)
-        if fast_math and hidden.shape[0] > 1:
-            return hidden + self.mlp.forward(normed)
         mlp_out = np.empty_like(hidden)
         for i in range(hidden.shape[0]):
             mlp_out[i] = self.mlp.forward(normed[i : i + 1])[0]

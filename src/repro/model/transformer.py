@@ -141,8 +141,6 @@ class Transformer:
         self,
         token_ids: Sequence[int],
         caches: Sequence[ModelKVCache],
-        *,
-        fast_math: bool = False,
     ) -> list[np.ndarray]:
         """One fused decode forward advancing ``n`` independent sequences.
 
@@ -156,12 +154,6 @@ class Transformer:
         batch composition — see
         :meth:`~repro.model.attention.AttentionLayer.forward_decode_batch`
         for the invariance argument.
-
-        ``fast_math=True`` (the engine's opt-in throughput mode) stacks the
-        per-row projection, MLP and unembedding GEMMs into whole-batch
-        GEMMs; outputs may then drift within float tolerance and depend on
-        batch composition.  Default ``False`` keeps the bit-identity
-        contract.
         """
         if len(token_ids) != len(caches):
             raise ValueError(
@@ -176,17 +168,9 @@ class Transformer:
                 raise ValueError("KV cache is full")
             positions.append(position)
         hidden = self.embed(list(token_ids), np.asarray(positions))
-        fused = fast_math and hidden.shape[0] > 1
         for layer_index, block in enumerate(self.blocks):
             layer_caches = [cache.layers[layer_index] for cache in caches]
-            hidden = block.forward_decode_batch(
-                hidden, layer_caches, positions, fast_math=fused
-            )
-        if fused:
-            with profiling_span("logits"):
-                normed = self.final_norm.forward(hidden)
-                logits = (normed @ self.weights.unembedding).astype(np.float32)
-            return [logits[i] for i in range(logits.shape[0])]
+            hidden = block.forward_decode_batch(hidden, layer_caches, positions)
         return [self._logits(hidden[i]) for i in range(hidden.shape[0])]
 
     def decode_verify_step(

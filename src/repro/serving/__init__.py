@@ -8,12 +8,12 @@
   method names) built on the shared
   :class:`~repro.model.decode.DecodeSession` step abstraction.
 * :mod:`repro.serving.scheduler` — FIFO admission, per-step round-robin
-  decode over in-flight sequences and capacity-aware preemption (swap-based
-  by default, recompute as fallback).
+  decode over in-flight sequences and capacity-aware swap preemption.
 * :mod:`repro.serving.engine` — :class:`InferenceEngine` with ``submit()`` /
-  ``step()`` / ``stream()`` / ``run()`` / ``run_batch()``, serving every
-  request out of a shared paged :class:`~repro.kvpool.BlockPool` with
-  actually-packed quantized context storage.
+  ``step()`` / ``stream()`` / ``run()`` / ``run_batch()``: every request is
+  admitted through one scratch-prefill path and served out of a shared
+  paged :class:`~repro.kvpool.BlockPool` with actually-packed quantized
+  context storage.
 * :mod:`repro.serving.spec` — speculative decoding: the
   :class:`DraftProposer` registry (n-gram prompt lookup by default) and
   :class:`SpeculativeConfig`, driving multi-token verify forwards through

@@ -1,13 +1,17 @@
 """Pluggable decode backends and their registry.
 
-A :class:`DecodeBackend` owns everything method-specific about serving one
-request: prefill, quantization planning, cache preparation and the per-token
-decode step.  What it hands back to the engine is a
-:class:`~repro.model.decode.DecodeSession` wrapped in a
+Every request is admitted the same way: the engine prefills the prompt at
+full precision into a private dense scratch cache (a :class:`PrefillJob`,
+one ``advance`` or several under a prefill budget) and hands the finished
+job to the request's :class:`DecodeBackend`, which owns everything
+method-specific from there — quantization planning, building the stored
+cache out of the scratch rows, and the per-token decode step.  What it
+hands back is a :class:`~repro.model.decode.DecodeSession` wrapped in a
 :class:`PreparedSequence`, so the continuous-batching scheduler can drive
-every method — Cocktail's dense fake-quant path, Cocktail's blockwise
+every method — Cocktail's packed-page path, Cocktail's blockwise
 Algorithm-1 path and all the paper's baselines — through the exact same
-step interface.
+step interface.  Whatever a prepared sequence keeps resident lives in pages
+of the engine's :class:`~repro.kvpool.BlockPool`.
 
 Backends resolve by name through a registry: ``"dense"``/``"cocktail"``,
 ``"blockwise"``, and the baseline method names from
@@ -34,10 +38,9 @@ from repro.core.cache import ChunkedLayerCache
 from repro.core.computation import chunk_level_decode_attention
 from repro.kvpool.cache import PagedKVCache
 from repro.model.decode import DecodeSession
-from repro.model.kv_cache import LayerKVCache, ModelKVCache
+from repro.model.kv_cache import ModelKVCache
 from repro.model.tokenizer import Tokenizer
 from repro.model.transformer import Transformer
-from repro.quant.dtypes import BitWidth, bytes_for_elements
 from repro.retrieval.chunking import chunk_words
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
@@ -78,64 +81,32 @@ def prompt_token_ids(
     return tokenizer.encode(prompt_words)
 
 
-def _release_cache(cache) -> None:
-    """Return a cache's pool pages, if it has any (no-op for dense caches)."""
-    release = getattr(cache, "release", None)
-    if release is not None:
-        release()
-
-
-def _paged_hooks(cache) -> dict:
-    """Swap/release/accounting hooks of a pool-backed cache (else empty)."""
-    if isinstance(cache, PagedKVCache):
-        return {
-            "swap_out": cache.swap_out,
-            "swap_in": cache.swap_in,
-            "release": cache.release,
-            "kv_bytes": cache.measured_bytes,
-        }
-    return {}
-
-
 class PrefillJob:
-    """Incremental prefill of one admitted request (chunked admission).
+    """Full-precision prefill of one admitted request.
 
-    Under an engine ``max_prefill_tokens_per_step`` budget, a long prompt no
-    longer prefills inline at admission — each call to :meth:`advance` runs
-    the model's prefill forward over the *next chunk only*, so one
-    long-context arrival stops stalling every in-flight decode for a whole
-    round.  Between steps the partially filled cache stays pinned: pool
-    pages for the standard path, a private dense scratch cache for the warm
-    prefix-adoption path (``scratch=True``).  When the job is :attr:`done`,
-    :meth:`DecodeBackend.prepare` consumes it — planning, quantization and
-    packing then run exactly as they would have after a one-shot prefill,
-    so chunked admission changes *when* prefill compute happens, never what
-    it computes.
+    Every admission runs through a job: each call to :meth:`advance` runs
+    the model's prefill forward over the *next chunk only*, so under an
+    engine ``max_prefill_tokens_per_step`` budget one long-context arrival
+    stops stalling every in-flight decode for a whole round (without a
+    budget the engine simply advances the whole prompt at once).  The rows
+    land in a private dense scratch cache — prefill attends over the
+    full-precision K/V of the whole prompt, which no quantized page could
+    serve — so a job holds no pool pages, and dropping it frees everything
+    it pinned.  When the job is :attr:`done`, :meth:`DecodeBackend.prepare`
+    consumes it, so chunking changes *when* prefill compute happens, never
+    what the backend builds from it.
     """
 
     def __init__(
-        self,
-        backend: "DecodeBackend",
-        request: "GenerationRequest",
-        cache,
-        *,
-        scratch: bool = False,
+        self, model: Transformer, tokenizer: Tokenizer, request: "GenerationRequest"
     ):
-        self.backend = backend
-        self.request = request
-        self.cache = cache
-        self.scratch = scratch
+        self.model = model
+        self.cache: ModelKVCache = model.new_cache()
         self.prompt = prompt_token_ids(
-            backend.tokenizer, request.context_words, request.query_words
+            tokenizer, request.context_words, request.query_words
         )
         self.n_done = 0
         self.first_logits: np.ndarray | None = None
-        self._released = False
-
-    @property
-    def n_tokens(self) -> int:
-        """Total prompt tokens this job will prefill."""
-        return len(self.prompt)
 
     @property
     def n_remaining(self) -> int:
@@ -149,7 +120,7 @@ class PrefillJob:
 
     def live_tokens(self) -> int:
         """KV rows the partial prefill currently pins."""
-        return 0 if self._released else self.cache.live_tokens()
+        return self.cache.live_tokens()
 
     def advance(self, max_tokens: int) -> int:
         """Prefill up to ``max_tokens`` more prompt tokens; returns how many ran."""
@@ -158,17 +129,11 @@ class PrefillJob:
         if max_tokens < 1:
             raise ValueError(f"max_tokens must be >= 1, got {max_tokens}")
         chunk = self.prompt[self.n_done : self.n_done + max_tokens]
-        logits = self.backend.model.prefill(chunk, self.cache)
+        logits = self.model.prefill(chunk, self.cache)
         self.n_done += len(chunk)
         if self.done:
             self.first_logits = logits
         return len(chunk)
-
-    def release(self) -> None:
-        """Return the partial cache's pool pages (idempotent; scratch is a no-op)."""
-        if not self._released:
-            _release_cache(self.cache)
-            self._released = True
 
 
 @dataclass
@@ -191,17 +156,15 @@ class PreparedSequence:
         Backend-specific extras surfaced on the result (e.g. the blockwise
         backend's chunked caches).
     swap_out, swap_in:
-        Optional preemption hooks of pool-backed sequences: ``swap_out``
-        evicts every page to a host-side store (freeing pool capacity) and
-        ``swap_in`` restores them, so the decode session resumes without
-        recompute.  Backends that cannot swap leave them ``None`` and the
-        engine falls back to recompute preemption.
+        Preemption hooks over the sequence's pool pages: ``swap_out``
+        evicts every exclusively-owned page to a host-side store (freeing
+        pool capacity) and ``swap_in`` restores them, so the decode session
+        resumes without recompute.
     release:
-        Optional cleanup freeing pool pages when the sequence finishes or
-        is preempted for recompute.
+        Returns the sequence's pool pages when it finishes or is cancelled.
     kv_bytes:
-        Optional measured-memory probe; returns the sequence's current
-        resident KV bytes breakdown (see
+        Measured-memory probe; returns the sequence's current resident KV
+        bytes breakdown (see
         :meth:`repro.kvpool.cache.PagedKVCache.measured_bytes`).
     cached_tokens, cache_hit_blocks, cached_bytes:
         Prefix-reuse outcome of this preparation: context tokens / pool
@@ -234,11 +197,11 @@ class PreparedSequence:
     n_prompt_tokens: int
     n_context_tokens: int
     live_tokens: Callable[[], int]
+    swap_out: Callable[[], None]
+    swap_in: Callable[[], None]
+    release: Callable[[], None]
+    kv_bytes: Callable[[], dict]
     details: dict = field(default_factory=dict, repr=False)
-    swap_out: Callable[[], None] | None = None
-    swap_in: Callable[[], None] | None = None
-    release: Callable[[], None] | None = None
-    kv_bytes: Callable[[], dict] | None = None
     cached_tokens: int = 0
     cache_hit_blocks: int = 0
     cached_bytes: int = 0
@@ -247,14 +210,9 @@ class PreparedSequence:
     prompt_ids: tuple[int, ...] | None = None
     spec_capable: bool = False
 
-    @property
-    def supports_swap(self) -> bool:
-        """Whether this sequence can be preempted by swapping its pages out."""
-        return self.swap_out is not None and self.swap_in is not None
-
 
 class DecodeBackend(abc.ABC):
-    """Method-specific prefill + decode-step implementation."""
+    """Method-specific cache preparation + decode-step implementation."""
 
     #: Registry name (instances may override per construction).
     name: str = "backend"
@@ -276,51 +234,25 @@ class DecodeBackend(abc.ABC):
             stops = (self.tokenizer.eos_id, self.tokenizer.sep_id) + stops
         return stops
 
-    def _prefill(
-        self, request: "GenerationRequest", prefill: PrefillJob | None = None
-    ) -> tuple[ModelKVCache | PagedKVCache, np.ndarray, list[int]]:
-        """Full-precision prefill of the request prompt.
-
-        The cache comes from the engine: a pool-backed
-        :class:`~repro.kvpool.cache.PagedKVCache` by default, or the dense
-        reference cache when the engine was built with ``kv_cache="dense"``.
-        If prefill dies half-way (e.g. the pool runs out of pages), the
-        partially written pages are returned to the pool before the error
-        propagates.  A finished :class:`PrefillJob` short-circuits the
-        forward — its chunked passes already filled the cache.
-        """
-        if prefill is not None:
-            if not prefill.done:
-                raise RuntimeError("prepare() needs a finished prefill job")
-            cache = prefill.cache
-            try:
-                cache.mark_context(len(request.context_words))
-            except Exception:
-                _release_cache(cache)
-                raise
-            return cache, prefill.first_logits, prefill.prompt
-        prompt = prompt_token_ids(
-            self.tokenizer, request.context_words, request.query_words
-        )
-        cache = self.engine.new_kv_cache()
-        try:
-            first_logits = self.model.prefill(prompt, cache)
-            cache.mark_context(len(request.context_words))
-        except Exception:
-            _release_cache(cache)
-            raise
-        return cache, first_logits, prompt
+    @staticmethod
+    def _scratch(request: "GenerationRequest", prefill: PrefillJob) -> ModelKVCache:
+        """The finished job's full-precision cache, context region marked."""
+        if not prefill.done:
+            raise RuntimeError("prepare() needs a finished prefill job")
+        prefill.cache.mark_context(len(request.context_words))
+        return prefill.cache
 
     @abc.abstractmethod
     def prepare(
-        self, request: "GenerationRequest", prefill: PrefillJob | None = None
+        self, request: "GenerationRequest", prefill: PrefillJob
     ) -> PreparedSequence:
-        """Prefill, plan/apply quantization and return the decode session.
+        """Plan/apply quantization over a finished prefill; return the decode session.
 
-        ``prefill`` hands over a *finished* :class:`PrefillJob` when the
-        engine metered the prompt across several steps (chunked admission);
-        the backend then skips its own prefill and consumes the job's cache
-        and first-token logits instead.
+        ``prefill`` is the *finished* :class:`PrefillJob` the engine ran for
+        this request: its dense scratch cache holds the whole prompt's
+        full-precision K/V and ``first_logits`` the first-token
+        distribution.  The backend builds whatever it decodes over from
+        those rows; the scratch itself is dropped with the job.
         """
 
     # -- batched execution ---------------------------------------------------
@@ -382,21 +314,11 @@ class DecodeBackend(abc.ABC):
             f"backend {self.name!r} does not support speculative decoding"
         )
 
-    # -- chunked prefill ------------------------------------------------------
-
-    def start_prefill(self, request: "GenerationRequest") -> PrefillJob | None:
-        """Begin a chunked prefill for ``request``, or ``None``.
-
-        Backends returning ``None`` do not support metered admission; the
-        engine then falls back to one-shot :meth:`prepare` regardless of
-        the prefill budget.
-        """
-        del request
-        return None
+    # -- prefix reuse ---------------------------------------------------------
 
     def probe_cached_blocks(self, request: "GenerationRequest") -> int:
         """Estimate how many pool pages a request would adopt from the
-        prefix index (admission-cost hint; 0 when the backend cannot tell).
+        prefix index: a peek over :meth:`prefix_route_keys`, no state touched.
 
         The scheduler subtracts this from the page demand it charges at
         admission, so a warm repeated-context request is not blocked on
@@ -404,8 +326,10 @@ class DecodeBackend(abc.ABC):
         design — entries may be evicted before ``prepare`` runs — and the
         engine's preemption machinery corrects any overshoot.
         """
-        del request
-        return 0
+        prefix_cache = self.engine.prefix_cache
+        if prefix_cache is None or prefix_cache.n_blocks == 0:
+            return 0  # nothing can match; skip the planning work
+        return prefix_cache.peek(*self.prefix_route_keys(request))
 
     def prefix_route_keys(
         self, request: "GenerationRequest"
@@ -466,11 +390,7 @@ class QuantizedDenseBackend(DecodeBackend):
             if sequence.cache is None:
                 raise ValueError("sequence carries no decode cache to batch over")
             caches.append(sequence.cache)
-        return self.model.decode_step_batch(
-            list(token_ids),
-            caches,
-            fast_math=getattr(self.engine, "fast_math", False),
-        )
+        return self.model.decode_step_batch(list(token_ids), caches)
 
     @property
     def supports_speculation(self) -> bool:
@@ -494,78 +414,6 @@ class QuantizedDenseBackend(DecodeBackend):
             [list(tokens) for tokens in token_lists], caches
         )
 
-    def start_prefill(self, request: "GenerationRequest") -> PrefillJob:
-        """Chunked prefill into the cache :meth:`prepare` will consume.
-
-        The warm prefix-adoption path prefills a private dense scratch (its
-        storage is assembled from shared pages afterwards); the cold path
-        prefills pool pages directly, which stay pinned between chunks.
-        """
-        prefix_cache = self.engine.prefix_cache
-        if prefix_cache is not None and prefix_cache.n_blocks > 0:
-            return PrefillJob(self, request, self.model.new_cache(), scratch=True)
-        return PrefillJob(self, request, self.engine.new_kv_cache())
-
-    def prepare(
-        self, request: "GenerationRequest", prefill: PrefillJob | None = None
-    ) -> PreparedSequence:
-        prefix_cache = self.engine.prefix_cache
-        if prefill is not None:
-            # The admission route was fixed when the job started; honour it
-            # even if the index filled up (or emptied) between the chunks.
-            warm = prefill.scratch
-        else:
-            # Only when the index holds pages that could possibly match is
-            # the scratch-prefill adoption path worth its extra row copy; a
-            # cold engine prefills straight into the pool below and merely
-            # *publishes* its pages afterwards.
-            warm = prefix_cache is not None and prefix_cache.n_blocks > 0
-        if warm:
-            return self._prepare_with_prefix_cache(request, prefill)
-        cache, first_logits, prompt = self._prefill(request, prefill)
-        try:
-            qrequest = build_quantization_request(
-                request.context_words,
-                request.query_words,
-                self.engine.chunk_size,
-                cache,
-            )
-            plan = self.quantizer.plan(qrequest)
-            if isinstance(cache, PagedKVCache):
-                encodings = self.quantizer.encode_context(cache, plan)
-                if encodings is None:
-                    # No packed-storage encoder: keep the fake-quant floats
-                    # in full-precision pages (correct, just not compact).
-                    self.quantizer.apply(cache, plan)
-                else:
-                    cache.pack_context(encodings)
-                if prefix_cache is not None:
-                    self._publish(prompt, plan, cache)
-            else:
-                self.quantizer.apply(cache, plan)
-        except Exception:
-            _release_cache(cache)
-            raise
-        session = self.model.decode_session(
-            cache,
-            first_logits,
-            max_new_tokens=request.max_new_tokens,
-            stop_ids=self._stop_ids(request),
-            sampler=request.sampling.build_sampler(),
-        )
-        return PreparedSequence(
-            session=session,
-            plan=plan,
-            n_prompt_tokens=len(prompt),
-            n_context_tokens=len(request.context_words),
-            live_tokens=cache.live_tokens,
-            cache=cache,
-            batch_key=self.TRANSFORMER_BATCH_KEY if self.supports_batched_step else None,
-            prompt_ids=tuple(prompt),
-            spec_capable=self.supports_speculation,
-            **_paged_hooks(cache),
-        )
-
     def _plan_request(self, request: "GenerationRequest", cache):
         """Run this method's quantization planning for one request."""
         qrequest = build_quantization_request(
@@ -587,91 +435,48 @@ class QuantizedDenseBackend(DecodeBackend):
             fingerprint, context_ids, plan.token_bits, self.engine.pool.block_size
         )
 
-    def _publish(self, prompt: list[int], plan, cache: PagedKVCache) -> None:
-        """Insert a freshly packed request's full-context pages into the index."""
-        context_ids = prompt[: cache.n_context]
-        fingerprint, hashes = self._reuse_keys(plan, context_ids)
-        if fingerprint is not None:
-            self.engine.prefix_cache.insert(
-                fingerprint, hashes, cache.table.block_ids[: len(hashes)]
-            )
-
-    def probe_cached_blocks(self, request: "GenerationRequest") -> int:
-        """Peek the prefix index with a cache-free plan (no state touched)."""
-        prefix_cache = self.engine.prefix_cache
-        if prefix_cache is None or prefix_cache.n_blocks == 0:
-            return 0  # nothing can match; skip the duplicate planning work
-        prompt = prompt_token_ids(
-            self.tokenizer, request.context_words, request.query_words
-        )
-        context_ids = prompt[: len(request.context_words)]
-        try:
-            plan = self._plan_request(request, None)
-        except Exception:
-            # Planners that need the prefilled cache (KVQuant's outlier
-            # ranking) cannot be probed ahead of prefill; charge full cost.
-            return 0
-        fingerprint, hashes = self._reuse_keys(plan, context_ids)
-        if fingerprint is None:
-            return 0
-        return prefix_cache.peek(fingerprint, hashes)
-
     def prefix_route_keys(
         self, request: "GenerationRequest"
     ) -> tuple[str | None, list[str]]:
-        """Cache-free routing keys: the same plan-then-hash walk as
-        :meth:`probe_cached_blocks`, but returning the keys themselves."""
-        if self.engine.pool is None:
-            return None, []
+        """Routing keys from a cache-free plan (no engine state touched)."""
         prompt = prompt_token_ids(
             self.tokenizer, request.context_words, request.query_words
         )
-        context_ids = prompt[: len(request.context_words)]
         try:
             plan = self._plan_request(request, None)
         except Exception:
             # Planners that need the prefilled cache (KVQuant's outlier
             # ranking) cannot be keyed ahead of prefill.
             return None, []
-        return self._reuse_keys(plan, context_ids)
+        return self._reuse_keys(plan, prompt[: len(request.context_words)])
 
-    def _prepare_with_prefix_cache(
-        self, request: "GenerationRequest", prefill: PrefillJob | None = None
+    def prepare(
+        self, request: "GenerationRequest", prefill: PrefillJob
     ) -> PreparedSequence:
-        """Prefill once at full precision, then adopt every matched page.
+        """Plan on the scratch, adopt every matched page, pack the rest.
 
         Bit-exactness constraint: prefill attends over the full-precision
         K/V of the whole prompt, while the index stores *quantized* pages —
-        so the prefill runs into a private dense scratch cache (same
-        numerics as the reference path; under chunked admission the
-        engine's :class:`PrefillJob` filled that scratch across steps) and
-        only the storage is assembled from shared pages + freshly written
-        unmatched rows.  The decode phase then sees exactly the pages the
-        cold path would have built: matched pages byte-identical by
-        construction of the hash chain, unmatched rows packed from the same
-        deterministic encodings.
+        which is why the prefill ran into a private dense scratch and only
+        the storage is assembled here, from shared pages + freshly written
+        unmatched rows.  Matched pages are byte-identical to what this
+        request would have packed by construction of the hash chain, and
+        unmatched rows are packed from the same deterministic encodings,
+        so the decode phase reads the same pages whether the index held
+        all, some or none of them (or does not exist).
         """
-        engine = self.engine
-        prefix_cache = engine.prefix_cache
-        pool = engine.pool
-        n_context = len(request.context_words)
-        if prefill is not None:
-            if not prefill.done:
-                raise RuntimeError("prepare() needs a finished prefill job")
-            prompt = prefill.prompt
-            scratch = prefill.cache
-            first_logits = prefill.first_logits
-        else:
-            prompt = prompt_token_ids(
-                self.tokenizer, request.context_words, request.query_words
-            )
-            scratch = self.model.new_cache()
-            first_logits = self.model.prefill(prompt, scratch)
-        context_ids = prompt[:n_context]
-        scratch.mark_context(n_context)
+        prefix_cache = self.engine.prefix_cache
+        pool = self.engine.pool
+        scratch = self._scratch(request, prefill)
+        prompt = prefill.prompt
+        n_context = scratch.n_context
         plan = self._plan_request(request, scratch)
-        fingerprint, hashes = self._reuse_keys(plan, context_ids)
-        cache = engine.new_kv_cache()
+        fingerprint, hashes = (
+            self._reuse_keys(plan, prompt[:n_context])
+            if prefix_cache is not None
+            else (None, [])
+        )
+        cache = self.model.new_cache(pool=pool)
         try:
             matched_ids = prefix_cache.match(fingerprint, hashes) if hashes else []
             matched_tokens = len(matched_ids) * pool.block_size
@@ -702,11 +507,11 @@ class QuantizedDenseBackend(DecodeBackend):
                     fingerprint, hashes, cache.table.block_ids[: len(hashes)]
                 )
         except Exception:
-            _release_cache(cache)
+            cache.release()
             raise
         session = self.model.decode_session(
             cache,
-            first_logits,
+            prefill.first_logits,
             max_new_tokens=request.max_new_tokens,
             stop_ids=self._stop_ids(request),
             sampler=request.sampling.build_sampler(),
@@ -717,6 +522,10 @@ class QuantizedDenseBackend(DecodeBackend):
             n_prompt_tokens=len(prompt),
             n_context_tokens=n_context,
             live_tokens=cache.live_tokens,
+            swap_out=cache.swap_out,
+            swap_in=cache.swap_in,
+            release=cache.release,
+            kv_bytes=cache.measured_bytes,
             cached_tokens=matched_tokens,
             cache_hit_blocks=len(matched_ids),
             cached_bytes=cached_bytes,
@@ -724,7 +533,6 @@ class QuantizedDenseBackend(DecodeBackend):
             batch_key=self.TRANSFORMER_BATCH_KEY if self.supports_batched_step else None,
             prompt_ids=tuple(prompt),
             spec_capable=self.supports_speculation,
-            **_paged_hooks(cache),
         )
 
 
@@ -732,80 +540,25 @@ class _BlockwiseDecodeState:
     """Per-sequence state of the blockwise (Algorithm 1) decode path.
 
     The quantized context lives in per-layer :class:`ChunkedLayerCache`
-    segments; query and generated tokens accumulate in small FP16 decode
-    caches.  On a pool-backed engine those decode caches are pages of the
-    shared :class:`~repro.kvpool.BlockPool` (one paged cache whose layer
-    views stand in for the dense ``LayerKVCache`` objects), so even the
-    blockwise path's growing state is a pool-accounted resource.  Each step
-    runs chunk-level decode attention per layer.
+    segments; query and generated tokens accumulate in ``decode_caches``,
+    one full-precision layer buffer each (``append``/``keys``/``values`` —
+    the backend passes the layer views of a pool-backed paged cache, so
+    even the blockwise path's growing state is a pool-accounted resource).
+    ``position`` is the number of tokens already cached (context + query).
+    Each step runs chunk-level decode attention per layer.
     """
 
     def __init__(
         self,
         model: Transformer,
-        cache: ModelKVCache | PagedKVCache,
         chunked_caches: list[ChunkedLayerCache],
+        decode_caches: Sequence,
+        position: int,
     ):
         self.model = model
         self.chunked_caches = chunked_caches
-        config = model.config
-        n_context = cache.n_context
-        # The non-quantized region (query tokens) seeds the FP16 decode caches.
-        decode_capacity = cache.capacity - n_context
-        self.paged_decode_cache: PagedKVCache | None = None
-        if isinstance(cache, PagedKVCache):
-            self.paged_decode_cache = PagedKVCache(cache.pool, decode_capacity)
-            self.decode_caches = list(self.paged_decode_cache.layers)
-        else:
-            self.decode_caches = [
-                LayerKVCache(config.n_kv_heads, config.head_dim, decode_capacity)
-                for _ in cache.layers
-            ]
-        try:
-            for layer, decode_cache in zip(cache.layers, self.decode_caches):
-                decode_cache.append(
-                    layer.k[n_context : layer.length].copy(),
-                    layer.v[n_context : layer.length].copy(),
-                )
-        except Exception:
-            if self.paged_decode_cache is not None:
-                self.paged_decode_cache.release()
-            raise
-        self.position = cache.length
-        self.capacity = cache.capacity
-
-    def has_capacity(self) -> bool:
-        if self.position >= self.capacity:
-            return False
-        if self.paged_decode_cache is not None:
-            return self.paged_decode_cache.has_capacity()
-        return True
-
-    def live_tokens(self) -> int:
-        return self.position
-
-    def kv_bytes(self) -> dict:
-        """Measured bytes: chunked context segments + decode-cache pages."""
-        context_bytes = sum(c.storage_bytes() for c in self.chunked_caches)
-        context_fp16 = sum(c.fp16_storage_bytes() for c in self.chunked_caches)
-        if self.paged_decode_cache is not None:
-            decode = self.paged_decode_cache.measured_bytes()
-            generated_bytes = decode["total_bytes"]
-            n_blocks = decode["n_blocks"]
-        else:
-            n_rows = self.decode_caches[0].length if self.decode_caches else 0
-            generated_bytes = n_rows * sum(
-                bytes_for_elements(2 * c.n_kv_heads * c.head_dim, BitWidth.FP16)
-                for c in self.chunked_caches
-            )
-            n_blocks = 0
-        return {
-            "context_bytes": context_bytes,
-            "generated_bytes": generated_bytes,
-            "total_bytes": context_bytes + generated_bytes,
-            "context_fp16_bytes": context_fp16,
-            "n_blocks": n_blocks,
-        }
+        self.decode_caches = decode_caches
+        self.position = position
 
     def step(self, token_id: int) -> np.ndarray:
         """One decode step with chunk-level KV cache computation per layer."""
@@ -839,51 +592,69 @@ class BlockwiseBackend(DecodeBackend):
 
     The blockwise step *is* the paper's custom chunk-level decode kernel
     (its own per-layer attention over chunked segments), so it stays on the
-    sequential path — :attr:`supports_batched_step` remains ``False`` —
-    while still admitting through chunked prefill.
+    sequential path — :attr:`supports_batched_step` remains ``False``.
+    Only its query/generated rows live in pool pages; the context is held
+    in the chunked segments built straight from the prefill scratch.
     """
 
     name = "blockwise"
 
-    def start_prefill(self, request: "GenerationRequest") -> PrefillJob:
-        """Chunked prefill into pool pages (released once chunked caches are built)."""
-        return PrefillJob(self, request, self.engine.new_kv_cache())
-
     def prepare(
-        self, request: "GenerationRequest", prefill: PrefillJob | None = None
+        self, request: "GenerationRequest", prefill: PrefillJob
     ) -> PreparedSequence:
         engine = self.engine
-        cache, first_logits, prompt = self._prefill(request, prefill)
+        scratch = self._scratch(request, prefill)
+        n_context = scratch.n_context
+        qrequest = build_quantization_request(
+            request.context_words, request.query_words, engine.chunk_size, scratch
+        )
+        plan = engine.quantizer.plan(qrequest)
+        chunked_caches = engine.quantizer.build_chunked_caches(scratch, plan)
+        # The non-quantized region (query tokens) seeds the FP16 decode pages.
+        decode_cache = PagedKVCache(engine.pool, scratch.capacity - n_context)
         try:
-            qrequest = build_quantization_request(
-                request.context_words,
-                request.query_words,
-                engine.chunk_size,
-                cache,
-            )
-            plan = engine.quantizer.plan(qrequest)
-            chunked_caches = engine.quantizer.build_chunked_caches(cache, plan)
-            state = _BlockwiseDecodeState(self.model, cache, chunked_caches)
-        finally:
-            # The chunked context + decode caches carry everything decode
-            # needs; the prefill pages go back to the pool immediately.
-            _release_cache(cache)
+            for layer, view in zip(scratch.layers, decode_cache.layers):
+                view.append(layer.keys()[n_context:], layer.values()[n_context:])
+        except Exception:
+            decode_cache.release()
+            raise
+        state = _BlockwiseDecodeState(
+            self.model, chunked_caches, decode_cache.layers, scratch.length
+        )
+
+        def kv_bytes() -> dict:
+            """Measured bytes: chunked context segments + decode-cache pages."""
+            context_bytes = sum(c.storage_bytes() for c in chunked_caches)
+            decode = decode_cache.measured_bytes()
+            return {
+                "context_bytes": context_bytes,
+                "generated_bytes": decode["total_bytes"],
+                "total_bytes": context_bytes + decode["total_bytes"],
+                "context_fp16_bytes": sum(
+                    c.fp16_storage_bytes() for c in chunked_caches
+                ),
+                "n_blocks": decode["n_blocks"],
+            }
+
         session = DecodeSession(
             state.step,
-            first_logits,
+            prefill.first_logits,
             max_new_tokens=request.max_new_tokens,
             stop_ids=self._stop_ids(request),
             sampler=request.sampling.build_sampler(),
-            has_capacity=state.has_capacity,
+            has_capacity=decode_cache.has_capacity,
         )
         return PreparedSequence(
             session=session,
             plan=plan,
-            n_prompt_tokens=len(prompt),
-            n_context_tokens=len(request.context_words),
-            live_tokens=state.live_tokens,
+            n_prompt_tokens=len(prefill.prompt),
+            n_context_tokens=n_context,
+            live_tokens=lambda: state.position,
+            swap_out=decode_cache.swap_out,
+            swap_in=decode_cache.swap_in,
+            release=decode_cache.release,
+            kv_bytes=kv_bytes,
             details={"chunked_caches": chunked_caches},
-            **{**_paged_hooks(state.paged_decode_cache), "kv_bytes": state.kv_bytes},
         )
 
 

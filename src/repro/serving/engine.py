@@ -12,10 +12,18 @@ their own event loop (the asyncio front door in
 :class:`InferenceEngine` is the public entry point of the redesigned
 inference API.  It owns the model/tokenizer substrate, one Cocktail
 quantizer (shared by the ``"dense"``/``"blockwise"``/``"cocktail"``
-backends) and a :class:`ContinuousBatchingScheduler`; requests are
-submitted as :class:`~repro.serving.request.GenerationRequest` objects and
-served step by step, one decode token per in-flight sequence per
-:meth:`step`.
+backends), the shared :class:`~repro.kvpool.BlockPool` and a
+:class:`ContinuousBatchingScheduler`; requests are submitted as
+:class:`~repro.serving.request.GenerationRequest` objects and served step
+by step, one decode token per in-flight sequence per :meth:`step`.
+
+There is one way to run a request: it is admitted as a
+:class:`~repro.serving.backends.PrefillJob` (full-precision prefill into a
+private scratch cache, whole or metered by
+``max_prefill_tokens_per_step``), its backend's ``prepare`` turns the
+finished scratch into pool-resident storage, it decodes out of the pool,
+and under pressure it is preempted by swapping its pages to the host
+store and back.
 
 Typical use::
 
@@ -36,12 +44,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from repro.core.config import CocktailConfig
 from repro.core.quantizer import CocktailQuantizer
 from repro.baselines.base import KVCacheQuantizer
-from repro.hardware.gpu import GPUSpec
 from repro.kvpool.pool import BlockPool, PoolExhausted
 from repro.kvpool.prefix import PrefixCache
 from repro.model.decode import BatchedDecodeStep
@@ -51,6 +58,7 @@ from repro.model.transformer import Transformer
 from repro.retrieval.base import Encoder
 from repro.serving.backends import (
     DecodeBackend,
+    PrefillJob,
     QuantizedDenseBackend,
     backend_names,
     create_backend,
@@ -91,7 +99,7 @@ class ExecutionStats:
     #: Engine iterations (:meth:`InferenceEngine.step` calls).
     n_steps: int = 0
     #: Model decode invocations: fused batch calls + single-sequence
-    #: forwards (including recompute replays after preemption).
+    #: forwards.
     n_forward_calls: int = 0
     #: Fused ``step_batch`` invocations.
     n_fused_calls: int = 0
@@ -101,11 +109,12 @@ class ExecutionStats:
     n_sequential_forwards: int = 0
     #: Tokens emitted to consumers by decode rounds.
     n_decode_tokens: int = 0
-    #: Chunked-prefill passes executed under a prefill budget.
+    #: Prefill passes executed: one per admission without a prefill budget,
+    #: one per metered chunk with one — always the sum of the requests'
+    #: ``RequestStats.n_prefill_chunks``.
     n_prefill_chunks: int = 0
-    #: Prompt tokens pushed through prefill forwards (chunked passes plus
-    #: one-shot admissions; swap-ins restore pages without prefilling and
-    #: are not counted).
+    #: Prompt tokens pushed through those passes (swap-ins restore pages
+    #: without prefilling and are not counted).
     n_prefill_tokens: int = 0
     #: Draft tokens attached to verify forwards (speculative decoding).
     n_drafted_tokens: int = 0
@@ -164,47 +173,29 @@ class EngineCore:
         method's quantization request is built with.
     encoder, lexicon, seed:
         Forwarded to the Cocktail quantizer (same knobs the pipeline takes).
-    quantizer:
-        Optional pre-built Cocktail quantizer (overrides the three above).
     max_running:
         Maximum number of concurrently decoding sequences.
     max_live_tokens:
         Optional cap on the summed KV footprint of running sequences;
         exceeding it triggers preemption (see
         :mod:`repro.serving.scheduler`).
-    kv_cache:
-        ``"paged"`` (default) stores every sequence's KV cache as pages of
-        a shared :class:`~repro.kvpool.BlockPool` with actually-packed
-        quantized context storage; ``"dense"`` keeps the reference
-        per-sequence :class:`~repro.model.kv_cache.ModelKVCache` (the two
-        produce bit-identical outputs — the dense cache exists so that
-        equivalence can be asserted).
     pool:
-        Optional pre-built block pool (paged mode only); by default an
-        unbounded pool matching the model geometry is created.
-    gpu:
-        Optional :class:`~repro.hardware.gpu.GPUSpec` gating pool capacity:
-        the pool is sized to the fraction of the device's HBM a real
-        serving deployment would grant the KV cache.
-    block_size:
-        Tokens per pool page (paged mode only).
+        The shared :class:`~repro.kvpool.BlockPool` every sequence's KV
+        pages live in (actually-packed quantized context storage).  By
+        default an unbounded pool of 16-token pages matching the model
+        geometry is created; pass a sized one — ``BlockPool(...,
+        capacity_blocks=...)`` or ``BlockPool.for_gpu(...)`` — to bound it.
     max_live_blocks:
         Optional cap on simultaneously allocated pool pages.
-    preemption:
-        ``"swap"`` (default) evicts a victim's pages to a host-side store
-        and restores them on re-admission — no recompute; ``"recompute"``
-        always drops the prepared state and replays from scratch.  Backends
-        without swap support fall back to recompute either way.
     prefix_caching:
-        ``True`` (default on paged engines) maintains a
+        ``True`` (default) maintains a
         :class:`~repro.kvpool.prefix.PrefixCache` over the pool: a
         request whose leading context pages were already packed by an
         earlier request *adopts* those shared pages (ref-counted,
         copy-on-write) instead of allocating and re-quantizing them, and
         reports the reuse via ``RequestStats.cached_tokens`` /
         ``cache_hit_blocks``.  Decoded outputs are bit-identical with the
-        cache on or off.  Pass ``False`` to disable; dense engines have no
-        pool and force it off.
+        cache on or off.  Pass ``False`` to disable.
     prefix_cache_blocks:
         Cap on pages retained by the prefix index (LRU-evicted beyond it).
         Bounded pools also reclaim idle index pages on demand, so the cap
@@ -212,7 +203,7 @@ class EngineCore:
         pools default to :data:`DEFAULT_PREFIX_CACHE_BLOCKS` instead of
         ``None`` (pass an explicit value to change it).
     batched_decode:
-        ``True`` (the default on paged engines) fuses every running
+        ``True`` (the default) fuses every running
         sequence whose backend supports it into **one** model forward per
         engine step (:meth:`~repro.model.transformer.Transformer.decode_step_batch`
         driven by a :class:`~repro.model.decode.BatchedDecodeStep`);
@@ -224,10 +215,10 @@ class EngineCore:
     max_prefill_tokens_per_step:
         Chunked-prefill budget: at most this many prompt tokens are
         prefilled per engine step, so a long-context arrival prefills
-        across several steps (its partial pages pinned in the pool) while
-        every in-flight sequence keeps decoding, instead of stalling the
-        whole round.  ``None`` (default) prefills each admitted prompt in
-        one shot.
+        across several steps (into its private scratch cache; no pool page
+        is touched before ``prepare``) while every in-flight sequence
+        keeps decoding, instead of stalling the whole round.  ``None``
+        (default) prefills each admitted prompt in one pass.
     speculative:
         Speculative-decoding knobs (:class:`~repro.serving.spec.SpeculativeConfig`,
         or a plain ``int`` shorthand for ``SpeculativeConfig(k=...)``).
@@ -246,13 +237,6 @@ class EngineCore:
         the same ledger as the batched round, so speculation never claims
         capacity a sequential engine would not have been granted.
         Requires ``batched_decode``; ``None`` (default) disables.
-    retain_results:
-        ``True`` (default) stores finished results until read (see
-        :meth:`result` / :meth:`pop_results`).  ``False`` bounds retention
-        for event-driven consumers: a result survives only until the start
-        of the *next* :meth:`step` after the one that finished it, so a
-        long-lived externally-stepped engine cannot accumulate results
-        nobody reads.
     prefill_controller:
         Optional :class:`~repro.serving.adaptive.PrefillBudgetController`.
         When set, each :meth:`step` begins by folding the engine clock into
@@ -279,66 +263,33 @@ class EngineCore:
         *,
         encoder: Encoder | None = None,
         lexicon: dict[str, str] | None = None,
-        quantizer: CocktailQuantizer | None = None,
         seed: int = 0,
         max_running: int = 8,
         max_live_tokens: int | None = None,
-        kv_cache: str = "paged",
         pool: BlockPool | None = None,
-        gpu: GPUSpec | None = None,
-        block_size: int = 16,
         max_live_blocks: int | None = None,
-        preemption: str = "swap",
-        prefix_caching: bool | None = None,
+        prefix_caching: bool = True,
         prefix_cache_blocks: int | None = None,
-        batched_decode: bool | None = None,
+        batched_decode: bool = True,
         max_prefill_tokens_per_step: int | None = None,
         speculative: SpeculativeConfig | int | None = None,
-        fast_math: bool = False,
-        retain_results: bool = True,
         prefill_controller: "PrefillBudgetController | None" = None,
         slo_policy: "SloPolicy | None" = None,
         clock: Callable[[], float] = time.perf_counter,
     ):
-        if kv_cache not in ("paged", "dense"):
-            raise ValueError(f"kv_cache must be 'paged' or 'dense', got {kv_cache!r}")
-        if preemption not in ("swap", "recompute"):
-            raise ValueError(
-                f"preemption must be 'swap' or 'recompute', got {preemption!r}"
-            )
         self.model = model
         self.tokenizer = tokenizer
         self.config = config or CocktailConfig()
-        self.quantizer = quantizer or CocktailQuantizer(
+        self.quantizer = CocktailQuantizer(
             self.config, encoder, lexicon=lexicon, seed=seed
         )
-        self.kv_cache_kind = kv_cache
-        self.preemption = preemption
-        self.pool: BlockPool | None = None
-        if kv_cache == "paged":
-            if pool is not None:
-                self.pool = pool
-            elif gpu is not None:
-                self.pool = BlockPool.for_gpu(
-                    gpu,
-                    n_layers=model.config.n_layers,
-                    n_kv_heads=model.config.n_kv_heads,
-                    head_dim=model.config.head_dim,
-                    block_size=block_size,
-                )
-            else:
-                self.pool = BlockPool(
-                    model.config.n_layers,
-                    model.config.n_kv_heads,
-                    model.config.head_dim,
-                    block_size=block_size,
-                )
-        elif pool is not None or gpu is not None or max_live_blocks is not None:
-            raise ValueError("pool/gpu/max_live_blocks require kv_cache='paged'")
-        if prefix_caching and self.pool is None:
-            raise ValueError("prefix_caching requires kv_cache='paged'")
-        if prefix_caching is None:
-            prefix_caching = self.pool is not None
+        self.pool = (
+            pool
+            if pool is not None
+            else BlockPool(
+                model.config.n_layers, model.config.n_kv_heads, model.config.head_dim
+            )
+        )
         if prefix_cache_blocks is not None and not prefix_caching:
             raise ValueError("prefix_cache_blocks requires prefix caching")
         if (
@@ -372,9 +323,7 @@ class EngineCore:
             # already obeys it.
             max_prefill_tokens_per_step = prefill_controller.budget
         self.max_prefill_tokens_per_step = max_prefill_tokens_per_step
-        self.batched_decode = (
-            self.pool is not None if batched_decode is None else bool(batched_decode)
-        )
+        self.batched_decode = bool(batched_decode)
         if isinstance(speculative, bool):
             raise ValueError(
                 "speculative takes a SpeculativeConfig or an int k, not a bool"
@@ -390,27 +339,11 @@ class EngineCore:
                     "it cannot be combined with batched_decode=False"
                 )
             self._proposer = create_proposer(speculative)
-        #: Opt-in throughput mode: the fused decode forward stacks the
-        #: per-row projection/MLP/unembedding GEMMs into whole-batch GEMMs.
-        #: Faster, but the stacked BLAS reduction order depends on the batch
-        #: shape, so outputs may drift within float tolerance and the
-        #: cross-backend *bit*-identity guarantee no longer applies.  Off by
-        #: default; every default-mode path is unchanged.
-        self.fast_math = bool(fast_math)
-        if self.fast_math and not self.batched_decode:
-            raise ValueError(
-                "fast_math accelerates the fused batched forward; "
-                "it cannot be combined with batched_decode=False"
-            )
-        self.retain_results = retain_results
         self.exec_stats = ExecutionStats()
         self._clock = clock
         self._backends: dict[str, DecodeBackend] = {}
         self._states: dict[str, SequenceState] = {}
         self._results: dict[str, GenerationResult] = {}
-        #: Bounded-retention bookkeeping (``retain_results=False``): results
-        #: finished since the last step began, dropped when the next begins.
-        self._fresh_results: set[str] = set()
         self._counter = 0
         if self.speculative is not None and self.speculative.backends is not None:
             # Fail at construction, not deep inside a decode round: a backend
@@ -426,10 +359,6 @@ class EngineCore:
                         "SpeculativeConfig.backends (unlisted backends serve "
                         "on their plain decode path)"
                     )
-
-    def new_kv_cache(self):
-        """A fresh per-sequence KV cache on the engine's storage backend."""
-        return self.model.new_cache(pool=self.pool)
 
     # -- backends ------------------------------------------------------------
 
@@ -491,10 +420,9 @@ class EngineCore:
             state.deadline = self.slo_policy.deadline(
                 request.slo_class, state.stats.submitted_at
             )
-        if self.prefix_cache is not None:
-            # Admission hint: pages the index would serve — the scheduler
-            # charges only the blocks this request will actually allocate.
-            state.cached_blocks_hint = backend.probe_cached_blocks(request)
+        # Admission hint: pages the index would serve — the scheduler
+        # charges only the blocks this request will actually allocate.
+        state.cached_blocks_hint = backend.probe_cached_blocks(request)
         self._states[rid] = state
         self.scheduler.enqueue(state)
         return rid
@@ -535,8 +463,7 @@ class EngineCore:
         facade fanning out to every worker — so harnesses need not know
         the topology behind the protocol.
         """
-        if self.pool is not None:
-            self.pool.assert_consistent()
+        self.pool.assert_consistent()
         if self.prefix_cache is not None:
             self.prefix_cache.assert_consistent()
 
@@ -547,16 +474,13 @@ class EngineCore:
     def result(self, request_id: str, *, pop: bool = False) -> GenerationResult:
         """Final result of a completed request.
 
-        With ``retain_results=True`` (default) results are retained until
-        read with ``pop=True`` (or forever when only peeked) — long-lived
-        engines should pop or call :meth:`pop_results`, since blockwise
-        results carry the request's full chunked KV caches in ``details``.
-        With ``retain_results=False`` a result is only readable until the
-        start of the next :meth:`step` after the one that finished it.
+        Results are retained until read with ``pop=True`` (or forever when
+        only peeked) — long-lived engines should pop or call
+        :meth:`pop_results`, since blockwise results carry the request's
+        full chunked KV caches in ``details``.
         """
         if request_id in self._results:
             if pop:
-                self._fresh_results.discard(request_id)
                 return self._results.pop(request_id)
             return self._results[request_id]
         if request_id in self._states:
@@ -566,12 +490,11 @@ class EngineCore:
     def pop_results(self) -> dict[str, GenerationResult]:
         """Remove and return every finished result, keyed by request ID.
 
-        This is the bulk drain for long-lived engines: whatever retention
-        policy is active, after this call the engine holds no results.
+        This is the bulk drain for long-lived engines: after this call the
+        engine holds no results.
         """
         results = dict(self._results)
         self._results.clear()
-        self._fresh_results.clear()
         return results
 
     # -- the engine loop -----------------------------------------------------
@@ -580,7 +503,7 @@ class EngineCore:
         """One engine iteration: admit, decode one round, rebalance.
 
         Admission moves FIFO-queue heads into the running set while slots
-        and token headroom last; prompts prefill here — in one shot by
+        and token headroom last; prompts prefill here — in one pass by
         default, or metered across steps under
         ``max_prefill_tokens_per_step`` (chunked prefill, so a long prompt
         never stalls the in-flight decodes for a whole round).  The decode
@@ -590,7 +513,8 @@ class EngineCore:
         is the continuous batching: new arrivals join mid-flight and short
         requests drain without waiting for long ones.  Finally, if
         accumulated decode tokens pushed the KV footprint over budget, the
-        most recently admitted sequences are preempted for recomputation.
+        most recently admitted sequences are preempted: their pages swap
+        out to the host store and swap back in on re-admission.
 
         Returns the :class:`TokenEvent` stream produced by this step, in
         round-robin order.
@@ -603,10 +527,6 @@ class EngineCore:
                 self.max_prefill_tokens_per_step = self.prefill_controller.observe(
                     self._clock()
                 )
-            if not self.retain_results:
-                for request_id in self._fresh_results:
-                    self._results.pop(request_id, None)
-                self._fresh_results = set()
             with profiling_span("schedule"):
                 self._admission_phase()
                 # Rebalance before decoding too: every running sequence may
@@ -628,16 +548,15 @@ class EngineCore:
     # -- admission (incl. chunked prefill) ------------------------------------
 
     def _admission_phase(self) -> None:
-        """Resume in-flight chunked prefills, then admit FIFO-queue heads.
+        """Resume in-flight prefills, then admit FIFO-queue heads.
 
-        Both are metered by ``max_prefill_tokens_per_step``: in-flight jobs
+        Every admission is a :class:`~repro.serving.backends.PrefillJob`
+        metered by ``max_prefill_tokens_per_step``: in-flight jobs
         (admitted in earlier steps, FIFO among themselves) consume the
         budget first, then new heads are admitted while budget, slots and
-        headroom last.  A head whose whole prompt fits the remaining budget
-        takes the classic one-shot path; a longer prompt starts a
-        :class:`~repro.serving.backends.PrefillJob` and joins the
-        prefilling set.  With no budget configured this reduces exactly to
-        the old admit-until-full loop.
+        headroom last.  With no budget configured each job runs its whole
+        prompt in one advance, so a head is prefilled, prepared and decoding
+        within the step that admitted it.
         """
         budget = self.max_prefill_tokens_per_step
         remaining = math.inf if budget is None else budget
@@ -660,100 +579,63 @@ class EngineCore:
                 # Just rolled back for pool pressure; restarting its prefill
                 # in the same step could only fail (or livelock) again.
                 break
-            if state.swapped and state.prepared is not None:
+            if state.swapped:
                 # Swap-ins restore pages without recompute; they consume no
                 # prefill budget.
-                if not self._admit(state):
+                if not self._swap_in(state):
                     break
                 continue
-            needs_chunking = (
-                budget is not None and state.request.n_prompt_tokens > remaining
-            )
-            job = None
-            if needs_chunking:
-                backend = self.get_backend(state.request.backend)
-                job = backend.start_prefill(state.request)
-            if job is None:
-                # One-shot admission: either the prompt fits this step's
-                # budget, or the backend cannot chunk (then the budget is
-                # intentionally overrun rather than starving the request).
-                prompt_tokens = state.request.n_prompt_tokens
-                if not self._admit(state):
-                    break
-                remaining -= prompt_tokens
-            else:
-                state.prefill = job
-                self.scheduler.mark_prefilling(state)
-                if state.stats.scheduled_at is None:
-                    state.stats.scheduled_at = self._clock()
-                consumed, aborted = self._advance_prefill(state, remaining)
-                remaining -= consumed
-                if aborted:
-                    # The pool has no room for this head right now; put it
-                    # back and stop admitting (preemption or completions
-                    # will free pages for a later step).
-                    self.scheduler.prefill_to_waiting(state)
-                    break
+            state.prefill = PrefillJob(self.model, self.tokenizer, state.request)
+            self.scheduler.mark_prefilling(state)
+            consumed, aborted = self._advance_prefill(state, remaining)
+            remaining -= consumed
+            if aborted:
+                # The pool has no room for this head right now; put it
+                # back and stop admitting (preemption or completions
+                # will free pages for a later step).
+                self.scheduler.prefill_to_waiting(state)
+                break
 
     def _advance_prefill(self, state: SequenceState, budget: float) -> tuple[int, bool]:
         """Run one chunk of a prefilling request.
 
         Returns ``(tokens consumed, aborted)``.  When the chunk completes
-        the prompt, the backend's ``prepare`` consumes the job
-        (planning/quantization/packing as usual) and the request joins the
-        decode set.  A pool-exhausted chunk releases the partial pages and
-        reports ``aborted=True`` — the caller rolls the request back to the
-        waiting queue for a fresh attempt — unless it is the only admitted
-        work, in which case it could never be served and the error
-        propagates (with its pages likewise released first, so a caller
-        that keeps serving other traffic leaks nothing).
+        the prompt, the backend's ``prepare`` consumes the job (planning,
+        page adoption, quantization and packing) and the request joins the
+        decode set.  The prefill itself only fills the job's private
+        scratch; ``prepare`` is where pool pages are claimed, so a
+        pool-exhausted prepare drops the job and reports ``aborted=True``
+        — the caller rolls the request back to the waiting queue for a
+        fresh attempt — unless it is the only admitted work, in which case
+        it could never be served and the error propagates (with the request
+        back at the queue head, so a caller that keeps serving other
+        traffic can still cancel it).
         """
         job = state.prefill
+        consumed = job.advance(int(min(budget, job.n_remaining)))
+        state.stats.n_prefill_chunks += 1
+        self.exec_stats.n_prefill_chunks += 1
+        self.exec_stats.n_prefill_tokens += consumed
+        if not job.done:
+            return consumed, False
+        backend = self.get_backend(state.request.backend)
         try:
-            consumed = job.advance(int(min(budget, job.n_remaining)))
-            state.stats.n_prefill_chunks += 1
-            self.exec_stats.n_prefill_chunks += 1
-            self.exec_stats.n_prefill_tokens += consumed
-            if job.done:
-                backend = self.get_backend(state.request.backend)
-                prepared = backend.prepare(state.request, prefill=job)
-                state.prefill = None
-                self._attach_prepared(state, prepared)
-                self.scheduler.promote_prefilled(state)
+            prepared = backend.prepare(state.request, job)
         except PoolExhausted:
-            job.release()
             state.prefill = None
             if not self.scheduler.running and len(self.scheduler.prefilling) <= 1:
-                # Consistent terminal state: the request returns to the
-                # queue head with every partial page released before the
-                # hard error propagates (mirrors the one-shot path).
                 self.scheduler.prefill_to_waiting(state)
                 raise
             state.stats.n_preemptions += 1
-            return 0, True
-        return consumed, False
-
-    def _attach_prepared(self, state: SequenceState, prepared) -> None:
-        """Wire a freshly prepared sequence into its state (shared by the
-        one-shot and chunked admission paths): replay preempted output,
-        record reuse stats, stamp the scheduling time."""
-        # After a preemption the request is recomputed from scratch; replay
-        # the already-streamed tokens silently so consumers see no duplicates
-        # (deterministic sampling reproduces the identical prefix).
-        for _ in range(state.n_emitted):
-            if prepared.session.finished:
-                break
-            token = prepared.session.advance()
-            state.stats.n_decode_steps += 1
-            if token is not None and not prepared.session.finished:
-                self.exec_stats.n_forward_calls += 1
-                self.exec_stats.n_sequential_forwards += 1
+            return consumed, True
+        state.prefill = None
         state.prepared = prepared
         state.stats.cached_tokens = prepared.cached_tokens
         state.stats.cache_hit_blocks = prepared.cache_hit_blocks
         state.stats.cached_bytes = prepared.cached_bytes
-        if state.stats.scheduled_at is None:
-            state.stats.scheduled_at = self._clock()
+        state.stats.scheduled_at = self._clock()
+        self.scheduler.promote_prefilled(state)
+        return consumed, False
 
     def _rebalance(self) -> None:
         """Preempt best-eligible sequences until budgets are respected.
@@ -769,54 +651,30 @@ class EngineCore:
                 break
             self._preempt(victim)
 
-    def _admit(self, state: SequenceState) -> bool:
-        """Prefill (or swap in) the queue head and move it to the running set.
+    def _swap_in(self, state: SequenceState) -> bool:
+        """Restore a swapped-out queue head's pages and resume it.
 
-        Returns ``False`` when the shared pool could not hold the sequence
-        right now (admission stops for this step; preemption or completions
-        will free pages).  A request that cannot fit even in an *empty* pool
-        is a hard error — it could never be served.
+        Returns ``False`` when the shared pool cannot hold the pages right
+        now (admission stops for this step; preemption or completions will
+        free pages).  A sequence that cannot fit even with nothing else
+        admitted is a hard error — it could never be served.
         """
-        if state.swapped and state.prepared is not None:
-            try:
-                state.prepared.swap_in()
-            except PoolExhausted:
-                if not self.scheduler.running and not self.scheduler.prefilling:
-                    raise
-                return False
-            state.swapped = False
-            state.stats.n_swap_ins += 1
-            self.scheduler.mark_running(state)
-            return True
-        backend = self.get_backend(state.request.backend)
         try:
-            prepared = backend.prepare(state.request)
+            state.prepared.swap_in()
         except PoolExhausted:
             if not self.scheduler.running and not self.scheduler.prefilling:
                 raise
             return False
-        state.stats.n_prefill_chunks += 1
-        self.exec_stats.n_prefill_tokens += state.request.n_prompt_tokens
-        self._attach_prepared(state, prepared)
+        state.swapped = False
+        state.stats.n_swap_ins += 1
         self.scheduler.mark_running(state)
         return True
 
     def _preempt(self, state: SequenceState) -> None:
-        """Roll a victim back to the waiting queue (swap if possible)."""
-        prepared = state.prepared
-        if (
-            self.preemption == "swap"
-            and prepared is not None
-            and prepared.supports_swap
-        ):
-            prepared.swap_out()
-            state.swapped = True
-            state.stats.n_swap_outs += 1
-        else:
-            if prepared is not None and prepared.release is not None:
-                prepared.release()
-            state.prepared = None
-            state.swapped = False
+        """Swap a victim's pages out and return it to the queue front."""
+        state.prepared.swap_out()
+        state.swapped = True
+        state.stats.n_swap_outs += 1
         state.stats.n_preemptions += 1
         self.scheduler.requeue_front(state)
 
@@ -855,7 +713,7 @@ class EngineCore:
 
         def reserve(n_blocks: int) -> None:
             nonlocal reserved
-            if self.pool is not None and n_blocks:
+            if n_blocks:
                 self.pool.reserve(n_blocks)
                 reserved += n_blocks
 
@@ -963,20 +821,18 @@ class EngineCore:
         window = min(window, cache.capacity - cache.length - 1)
         if window < 1:
             return [], None
-        block_cost = getattr(cache, "block_cost_for_tokens", None)
-        if block_cost is not None and self.pool is not None:
-            while window > 0 and not self.pool.can_allocate(block_cost(1 + window)):
-                window -= 1
-            if window < 1:
-                return [], None
+        block_cost = cache.block_cost_for_tokens
+        while window > 0 and not self.pool.can_allocate(block_cost(1 + window)):
+            window -= 1
+        if window < 1:
+            return [], None
         history = list(prepared.prompt_ids)
         history.extend(session.generated)
         history.append(session.next_token)
         drafts = self._proposer.propose(history, window)[:window]
         if not drafts:
             return [], None
-        cost = block_cost(1 + len(drafts)) if block_cost is not None else None
-        return [int(t) for t in drafts], cost
+        return [int(t) for t in drafts], block_cost(1 + len(drafts))
 
     def _absorb_verified(
         self, state: SequenceState, n_drafts: int, accepted: list[int]
@@ -1055,10 +911,8 @@ class EngineCore:
         state.stats.finished_at = self._clock()
         state.stats.n_generated = session.n_generated
         details = dict(prepared.details)
-        if prepared.kv_bytes is not None:
-            details["kv_bytes"] = prepared.kv_bytes()
-        if prepared.release is not None:
-            prepared.release()
+        details["kv_bytes"] = prepared.kv_bytes()
+        prepared.release()
         result = GenerationResult(
             request_id=state.request_id,
             backend=state.request.backend,
@@ -1071,15 +925,10 @@ class EngineCore:
             stats=state.stats,
             details=details,
         )
-        self._store_result(result)
+        self._results[result.request_id] = result
         self.scheduler.remove(state)
         del self._states[state.request_id]
         return terminal_event(state, session.stopped_by)
-
-    def _store_result(self, result: GenerationResult) -> None:
-        self._results[result.request_id] = result
-        if not self.retain_results:
-            self._fresh_results.add(result.request_id)
 
     # -- cancellation ----------------------------------------------------------
 
@@ -1088,8 +937,7 @@ class EngineCore:
 
         Every resource the request holds is returned immediately: pool
         pages and refcounts of its prepared (or swapped-out) cache, the
-        partial pages of an in-flight chunked prefill, and its scheduler
-        slot.  The stored :class:`GenerationResult` carries the tokens
+        scratch cache of an in-flight prefill, and its scheduler slot.  The stored :class:`GenerationResult` carries the tokens
         streamed so far with ``stopped_by="cancelled"``, and the returned
         terminal :class:`TokenEvent` closes the stream the same way.
 
@@ -1102,30 +950,25 @@ class EngineCore:
         state = self._states.get(request_id)
         if state is None:
             raise KeyError(f"unknown request_id {request_id!r}")
-        if state.prefill is not None:
-            state.prefill.release()
-            state.prefill = None
+        state.prefill = None
         if state.prepared is not None:
-            if state.prepared.release is not None:
-                state.prepared.release()
+            state.prepared.release()
             state.prepared = None
         state.swapped = False
         self.scheduler.discard(state)
         state.finished = True
         state.stats.finished_at = self._clock()
         state.stats.n_generated = state.n_emitted
-        self._store_result(
-            GenerationResult(
-                request_id=request_id,
-                backend=state.request.backend,
-                answer_text=self.tokenizer.decode(state.emitted_tokens),
-                token_ids=list(state.emitted_tokens),
-                stopped_by="cancelled",
-                n_context_tokens=len(state.request.context_words),
-                n_prompt_tokens=state.request.n_prompt_tokens,
-                plan=None,
-                stats=state.stats,
-            )
+        self._results[request_id] = GenerationResult(
+            request_id=request_id,
+            backend=state.request.backend,
+            answer_text=self.tokenizer.decode(state.emitted_tokens),
+            token_ids=list(state.emitted_tokens),
+            stopped_by="cancelled",
+            n_context_tokens=len(state.request.context_words),
+            n_prompt_tokens=state.request.n_prompt_tokens,
+            plan=None,
+            stats=state.stats,
         )
         del self._states[request_id]
         return terminal_event(state, "cancelled")
@@ -1135,11 +978,10 @@ class EngineCore:
     def pause(self, request_id: str) -> None:
         """Hold a request out of scheduling until :meth:`resume`.
 
-        A running request is preempted first (swap when the backend
-        supports it — its pages move to the host store and restore without
-        recompute; recompute otherwise), an in-flight chunked prefill
-        releases its partial pages, a waiting request simply leaves the
-        queue.  Either way the request keeps its identity, its streamed
+        A running request is preempted first (its pages move to the host
+        store and restore without recompute), an in-flight prefill drops
+        its scratch cache and restarts on resume, a waiting request simply
+        leaves the queue.  Either way the request keeps its identity, its streamed
         tokens and its FIFO priority, but consumes no decode slot, no pool
         pages and no admission headroom while held.  This is the engine
         half of slow-reader backpressure: a host whose consumer stops
@@ -1158,11 +1000,9 @@ class EngineCore:
             return
         if state in self.scheduler.running:
             self.scheduler.running.remove(state)
-            self._preempt(state)  # swap/release + requeue_front, like rebalance
+            self._preempt(state)  # swap out + requeue_front, like rebalance
         elif state in self.scheduler.prefilling:
-            if state.prefill is not None:
-                state.prefill.release()
-                state.prefill = None
+            state.prefill = None
             self.scheduler.prefill_to_waiting(state)
         state.stats.n_pauses += 1
         self.scheduler.hold(state)
@@ -1284,12 +1124,6 @@ class InferenceEngine(EngineCore):
         :meth:`result`.
         """
         rids = [self.submit(request) for request in requests]
-        collected: dict[str, GenerationResult] = {}
-        while len(collected) < len(rids):
+        while not all(self.is_finished(rid) for rid in rids):
             self.step()
-            # Collect eagerly: under retain_results=False a finished result
-            # only survives until the start of the next step.
-            for rid in rids:
-                if rid not in collected and rid in self._results:
-                    collected[rid] = self.result(rid, pop=pop)
-        return [collected[rid] for rid in rids]
+        return [self.result(rid, pop=pop) for rid in rids]

@@ -36,9 +36,8 @@ class SamplingParams:
     """Per-request sampling policy.
 
     ``top_k=1`` (the default) is greedy decoding.  A fresh sampler callable
-    is built every time a request is (re)scheduled, so a preempted request
-    that is recomputed from scratch replays the identical random stream and
-    reproduces the same tokens.
+    is built every time a request is prepared, so the same request always
+    draws the identical random stream and reproduces the same tokens.
     """
 
     top_k: int = 1
@@ -162,9 +161,10 @@ class RequestStats:
     n_generated: int = 0
     n_decode_steps: int = 0
     n_queue_steps: int = 0
-    #: Engine steps that ran part of this request's prompt prefill under a
-    #: chunked-admission budget (1 for a classic one-shot admission once
-    #: the request was prepared; several for a metered long prompt).
+    #: Prefill passes run for this request: 1 without a prefill budget,
+    #: several for a prompt a budget metered across engine steps (plus the
+    #: passes of any admission that was rolled back under pool pressure).
+    #: ``ExecutionStats.n_prefill_chunks`` is the sum over requests.
     n_prefill_chunks: int = 0
     n_preemptions: int = 0
     #: Host-initiated pauses (slow-reader backpressure): the request was
@@ -177,8 +177,9 @@ class RequestStats:
     #: SLO traffic class the request was scheduled under (stamped by the
     #: engine at submit from ``GenerationRequest.slo_class``).
     slo_class: str | None = None
-    #: Preemptions served by swapping pages to the host store (a subset of
-    #: ``n_preemptions``; the remainder were recompute preemptions).
+    #: Preemptions of the running sequence, each served by swapping its
+    #: pages to the host store (``n_preemptions`` additionally counts
+    #: admissions rolled back before the request ever decoded).
     n_swap_outs: int = 0
     #: Swapped pages restored on re-admission (no recompute performed).
     n_swap_ins: int = 0
@@ -206,7 +207,8 @@ class RequestStats:
 
     @property
     def queue_seconds(self) -> float | None:
-        """Time spent waiting for admission (submit -> first schedule)."""
+        """Time until the request joined the decode set (submit -> prepared,
+        so the prefill is included)."""
         if self.submitted_at is None or self.scheduled_at is None:
             return None
         return self.scheduled_at - self.submitted_at

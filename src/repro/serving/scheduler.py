@@ -3,21 +3,20 @@
 Policy, in one paragraph: requests are admitted FIFO from a waiting queue
 whenever a slot (``max_running``), KV-token headroom (``max_live_tokens``)
 and free pool pages (when the engine runs on a bounded
-:class:`~repro.kvpool.BlockPool`) are available; under a chunked-prefill
-budget a long prompt is admitted into a *prefilling* set first, metering
-its prefill across steps while holding a slot and pinning its partial
-pages.  Each engine step then performs one round-robin pass over the
+:class:`~repro.kvpool.BlockPool`) are available; an admitted prompt sits in
+a *prefilling* set while its prefill runs — for several steps under a
+chunked-prefill budget — holding a slot and its private scratch rows but
+no pool page.  Each engine step then performs one round-robin pass over the
 running set, advancing every in-flight sequence by exactly one decode step
 (through one fused forward for the batchable subset), so short and long
 requests interleave instead of head-of-line blocking.  If the live KV footprint
 outgrows the budget (decode tokens accumulate after admission), the most
 recently admitted *eligible* sequence is preempted — a sequence one token
 from finishing is never picked, which breaks the preempt-thrash loop where
-an almost-done victim is rolled back and replayed forever.  The engine then
-either swaps the victim's pages to a host-side store (cheap: the decode
-session survives intact and resumes without recompute) or, for backends
-without swap support, drops its prepared state for recompute; either way
-the request returns to the *front* of the waiting queue.
+an almost-done victim is rolled back again and again.  The engine swaps
+the victim's pages to a host-side store (the decode session survives
+intact and resumes without recompute) and the request returns to the
+*front* of the waiting queue.
 """
 
 from __future__ import annotations
@@ -42,16 +41,14 @@ class SequenceState:
     request: GenerationRequest
     stats: RequestStats = field(default_factory=RequestStats)
     prepared: PreparedSequence | None = None
-    #: In-flight chunked prefill (chunked admission only): the request has
-    #: left the waiting queue but is not decoding yet; its partial cache
-    #: stays pinned between engine steps.
+    #: In-flight prefill: the request has left the waiting queue but is
+    #: not decoding yet; its scratch cache stays pinned between engine
+    #: steps when a prefill budget meters it.
     prefill: PrefillJob | None = None
-    #: Tokens already streamed to consumers (survives preemption; replayed
-    #: tokens are suppressed instead of re-emitted).
+    #: Tokens already streamed to consumers (survives preemption).
     n_emitted: int = 0
-    #: The streamed token ids themselves — what a cancelled request reports
-    #: as its partial output even when its decode session is gone (e.g.
-    #: cancelled while waiting for recompute after a preemption).
+    #: The streamed token ids themselves — what a cancelled request
+    #: reports as its partial output.
     emitted_tokens: list[int] = field(default_factory=list)
     #: Whether the prepared sequence's pages sit in the host-side swap store
     #: (set by swap preemption; cleared when the pages are restored).
@@ -78,10 +75,9 @@ class SequenceState:
         """KV rows restored immediately on (re)admission.
 
         A fresh request prefills its prompt plus one decode row; a
-        preempted request additionally replays (or swaps back) every token
-        it already emitted, so the estimate must include them or a tight
-        budget admits the sequence only to preempt it again in the same
-        step.
+        preempted request additionally swaps back every token it already
+        emitted, so the estimate must include them or a tight budget admits
+        the sequence only to preempt it again in the same step.
         """
         return self.request.n_prompt_tokens + self.n_emitted + 1
 
@@ -98,9 +94,9 @@ class SequenceState:
         """Whether at most one decode-budget token remains.
 
         Preempting such a sequence can never pay off: the rollback costs a
-        full prefill (or swap round-trip) to recover at most one token of
-        budget, and under a tight budget it creates a livelock where the
-        same victim is rolled back and replayed repeatedly.
+        swap round-trip to recover at most one token of budget, and under a
+        tight budget it creates a livelock where the same victim is rolled
+        back repeatedly.
         """
         if self.prepared is None or self.prepared.session is None:
             return False
@@ -168,9 +164,9 @@ class ContinuousBatchingScheduler:
         self.slo_policy = slo_policy
         self.waiting: deque[SequenceState] = deque()
         self.running: list[SequenceState] = []  # admission order
-        #: Admitted requests whose prompts are prefilling chunk by chunk
-        #: (chunked admission); they hold a slot and pin partial pages but
-        #: do not decode yet.  Admission order, like ``running``.
+        #: Admitted requests whose prompts are still prefilling (across
+        #: steps under a prefill budget); they hold a slot and pin scratch
+        #: rows but do not decode yet.  Admission order, like ``running``.
         self.prefilling: list[SequenceState] = []
         #: Requests a host explicitly paused (slow-reader backpressure):
         #: alive but excluded from admission until resumed.

@@ -303,7 +303,7 @@ class ShardWorker:
             "n_prefix_routed": self.n_prefix_routed,
             "n_steps": engine.exec_stats.n_steps,
             "n_decode_tokens": engine.exec_stats.n_decode_tokens,
-            "pool_blocks": engine.pool.n_allocated if engine.pool else 0,
+            "pool_blocks": engine.pool.n_allocated,
             "prefix_blocks": prefix.n_blocks if prefix else 0,
             "prefix_hit_rate": prefix.stats.hit_rate if prefix else 0.0,
         }
@@ -377,7 +377,7 @@ class ShardRouter:
             key=lambda worker: (
                 worker.outstanding_by_class.get(slo_class, 0),
                 worker.outstanding_tokens,
-                worker.engine.pool.n_allocated if worker.engine.pool else 0,
+                worker.engine.pool.n_allocated,
                 worker.worker_id,
             ),
         )

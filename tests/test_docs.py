@@ -9,13 +9,16 @@ Pure-stdlib checks over ``README.md`` and the ``docs/`` tree (the CI
   fail here);
 * every import statement inside those blocks resolves against the real
   package, and every imported name exists — so a renamed public class
-  breaks the doc that still references it.
+  breaks the doc that still references it;
+* the engine table of ``docs/tuning.md`` lists exactly the keyword-only
+  parameters of ``EngineCore.__init__``.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -116,3 +119,22 @@ def test_internals_index_covers_every_stub():
         assert f"({stub.name})" in index, (
             f"docs/internals/README.md does not link {stub.name}"
         )
+
+
+def test_tuning_engine_table_matches_the_constructor():
+    """One row per ``EngineCore`` knob: none undocumented, none left over."""
+    from repro.serving.engine import EngineCore
+
+    tuning = (REPO / "docs" / "tuning.md").read_text()
+    section = tuning.split("## Engine", 1)[1].split("\n## ", 1)[0]
+    documented = [
+        knob
+        for row in re.findall(r"^\| (`[^|]*) \|", section, flags=re.MULTILINE)
+        for knob in re.findall(r"`(\w+)`", row)
+    ]
+    parameters = [
+        name
+        for name, parameter in inspect.signature(EngineCore.__init__).parameters.items()
+        if parameter.kind is inspect.Parameter.KEYWORD_ONLY
+    ]
+    assert sorted(documented) == sorted(parameters)

@@ -148,10 +148,10 @@ class TestPagedKVCache:
         n_context = 35
         cache.mark_context(n_context)
         token_bits = np.array([2] * 16 + [4] * 16 + [16] * 3, dtype=np.int64)
-        encodings = []
-        for layer in range(N_LAYERS):
-            ck, cv = cache.context_kv(layer)
-            encodings.append(encode_per_token_groups(ck, cv, token_bits, D))
+        encodings = [
+            encode_per_token_groups(k[:n_context], v[:n_context], token_bits, D)
+            for _ in range(N_LAYERS)
+        ]
         before = pool.allocated_bytes()
         cache.pack_context(encodings)
         assert pool.allocated_bytes() < before  # packing compacts the pages
@@ -170,9 +170,9 @@ class TestPagedKVCache:
         assert measured["generated_bytes"] == (BS - 3) * row_bytes
         assert measured["context_bytes"] < measured["context_fp16_bytes"]
         assert measured["total_bytes"] == pool.allocated_bytes()
-        # Packed context rows can no longer be overwritten.
-        with pytest.raises(RuntimeError, match="packed"):
-            cache.replace_context_kv(0, k[:n_context], v[:n_context])
+        # A packed context cannot be packed again.
+        with pytest.raises(RuntimeError, match="already packed"):
+            cache.pack_context(encodings)
 
     def test_pack_context_rejects_mismatched_token_bits(self, rng):
         """A per-layer/per-tensor disagreement about which rows are
@@ -184,10 +184,9 @@ class TestPagedKVCache:
         cache.mark_context(20)
         bits_a = np.array([4] * 10 + [16] * 10, dtype=np.int64)
         bits_b = np.array([16] * 10 + [4] * 10, dtype=np.int64)
-        encodings = []
-        for layer, bits in zip(range(N_LAYERS), (bits_a, bits_b)):
-            ck, cv = cache.context_kv(layer)
-            encodings.append(encode_per_token_groups(ck, cv, bits, D))
+        encodings = [
+            encode_per_token_groups(k, v, bits, D) for bits in (bits_a, bits_b)
+        ]
         with pytest.raises(ValueError, match="share one per-token bit"):
             cache.pack_context(encodings)
 
@@ -199,10 +198,10 @@ class TestPagedKVCache:
         k, v = fill_cache(cache, rng, 37)
         cache.mark_context(32)
         token_bits = np.array([2] * 16 + [4] * 16, dtype=np.int64)
-        encodings = []
-        for layer in range(N_LAYERS):
-            ck, cv = cache.context_kv(layer)
-            encodings.append(encode_per_token_groups(ck, cv, token_bits, D))
+        encodings = [
+            encode_per_token_groups(k[:32], v[:32], token_bits, D)
+            for _ in range(N_LAYERS)
+        ]
 
         def walk():
             return sum(
@@ -226,10 +225,13 @@ class TestPagedKVCache:
         first = cache.gather_layer(0)
         assert cache.gather_layer(0) is first  # memo hit, same tuple
         cache.mark_context(10)
-        cache.replace_context_kv(0, np.zeros_like(k), np.zeros_like(v))
+        token_bits = np.full(10, 4, dtype=np.int64)
+        cache.pack_context(
+            [encode_per_token_groups(k, v, token_bits, D) for _ in range(N_LAYERS)]
+        )
         np.testing.assert_array_equal(
-            cache.gather_layer(0)[0], np.zeros_like(k)
-        )  # overwrite visible: memo invalidated
+            cache.gather_layer(0)[0], group_quantize(k, 4, D).dequantize()
+        )  # repack visible: memo invalidated
         cache.append_layer(0, k[:1], v[:1])
         assert cache.gather_layer(0)[0].shape[0] == 11  # growth visible
 

@@ -62,7 +62,7 @@ def encode(kind: str, cache, token_bits, start: int = 0):
     """Fresh codec objects every call, as each request's encoder makes them."""
     encodings = []
     for layer in range(N_LAYERS):
-        k, v = cache.context_kv(layer)
+        k, v = (rows[:N_CONTEXT] for rows in cache.gather_layer(layer))
         if kind == "group":
             pair = encode_per_token_groups(k, v, token_bits, D, start=start)
         elif kind == "token":

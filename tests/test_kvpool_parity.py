@@ -1,11 +1,12 @@
 """Equivalence suite: the paged KV pool is a pure storage change.
 
 The acceptance bar of the kvpool refactor: for every registered decode
-backend, an engine serving out of the shared paged block pool (packed
-quantized context storage, per-page dequantizing gathers) produces outputs
-**bit-identical** to the dense reference cache — same logits at prefill,
-same generated tokens, same stop reasons — while reporting real, lower
-measured context bytes for the quantized methods.
+backend, the engine — serving out of the shared paged block pool (packed
+quantized context storage, per-page dequantizing gathers) — produces
+outputs **bit-identical** to the dense fake-quant reference decode
+(``conftest.reference_generate``) — same generated tokens, same stop
+reasons, same plan — while reporting real, lower measured context bytes
+for the quantized methods.
 """
 
 from __future__ import annotations
@@ -26,13 +27,12 @@ CHUNK_SIZE = 16
 ALL_BACKENDS = ("dense", "cocktail", "blockwise", "fp16", "atom", "kivi", "kvquant")
 
 
-def make_engine(vocab, tokenizer, model, kv_cache: str, **kwargs) -> InferenceEngine:
+def make_engine(vocab, tokenizer, model, **kwargs) -> InferenceEngine:
     return InferenceEngine(
         model,
         tokenizer,
         CocktailConfig(chunk_size=CHUNK_SIZE),
         lexicon=vocab.lexicon,
-        kv_cache=kv_cache,
         **kwargs,
     )
 
@@ -40,30 +40,22 @@ def make_engine(vocab, tokenizer, model, kv_cache: str, **kwargs) -> InferenceEn
 class TestPagedDenseParity:
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_backend_outputs_bit_identical(
-        self, vocab, tokenizer, retrieval_model, tiny_samples, backend
+        self, vocab, tokenizer, retrieval_model, tiny_samples, oracle, backend
     ):
         sample = tiny_samples[0]
-        results = {}
-        for kind in ("paged", "dense"):
-            engine = make_engine(vocab, tokenizer, retrieval_model, kind)
-            results[kind] = engine.run(
-                GenerationRequest(
-                    sample.context_words,
-                    sample.query_words,
-                    max_new_tokens=6,
-                    backend=backend,
-                )
-            )
-        paged, dense = results["paged"], results["dense"]
-        assert paged.token_ids == dense.token_ids
-        assert paged.answer_text == dense.answer_text
-        assert paged.stopped_by == dense.stopped_by
-        assert paged.n_prompt_tokens == dense.n_prompt_tokens
-        np.testing.assert_array_equal(
-            paged.plan.token_bits, dense.plan.token_bits
+        engine = make_engine(vocab, tokenizer, retrieval_model)
+        request = GenerationRequest(
+            sample.context_words,
+            sample.query_words,
+            max_new_tokens=6,
+            backend=backend,
         )
-        # The paged engine always measures pool bytes.
-        assert "kv_bytes" in paged.details
+        paged = engine.run(request)
+        token_ids, stopped_by, plan = oracle(engine, request)
+        assert paged.token_ids == token_ids
+        assert paged.stopped_by == stopped_by
+        np.testing.assert_array_equal(paged.plan.token_bits, plan.token_bits)
+        # The engine always measures pool bytes.
         assert paged.details["kv_bytes"]["total_bytes"] > 0
 
     def test_prefill_logits_bit_identical(self, retrieval_model, tokenizer):
@@ -92,9 +84,9 @@ class TestPagedDenseParity:
             )
 
     def test_mixed_backend_batch_parity_under_concurrency(
-        self, vocab, tokenizer, retrieval_model, tiny_samples
+        self, vocab, tokenizer, retrieval_model, tiny_samples, oracle
     ):
-        """Continuous batching over all backends at once, both cache kinds."""
+        """Continuous batching over all backends at once vs the reference."""
         requests = [
             GenerationRequest(
                 sample.context_words,
@@ -106,26 +98,15 @@ class TestPagedDenseParity:
                 (tiny_samples * 2)[: len(ALL_BACKENDS)], ALL_BACKENDS
             )
         ]
-        outputs = {}
-        for kind in ("paged", "dense"):
-            engine = make_engine(vocab, tokenizer, retrieval_model, kind, max_running=8)
-            fresh = [
-                GenerationRequest(
-                    r.context_words, r.query_words, max_new_tokens=5, backend=r.backend
-                )
-                for r in requests
-            ]
-            outputs[kind] = [
-                (r.backend, r.token_ids, r.stopped_by)
-                for r in engine.run_batch(fresh)
-            ]
-        assert outputs["paged"] == outputs["dense"]
+        engine = make_engine(vocab, tokenizer, retrieval_model, max_running=8)
+        served = [(r.token_ids, r.stopped_by) for r in engine.run_batch(requests)]
+        assert served == [oracle(engine, r)[:2] for r in requests]
 
     def test_pool_is_drained_after_batch(
         self, vocab, tokenizer, retrieval_model, tiny_samples
     ):
         """Every page goes back to the pool once its request completes."""
-        engine = make_engine(vocab, tokenizer, retrieval_model, "paged", max_running=4)
+        engine = make_engine(vocab, tokenizer, retrieval_model, max_running=4)
         requests = [
             GenerationRequest(
                 sample.context_words,
@@ -177,12 +158,10 @@ class TestPrefixCachingParity:
             ]
 
         on = repeated(
-            make_engine(vocab, tokenizer, retrieval_model, "paged", prefix_caching=True)
+            make_engine(vocab, tokenizer, retrieval_model, prefix_caching=True)
         )
         off = repeated(
-            make_engine(
-                vocab, tokenizer, retrieval_model, "paged", prefix_caching=False
-            )
+            make_engine(vocab, tokenizer, retrieval_model, prefix_caching=False)
         )
         for got, want in zip(on, off):
             assert got.token_ids == want.token_ids
@@ -196,12 +175,67 @@ class TestPrefixCachingParity:
             assert on[0].stats.cache_hit_blocks == 0
         assert all(r.stats.cache_hit_blocks == 0 for r in off)
 
+    @pytest.mark.parametrize("backend", ("cocktail", "kivi"))
+    def test_context_pages_do_not_depend_on_what_the_index_held(
+        self, vocab, tokenizer, retrieval_model, tiny_samples, backend
+    ):
+        """One admission path: the first request of a fresh engine, the same
+        request behind unrelated traffic, its warm repeat and the
+        caching-off engine all decode over byte-equal context pages."""
+        sample = tiny_samples[0]
+
+        def serve(engine):
+            """Tokens + the stored bytes of the context pages, read while live."""
+            rid = engine.submit(
+                GenerationRequest(
+                    sample.context_words,
+                    sample.query_words,
+                    max_new_tokens=6,
+                    backend=backend,
+                )
+            )
+            engine.step()
+            cache = engine._states[rid].prepared.cache
+            bs = engine.pool.block_size
+            stored = []
+            for page in range(-(-cache.n_context // bs)):
+                block = engine.pool.get(cache.table.block_ids[page])
+                n_rows = min(bs, cache.n_context - page * bs)
+                stored.append(block.fp_k[:, :n_rows].tobytes())
+                stored.append(block.fp_v[:, :n_rows].tobytes())
+                for runs in (*block.packed_k, *block.packed_v):
+                    for run in runs:
+                        stored.append(bytes([int(run.bits)]) + run.rows.tobytes())
+                        stored.append(run.packed_codes.tobytes() + run.meta.tobytes())
+            while engine.has_pending:
+                engine.step()
+            result = engine.result(rid)
+            return result.token_ids, result.stats.cache_hit_blocks, stored
+
+        fresh = make_engine(vocab, tokenizer, retrieval_model)
+        first = serve(fresh)
+        warm = serve(fresh)
+        busy = make_engine(vocab, tokenizer, retrieval_model)
+        for other in tiny_samples[1:3]:
+            busy.run(
+                GenerationRequest(
+                    other.context_words, other.query_words, max_new_tokens=2
+                )
+            )
+        assert busy.prefix_cache.n_blocks > 0
+        behind_traffic = serve(busy)
+        off = serve(make_engine(vocab, tokenizer, retrieval_model, prefix_caching=False))
+        assert first[1] == behind_traffic[1] == off[1] == 0 < warm[1]
+        for tokens, _, stored in (warm, behind_traffic, off):
+            assert tokens == first[0]
+            assert stored == first[2]
+
     def test_warm_request_allocates_fewer_new_blocks(
         self, vocab, tokenizer, retrieval_model, tiny_samples
     ):
         """Acceptance: reuse shows up in the pool, not just the stats."""
         sample = tiny_samples[0]
-        engine = make_engine(vocab, tokenizer, retrieval_model, "paged")
+        engine = make_engine(vocab, tokenizer, retrieval_model)
         pool = engine.pool
 
         def run_once():
@@ -229,7 +263,7 @@ class TestPrefixCachingParity:
         """Both Cocktail execution entries share one fingerprint: a context
         packed via the 'dense' backend warms a 'cocktail' request."""
         sample = tiny_samples[2]
-        engine = make_engine(vocab, tokenizer, retrieval_model, "paged")
+        engine = make_engine(vocab, tokenizer, retrieval_model)
         engine.run(
             GenerationRequest(
                 sample.context_words, sample.query_words, max_new_tokens=3, backend="dense"
@@ -274,7 +308,7 @@ class TestMeasuredBytes:
         self, vocab, tokenizer, retrieval_model, tiny_samples
     ):
         sample = tiny_samples[1]
-        engine = make_engine(vocab, tokenizer, retrieval_model, "paged")
+        engine = make_engine(vocab, tokenizer, retrieval_model)
         fp16 = engine.run(
             GenerationRequest(
                 sample.context_words, sample.query_words, max_new_tokens=3, backend="fp16"

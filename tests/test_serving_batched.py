@@ -1,7 +1,7 @@
 """Batched decode execution: parity, chunked prefill, cancel, result retention.
 
 The acceptance bar of the batched refactor: with the fused round enabled
-(the default on paged engines) every backend produces **bit-identical**
+(the default) every backend produces **bit-identical**
 token streams and identical ``RequestStats`` counters to the forced
 sequential path — under plain concurrency, under mid-stream preemption and
 under chunked-prefill admission — while the engine measurably issues fewer
@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.config import CocktailConfig
 from repro.kvpool import BlockPool
+from repro.kvpool.codecs import encode_per_token_groups
 from repro.model.attention import PREFILL_TILE
 from repro.model.decode import BatchedDecodeStep, DecodeSession
 from repro.serving.engine import InferenceEngine
@@ -80,10 +81,12 @@ class TestBatchedSequentialParity:
                 vocab, tokenizer, retrieval_model, max_running=8, batched_decode=batched
             )
             engines[batched] = engine
-            outputs[batched] = [
-                counters(r)
-                for r in engine.run_batch(make_requests(tiny_samples, ALL_BACKENDS))
-            ]
+            results = engine.run_batch(make_requests(tiny_samples, ALL_BACKENDS))
+            outputs[batched] = [counters(r) for r in results]
+            # Unmetered: one prefill pass per request, and the engine total
+            # (``/v1/stats`` ``n_prefill_chunks``) counts every one of them.
+            assert [r.stats.n_prefill_chunks for r in results] == [1] * len(results)
+            assert engine.exec_stats.n_prefill_chunks == len(results)
         assert outputs[True] == outputs[False]
         on, off = engines[True].exec_stats, engines[False].exec_stats
         assert on.n_fused_calls > 0 and off.n_fused_calls == 0
@@ -112,7 +115,7 @@ class TestBatchedSequentialParity:
         self, vocab, tokenizer, retrieval_model, tiny_samples
     ):
         """A token budget that forces preemption mid-stream must play out
-        identically — same victims, same replays, same streams — fused or not."""
+        identically — same victims, same swaps, same streams — fused or not."""
         requests = make_requests(tiny_samples, ("dense", "fp16", "cocktail"), 8)
         budget = requests[0].n_prompt_tokens + requests[1].n_prompt_tokens + 1
         outputs = {}
@@ -150,28 +153,15 @@ class TestBatchedSequentialParity:
             )
             results = engine.run_batch(make_requests(tiny_samples, ALL_BACKENDS))
             outputs[batched] = [counters(r) for r in results]
-            assert max(r.stats.n_prefill_chunks for r in results) > 1
+            assert min(r.stats.n_prefill_chunks for r in results) > 1
+            # One increment site: the engine total is the per-request sum.
+            assert engine.exec_stats.n_prefill_chunks == sum(
+                r.stats.n_prefill_chunks for r in results
+            )
+            assert engine.exec_stats.n_prefill_tokens == sum(
+                r.n_prompt_tokens for r in results
+            )
         assert outputs[True] == outputs[False]
-
-    def test_batched_works_on_dense_engines_too(
-        self, vocab, tokenizer, retrieval_model, tiny_samples
-    ):
-        """The fused kernel is cache-agnostic: forcing it on a dense engine
-        reproduces the paged-batched outputs bit for bit."""
-        sample = tiny_samples[0]
-
-        def run(kv_cache, batched):
-            engine = make_engine(
-                vocab, tokenizer, retrieval_model, kv_cache=kv_cache,
-                batched_decode=batched,
-            )
-            return engine.run_batch(
-                make_requests([sample], ("dense", "fp16", "atom"))
-            )
-
-        dense = [r.token_ids for r in run("dense", True)]
-        paged = [r.token_ids for r in run("paged", True)]
-        assert dense == paged
 
 
 class TestBatchedDecodeStepUnit:
@@ -324,11 +314,20 @@ class TestGatherContextMemo:
         retrieval_model.prefill(prompt, cache)
         cache.mark_context(30)
         k1, v1 = cache.gather_context(0)
-        zeros_k = np.zeros((30, cache.n_kv_heads, cache.head_dim), dtype=np.float32)
-        cache.replace_context_kv(0, zeros_k, zeros_k)
+        token_bits = np.full(30, 4, dtype=np.int64)
+        encodings = [
+            encode_per_token_groups(
+                layer.keys()[:30], layer.values()[:30], token_bits, cache.head_dim
+            )
+            for layer in cache.layers
+        ]
+        cache.pack_context(encodings)
         k2, _ = cache.gather_context(0)
         assert k2 is not k1
-        np.testing.assert_array_equal(k2, zeros_k[: k2.shape[0]])
+        k_enc = encodings[0][0]
+        np.testing.assert_array_equal(
+            k2, k_enc.codecs[4].decode(k_enc.codes, k_enc.meta)[: k2.shape[0]]
+        )
         cache.release()
 
     def test_memo_shared_pages_survive_swap_round_trip(
@@ -403,8 +402,9 @@ class TestCancel:
         assert engine.pool.allocated_bytes() == 0
         engine.pool.assert_consistent()
 
+    @pytest.mark.parametrize("backend", ("dense", "blockwise"))
     def test_cancel_prefilling_request(
-        self, vocab, tokenizer, retrieval_model, tiny_samples
+        self, vocab, tokenizer, retrieval_model, tiny_samples, backend
     ):
         engine = make_engine(
             vocab,
@@ -414,10 +414,11 @@ class TestCancel:
             max_prefill_tokens_per_step=16,
             prefix_caching=False,
         )
-        (rid,) = self.submit_all(engine, tiny_samples[:1], ("dense",))
+        (rid,) = self.submit_all(engine, tiny_samples[:1], (backend,))
         engine.step()
         assert engine.n_prefilling == 1
-        assert engine.pool.n_allocated > 0  # partial pages pinned
+        assert engine._states[rid].live_tokens() == 16  # scratch rows pinned
+        assert engine.pool.n_allocated == 0  # ...none of them in the pool
         event = engine.cancel(rid)
         assert event.stopped_by == "cancelled"
         assert engine.pool.n_allocated == 0
@@ -491,31 +492,6 @@ class TestResultRetention:
         with pytest.raises(KeyError):
             engine.result(rids[0])
 
-    def test_unretained_results_expire_after_one_step(
-        self, vocab, tokenizer, retrieval_model, tiny_samples
-    ):
-        engine = make_engine(
-            vocab, tokenizer, retrieval_model, retain_results=False, max_running=1
-        )
-        rids = [
-            engine.submit(r) for r in make_requests(tiny_samples, ("dense", "fp16"), 2)
-        ]
-        finished_step_results = {}
-        while engine.has_pending:
-            for event in engine.step():
-                if event.is_last:
-                    # Still readable during the step that finished it...
-                    finished_step_results[event.request_id] = engine.result(
-                        event.request_id
-                    )
-        assert sorted(finished_step_results) == sorted(rids)
-        # ...but the engine retains nothing once stepping continues.
-        engine.step()
-        assert engine._results == {}
-        # run()/run_batch() still work on an unretained engine.
-        result = engine.run(make_requests(tiny_samples, ("dense",), 2)[0])
-        assert result.token_ids
-
 
 class TestChunkedPrefill:
     def test_long_prompt_prefills_across_steps_while_others_decode(
@@ -585,18 +561,77 @@ class TestChunkedPrefill:
         assert min(r.stats.n_prefill_chunks for r in chunked) > 1
         assert [r.token_ids for r in chunked] == [r.token_ids for r in one_shot]
 
+    @pytest.mark.parametrize("backend", ("cocktail", "kvquant", "blockwise"))
+    def test_prefill_claims_no_pool_page_before_prepare(
+        self, vocab, tokenizer, retrieval_model, tiny_samples, backend
+    ):
+        """A metered admission lives in its scratch cache: the pool does not
+        move until the step whose ``prepare`` builds the stored cache."""
+        engine = make_engine(
+            vocab,
+            tokenizer,
+            retrieval_model,
+            max_prefill_tokens_per_step=64,
+            prefix_caching=False,
+        )
+        (request,) = make_requests(tiny_samples[:1], (backend,))
+        rid = engine.submit(request)
+        engine.step()
+        n_waiting_steps = 0
+        while engine.n_prefilling:
+            assert engine.pool.n_allocated == 0
+            assert engine.pool.peak_allocated_blocks == 0
+            assert engine.scheduler.live_tokens() == 64 * (n_waiting_steps + 1)
+            n_waiting_steps += 1
+            engine.step()
+        assert n_waiting_steps > 1
+        assert engine.pool.n_allocated > 0  # prepared: now it holds pages
+        while engine.has_pending:
+            engine.step()
+        assert engine.result(rid).token_ids
+        assert engine.pool.n_allocated == 0
+
+    def test_pause_mid_prefill_drops_the_scratch_and_restarts(
+        self, vocab, tokenizer, retrieval_model, tiny_samples, backend="blockwise"
+    ):
+        engine = make_engine(
+            vocab,
+            tokenizer,
+            retrieval_model,
+            max_prefill_tokens_per_step=64,
+            prefix_caching=False,
+        )
+        (request,) = make_requests(tiny_samples[:1], (backend,))
+        rid = engine.submit(request)
+        engine.step()
+        engine.step()
+        assert engine.n_prefilling == 1
+        engine.pause(rid)
+        assert engine.pool.n_allocated == 0
+        assert engine.scheduler.live_tokens() == 0
+        assert not engine.has_runnable
+        engine.resume(rid)
+        while engine.has_pending:
+            engine.step()
+        (reference,) = make_engine(vocab, tokenizer, retrieval_model).run_batch(
+            make_requests(tiny_samples[:1], (backend,))
+        )
+        assert engine.result(rid).token_ids == reference.token_ids
+        assert engine.pool.n_allocated == 0
+
     def test_budget_validation(self, vocab, tokenizer, retrieval_model):
         with pytest.raises(ValueError, match="max_prefill_tokens_per_step"):
             make_engine(
                 vocab, tokenizer, retrieval_model, max_prefill_tokens_per_step=0
             )
 
-    def test_pool_exhausted_mid_chunk_releases_partial_pages(
-        self, vocab, tokenizer, retrieval_model, tiny_samples
+    @pytest.mark.parametrize("budget", [16, None])
+    def test_pool_exhausted_at_prepare_leaves_pool_drained(
+        self, vocab, tokenizer, retrieval_model, tiny_samples, budget
     ):
         """A lone request whose prompt cannot fit the pool is a hard error —
-        and its partially written chunked-prefill pages must be released
-        before it propagates, exactly like the one-shot prefill path."""
+        raised by ``prepare`` once the prefill (metered or not) is done, with
+        every page it had claimed released before it propagates."""
         from repro.kvpool.pool import PoolExhausted
 
         config = retrieval_model.config
@@ -612,7 +647,7 @@ class TestChunkedPrefill:
             tokenizer,
             retrieval_model,
             pool=pool,
-            max_prefill_tokens_per_step=16,
+            max_prefill_tokens_per_step=budget,
             prefix_caching=False,
         )
         rid = engine.submit(

@@ -150,11 +150,11 @@ class TestContinuousBatching:
         scheduled = [result.stats.scheduled_at for result in results]
         assert scheduled == sorted(scheduled)
 
-    def test_preemption_recomputes_without_duplicate_tokens(
+    def test_preemption_resumes_without_duplicate_tokens(
         self, vocab, tokenizer, retrieval_model, tiny_samples, sequential
     ):
-        """Outgrowing the KV budget preempts the newest sequence; recompute
-        replays its prefix silently and the final output is unchanged."""
+        """Outgrowing the KV budget preempts the newest sequence; it swaps
+        back in where it stopped and the final output is unchanged."""
         first, second = tiny_samples[0], tiny_samples[1]
         requests = [
             GenerationRequest(
@@ -191,8 +191,8 @@ class TestContinuousBatching:
         ]
         assert [e.index for e in second_tokens] == list(range(len(second_tokens)))
         assert [e.token_id for e in second_tokens] == results[1].token_ids
-        # Recompute work is visible in the step counter.
-        assert results[1].stats.n_decode_steps > results[1].stats.n_generated
+        # Nothing was replayed: one step per token plus the terminal advance.
+        assert results[1].stats.n_decode_steps <= results[1].stats.n_generated + 1
 
 
 class TestStreaming:
@@ -358,6 +358,10 @@ class TestSchedulerUnit:
             n_prompt_tokens=state.request.n_prompt_tokens,
             n_context_tokens=len(state.request.context_words),
             live_tokens=lambda: live,
+            swap_out=None,
+            swap_in=None,
+            release=None,
+            kv_bytes=None,
         )
 
     def test_slot_limit_gates_admission(self):

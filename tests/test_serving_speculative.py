@@ -191,12 +191,6 @@ class TestEngineKnobValidation:
                 vocab, tokenizer, retrieval_model,
                 speculative=2, batched_decode=False,
             )
-        # Dense engines default batched_decode off; forcing it on works.
-        engine = make_engine(
-            vocab, tokenizer, retrieval_model,
-            kv_cache="dense", batched_decode=True, speculative=2,
-        )
-        assert engine.speculative is not None
 
     @pytest.mark.parametrize("backend", ("kivi", "kvquant", "blockwise"))
     def test_fitted_state_backends_rejected_at_construction(
@@ -545,30 +539,6 @@ class TestSpeculativeParity:
             assert max(r.stats.n_prefill_chunks for r in results) > 1
         assert outputs[True] == outputs[False]
 
-    def test_parity_on_dense_cache_engines(
-        self, vocab, tokenizer, retrieval_model, tiny_samples
-    ):
-        """Verify + truncate work on the dense reference cache too."""
-        outputs = {}
-        for speculative in (SpeculativeConfig(k=4), None):
-            engine = make_engine(
-                vocab,
-                tokenizer,
-                retrieval_model,
-                kv_cache="dense",
-                batched_decode=True,
-                speculative=speculative,
-            )
-            outputs[speculative is not None] = [
-                outcome(r)
-                for r in engine.run_batch(
-                    make_requests(tiny_samples, ("dense", "fp16", "atom"))
-                )
-            ]
-            if speculative is not None:
-                assert engine.exec_stats.n_accepted_tokens > 0
-        assert outputs[True] == outputs[False]
-
     def test_non_greedy_requests_never_speculate(
         self, vocab, tokenizer, retrieval_model, tiny_samples
     ):
@@ -714,9 +684,8 @@ class TestSpeculativeUnderPoolPressure:
                     for sample, backend in zip(tiny_samples[:2], ("dense", "fp16"))
                 ]
             )
-            if engine.pool is not None:
-                assert engine.pool.n_allocated == 0
-                assert engine.pool.allocated_bytes() == 0
+            assert engine.pool.n_allocated == 0
+            assert engine.pool.allocated_bytes() == 0
             return [outcome(r) for r in results]
 
         reference = serve(None, None)

@@ -187,8 +187,8 @@ class TestEngineStress:
     """Generated traffic through starved engines: invariants every step.
 
     The pool is sized for ~2 sequences while the trace runs up to 3
-    concurrently over shared documents, so preemption (swap on even
-    seeds, recompute on odd) is guaranteed; fixed-length context slices
+    concurrently over shared documents, so swap preemption is
+    guaranteed; fixed-length context slices
     make distinct requests collide on identical documents, keeping the
     prefix index hot under eviction pressure.  Hit *floors* are not
     asserted here — a starved index is allowed to evict — but outputs
@@ -222,7 +222,6 @@ class TestEngineStress:
             # Two prompts fit, the third round of decode rows does not: the
             # token budget guarantees preemption traffic on every seed.
             max_live_tokens=132,
-            preemption="swap" if seed % 2 == 0 else "recompute",
             clock=clock,
         )
         run = EngineDriver(engine, clock=clock).run(trace)
@@ -275,7 +274,6 @@ class TestEngineStress:
             max_running=3,
             pool=pool,
             max_live_tokens=148,
-            preemption="swap" if seed % 2 == 0 else "recompute",
             speculative=SpeculativeConfig(k=4),
             clock=clock,
         )
@@ -398,7 +396,6 @@ class TestDisconnectStorm:
             max_running=3,
             pool=pool,
             max_live_tokens=132,
-            preemption="swap" if seed % 2 == 0 else "recompute",
         )
 
         core = ServerCore(engine).start()

@@ -12,6 +12,9 @@ from repro.serving.scheduler import ContinuousBatchingScheduler, SequenceState
 
 CHUNK_SIZE = 16
 
+#: Every globally registered backend: all of them swap.
+ALL_BACKENDS = ("dense", "cocktail", "blockwise", "fp16", "atom", "kivi", "kvquant")
+
 
 def make_engine(vocab, tokenizer, model, **kwargs) -> InferenceEngine:
     return InferenceEngine(
@@ -23,15 +26,15 @@ def make_engine(vocab, tokenizer, model, **kwargs) -> InferenceEngine:
     )
 
 
-def tight_budget_requests(tiny_samples):
-    """Two dense requests whose combined footprint exceeds a tight budget."""
+def tight_budget_requests(tiny_samples, backend="dense"):
+    """Two requests whose combined footprint exceeds a tight budget."""
     first, second = tiny_samples[0], tiny_samples[1]
     requests = [
         GenerationRequest(
             sample.context_words,
             sample.query_words,
             max_new_tokens=8,
-            backend="dense",
+            backend=backend,
         )
         for sample in (first, second)
     ]
@@ -40,18 +43,18 @@ def tight_budget_requests(tiny_samples):
 
 
 class TestSwapPreemption:
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_swap_roundtrips_without_recompute(
-        self, vocab, tokenizer, retrieval_model, tiny_samples
+        self, vocab, tokenizer, retrieval_model, tiny_samples, backend
     ):
         """A swapped victim resumes in place: same tokens, zero replay work."""
-        requests, budget = tight_budget_requests(tiny_samples)
+        requests, budget = tight_budget_requests(tiny_samples, backend)
         engine = make_engine(
             vocab,
             tokenizer,
             retrieval_model,
             max_running=2,
             max_live_tokens=budget,
-            preemption="swap",
         )
         rids = [engine.submit(request) for request in requests]
         events = []
@@ -65,19 +68,13 @@ class TestSwapPreemption:
         assert victim.stats.n_swap_ins >= 1
         assert victim.stats.n_swap_outs == victim.stats.n_preemptions
         # No recompute: every decode step produced forward progress (at most
-        # one extra step for the terminal advance), unlike the recompute
-        # path which replays the already-emitted prefix after each rollback.
+        # one extra step for the terminal advance).
         assert victim.stats.n_decode_steps <= victim.stats.n_generated + 1
 
         # Reference: the same requests served without any capacity pressure.
         unconstrained = make_engine(vocab, tokenizer, retrieval_model, max_running=2)
         reference = unconstrained.run_batch(
-            [
-                GenerationRequest(
-                    s.context_words, s.query_words, max_new_tokens=8, backend="dense"
-                )
-                for s in tiny_samples[:2]
-            ]
+            tight_budget_requests(tiny_samples, backend)[0]
         )
         for got, want in zip(results, reference):
             assert got.token_ids == want.token_ids
@@ -89,54 +86,6 @@ class TestSwapPreemption:
         ]
         assert [e.index for e in victim_tokens] == list(range(len(victim_tokens)))
         assert [e.token_id for e in victim_tokens] == victim.token_ids
-
-    def test_recompute_mode_still_replays(
-        self, vocab, tokenizer, retrieval_model, tiny_samples
-    ):
-        """preemption='recompute' preserves the old rollback semantics."""
-        requests, budget = tight_budget_requests(tiny_samples)
-        engine = make_engine(
-            vocab,
-            tokenizer,
-            retrieval_model,
-            max_running=2,
-            max_live_tokens=budget,
-            preemption="recompute",
-        )
-        results = engine.run_batch(requests)
-        victim = results[1]
-        assert victim.stats.n_preemptions >= 1
-        assert victim.stats.n_swap_outs == 0
-        # Recompute is visible as replayed decode steps.
-        assert victim.stats.n_decode_steps > victim.stats.n_generated + 1
-
-    def test_swap_and_recompute_agree_on_outputs(
-        self, vocab, tokenizer, retrieval_model, tiny_samples
-    ):
-        requests, budget = tight_budget_requests(tiny_samples)
-        outputs = {}
-        for mode in ("swap", "recompute"):
-            engine = make_engine(
-                vocab,
-                tokenizer,
-                retrieval_model,
-                max_running=2,
-                max_live_tokens=budget,
-                preemption=mode,
-            )
-            fresh = [
-                GenerationRequest(
-                    r.context_words,
-                    r.query_words,
-                    max_new_tokens=8,
-                    backend="dense",
-                )
-                for r in requests
-            ]
-            outputs[mode] = [
-                (r.token_ids, r.stopped_by) for r in engine.run_batch(fresh)
-            ]
-        assert outputs["swap"] == outputs["recompute"]
 
     def test_swap_frees_pool_pages_while_waiting(
         self, vocab, tokenizer, retrieval_model, tiny_samples
@@ -214,16 +163,6 @@ class TestSwapPreemption:
         engine.prefix_cache.clear()
         assert pool.n_allocated == 0
 
-    def test_invalid_modes_rejected(self, vocab, tokenizer, retrieval_model):
-        with pytest.raises(ValueError, match="preemption"):
-            make_engine(vocab, tokenizer, retrieval_model, preemption="drop")
-        with pytest.raises(ValueError, match="kv_cache"):
-            make_engine(vocab, tokenizer, retrieval_model, kv_cache="mmap")
-        with pytest.raises(ValueError, match="paged"):
-            make_engine(
-                vocab, tokenizer, retrieval_model, kv_cache="dense", max_live_blocks=4
-            )
-
 
 class TestPreemptThrashGuard:
     """Regression tests for the near-finish victim guard."""
@@ -256,6 +195,10 @@ class TestPreemptThrashGuard:
             n_prompt_tokens=state.request.n_prompt_tokens,
             n_context_tokens=len(state.request.context_words),
             live_tokens=lambda: live,
+            swap_out=None,
+            swap_in=None,
+            release=None,
+            kv_bytes=None,
         )
         scheduler.enqueue(state)
         scheduler.mark_running(state)
@@ -343,12 +286,11 @@ class TestPreemptThrashGuard:
     ):
         """The same victim is not rolled back repeatedly at its last token.
 
-        Under recompute preemption with a budget that is permanently
-        exceeded while both sequences run, an unguarded LIFO policy keeps
-        preempting the newest sequence even when it is one token from
-        finishing — each rollback replays the whole prefix, so its decode
-        steps grow quadratically.  With the guard, every generated token is
-        replayed at most once after its final preemption.
+        With a budget that is permanently exceeded while both sequences
+        run, an unguarded LIFO policy keeps preempting the newest sequence
+        even when it is one token from finishing — a swap round trip per
+        step to recover at most one token of budget.  With the guard the
+        victim is spared once it gets that close.
         """
         requests, budget = tight_budget_requests(tiny_samples)
         engine = make_engine(
@@ -357,7 +299,6 @@ class TestPreemptThrashGuard:
             retrieval_model,
             max_running=2,
             max_live_tokens=budget,
-            preemption="recompute",
         )
         results = engine.run_batch(requests)
         victim = results[1]
@@ -365,8 +306,3 @@ class TestPreemptThrashGuard:
         # Once within one token of its budget, the victim is spared; it can
         # only have been preempted before reaching that point.
         assert victim.stats.n_preemptions < requests[1].max_new_tokens
-        steps = victim.stats.n_decode_steps
-        worst_case_without_guard = (
-            victim.stats.n_generated * (victim.stats.n_generated + 1)
-        )
-        assert steps < worst_case_without_guard
