@@ -139,6 +139,12 @@ class KVCacheQuantizer(abc.ABC):
     #: instead (see :mod:`repro.serving.backends`).  Token-local schemes
     #: leave this ``False`` and batch freely.
     fitted_context_state: bool = False
+    #: Whether :meth:`plan` reads ``request.cache`` (KVQuant ranks outlier
+    #: tokens by the prefilled K magnitudes).  Such a plan — and the page
+    #: hashes derived from its bitwidths — exists only after prefill, so the
+    #: serving engine neither probes nor routes these requests ahead of it;
+    #: every other method is planned once, before prefill, from the texts.
+    plan_reads_cache: bool = False
 
     @abc.abstractmethod
     def plan(self, request: QuantizationRequest) -> KVQuantizationPlan:

@@ -31,6 +31,8 @@ class KVQuantQuantizer(KVCacheQuantizer):
     #: over every non-outlier context token — per-request lookup tables the
     #: fused batched kernel cannot share, so KVQuant decodes sequentially.
     fitted_context_state = True
+    #: The outlier ranking reads the prefilled K rows.
+    plan_reads_cache = True
 
     def __init__(
         self,

@@ -12,7 +12,11 @@ The subsystem the serving engine stores every sequence's KV cache in:
 * :mod:`~repro.kvpool.prefix` — the cross-request reuse layer: chained
   block hashes and the :class:`~repro.kvpool.prefix.PrefixCache` radix
   index that lets warm requests adopt already-packed pages instead of
-  re-prefilling and re-quantizing a repeated context.
+  re-quantizing a repeated context.
+* :mod:`~repro.kvpool.rows` — the tier under it:
+  :class:`~repro.kvpool.rows.ContextRowCache` keeps full-precision context
+  rows by the same hash chain, so a prefill job on a repeated document
+  skips the forward over them.
 """
 
 from repro.kvpool.cache import BlockTable, PagedKVCache, PagedLayerView
@@ -33,11 +37,14 @@ from repro.kvpool.codecs import (
     encode_per_token_groups,
 )
 from repro.kvpool.pool import Block, BlockPool, PackedRun, PoolExhausted
+from repro.kvpool.rows import CONTEXT_ROW_BYTES, ContextRowCache
 
 __all__ = [
     "Block",
     "BlockPool",
     "BlockTable",
+    "CONTEXT_ROW_BYTES",
+    "ContextRowCache",
     "NuqChannelNormCodec",
     "PackedRun",
     "PagedKVCache",

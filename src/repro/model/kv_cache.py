@@ -38,6 +38,10 @@ class LayerKVCache:
         self.k = np.zeros((0, self.n_kv_heads, self.head_dim), dtype=np.float32)
         self.v = np.zeros((0, self.n_kv_heads, self.head_dim), dtype=np.float32)
 
+    def reserve(self, n_rows: int) -> None:
+        """Allocate storage for ``n_rows`` rows up front (no regrowth below that)."""
+        self._grow_to(min(n_rows, self.capacity))
+
     def _grow_to(self, n_rows: int) -> None:
         """Ensure at least ``n_rows`` rows are allocated (amortised doubling)."""
         allocated = self.k.shape[0]

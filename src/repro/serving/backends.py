@@ -23,6 +23,7 @@ Backends resolve by name through a registry: ``"dense"``/``"cocktail"``,
 from __future__ import annotations
 
 import abc
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -37,6 +38,8 @@ from repro.baselines.registry import BASELINE_NAMES, get_baseline
 from repro.core.cache import ChunkedLayerCache
 from repro.core.computation import chunk_level_decode_attention
 from repro.kvpool.cache import PagedKVCache
+from repro.kvpool.prefix import block_hashes
+from repro.kvpool.rows import ContextRowCache
 from repro.model.decode import DecodeSession
 from repro.model.kv_cache import ModelKVCache
 from repro.model.tokenizer import Tokenizer
@@ -95,18 +98,48 @@ class PrefillJob:
     it pinned.  When the job is :attr:`done`, :meth:`DecodeBackend.prepare`
     consumes it, so chunking changes *when* prefill compute happens, never
     what the backend builds from it.
+
+    With ``context_rows`` (the engine's
+    :class:`~repro.kvpool.rows.ContextRowCache`) the job starts from the
+    longest run of the context's blocks the tier holds: the rows are copied
+    into the scratch and ``n_done`` begins past them, so :meth:`advance`
+    prefills only the unmatched context tail, the separator and the query —
+    the chunked-prefill continuation it performs anyway, under the same
+    contract (identical greedy tokens, first-token logits within ``1e-5``).
+    A cold and a warm job differ in ``n_done`` at construction and nothing
+    else.  A finished job publishes its context rows back to the tier.
+    ``plan`` carries a quantization plan made ahead of the prefill (the
+    admission probe's) to ``prepare``.
     """
 
     def __init__(
-        self, model: Transformer, tokenizer: Tokenizer, request: "GenerationRequest"
+        self,
+        model: Transformer,
+        tokenizer: Tokenizer,
+        request: "GenerationRequest",
+        *,
+        plan: KVQuantizationPlan | None = None,
+        context_rows: ContextRowCache | None = None,
     ):
         self.model = model
         self.cache: ModelKVCache = model.new_cache()
         self.prompt = prompt_token_ids(
             tokenizer, request.context_words, request.query_words
         )
-        self.n_done = 0
+        self.plan = plan
         self.first_logits: np.ndarray | None = None
+        self._context_rows = context_rows
+        self._row_hashes: list[str] = []
+        #: Leading context tokens copied from the row tier, not prefilled.
+        self.n_reused = 0
+        if context_rows is not None:
+            self._row_hashes = context_rows.hashes(
+                self.prompt[: len(request.context_words)]
+            )
+            self.n_reused = context_rows.seed(
+                self.cache, self._row_hashes, len(self.prompt)
+            )
+        self.n_done = self.n_reused
 
     @property
     def n_remaining(self) -> int:
@@ -133,6 +166,10 @@ class PrefillJob:
         self.n_done += len(chunk)
         if self.done:
             self.first_logits = logits
+            if self._context_rows is not None:
+                # Before ``prepare``: ``quantizer.apply`` may overwrite the
+                # scratch's context rows with fake-quant floats.
+                self._context_rows.publish(self.cache, self._row_hashes)
         return len(chunk)
 
 
@@ -218,7 +255,21 @@ class DecodeBackend(abc.ABC):
     name: str = "backend"
 
     def __init__(self, engine: "InferenceEngine"):
-        self.engine = engine
+        self._engine = weakref.ref(engine)
+
+    @property
+    def engine(self) -> "InferenceEngine":
+        """The owning engine.
+
+        Held weakly: the engine owns its backends, and a strong
+        back-reference would keep a dropped engine — its pool, its model
+        and its row arena — alive until the cycle collector's next full
+        pass instead of freeing it with the last reference.
+        """
+        engine = self._engine()
+        if engine is None:
+            raise RuntimeError(f"backend {self.name!r} outlived its engine")
+        return engine
 
     @property
     def model(self) -> Transformer:
@@ -316,20 +367,26 @@ class DecodeBackend(abc.ABC):
 
     # -- prefix reuse ---------------------------------------------------------
 
-    def probe_cached_blocks(self, request: "GenerationRequest") -> int:
+    def probe_cached_blocks(
+        self, request: "GenerationRequest"
+    ) -> tuple[int, KVQuantizationPlan | None]:
         """Estimate how many pool pages a request would adopt from the
-        prefix index: a peek over :meth:`prefix_route_keys`, no state touched.
+        prefix index: a peek over the request's routing keys, no state
+        touched.  Returns ``(pages, the plan the keys were made from)``.
 
-        The scheduler subtracts this from the page demand it charges at
-        admission, so a warm repeated-context request is not blocked on
+        The scheduler subtracts the estimate from the page demand it charges
+        at admission, so a warm repeated-context request is not blocked on
         capacity it will never allocate.  The estimate is optimistic by
         design — entries may be evicted before ``prepare`` runs — and the
-        engine's preemption machinery corrects any overshoot.
+        engine's preemption machinery corrects any overshoot.  The plan rides
+        along to ``prepare`` (on the request's :class:`PrefillJob`), so a
+        request is planned once; it is ``None`` when nothing was planned.
         """
         prefix_cache = self.engine.prefix_cache
         if prefix_cache is None or prefix_cache.n_blocks == 0:
-            return 0  # nothing can match; skip the planning work
-        return prefix_cache.peek(*self.prefix_route_keys(request))
+            return 0, None  # nothing can match; skip the planning work
+        fingerprint, hashes, plan = self._route(request)
+        return prefix_cache.peek(fingerprint, hashes), plan
 
     def prefix_route_keys(
         self, request: "GenerationRequest"
@@ -338,16 +395,23 @@ class DecodeBackend(abc.ABC):
         this request under — computed *without* touching any engine state.
 
         ``(None, [])`` means the request's pages cannot be keyed ahead of
-        prefill (no sharing fingerprint, or the planner needs the prefilled
-        cache); a prefix-affinity router then falls back to load-only
+        prefill (no sharing fingerprint, or the planner reads the prefilled
+        cache — :attr:`~repro.baselines.base.KVCacheQuantizer.plan_reads_cache`);
+        a prefix-affinity router then falls back to load-only
         placement.  When keys are returned they match what
         :meth:`prepare` will publish into the owning engine's
         :class:`~repro.kvpool.prefix.PrefixCache` bit for bit, so a global
         hash index over many workers can resolve longest-prefix placement
         before the request is dispatched anywhere.
         """
+        return self._route(request)[:2]
+
+    def _route(
+        self, request: "GenerationRequest"
+    ) -> tuple[str | None, list[str], KVQuantizationPlan | None]:
+        """Routing keys plus the cache-free plan they were derived from."""
         del request
-        return None, []
+        return None, [], None
 
 
 class QuantizedDenseBackend(DecodeBackend):
@@ -426,8 +490,6 @@ class QuantizedDenseBackend(DecodeBackend):
 
     def _reuse_keys(self, plan, context_ids) -> tuple[str | None, list[str]]:
         """The (fingerprint, chained block hashes) pair of one planned request."""
-        from repro.kvpool.prefix import block_hashes
-
         fingerprint = self.quantizer.reuse_fingerprint(plan, context_ids)
         if fingerprint is None:
             return None, []
@@ -435,20 +497,18 @@ class QuantizedDenseBackend(DecodeBackend):
             fingerprint, context_ids, plan.token_bits, self.engine.pool.block_size
         )
 
-    def prefix_route_keys(
+    def _route(
         self, request: "GenerationRequest"
-    ) -> tuple[str | None, list[str]]:
+    ) -> tuple[str | None, list[str], KVQuantizationPlan | None]:
         """Routing keys from a cache-free plan (no engine state touched)."""
+        if self.quantizer.plan_reads_cache:
+            # The plan, hence the hashed bitwidths, exists only after prefill.
+            return None, [], None
+        plan = self._plan_request(request, None)
         prompt = prompt_token_ids(
             self.tokenizer, request.context_words, request.query_words
         )
-        try:
-            plan = self._plan_request(request, None)
-        except Exception:
-            # Planners that need the prefilled cache (KVQuant's outlier
-            # ranking) cannot be keyed ahead of prefill.
-            return None, []
-        return self._reuse_keys(plan, prompt[: len(request.context_words)])
+        return (*self._reuse_keys(plan, prompt[: len(request.context_words)]), plan)
 
     def prepare(
         self, request: "GenerationRequest", prefill: PrefillJob
@@ -459,7 +519,11 @@ class QuantizedDenseBackend(DecodeBackend):
         K/V of the whole prompt, while the index stores *quantized* pages —
         which is why the prefill ran into a private dense scratch and only
         the storage is assembled here, from shared pages + freshly written
-        unmatched rows.  Matched pages are byte-identical to what this
+        unmatched rows.  A page hit therefore saves encode, pack and pool
+        bytes; the prefill forward is saved one step earlier, by the row
+        tier the job was seeded from (:class:`PrefillJob`), and the scratch
+        handed in is indistinguishable from a cold one either way.
+        Matched pages are byte-identical to what this
         request would have packed by construction of the hash chain, and
         unmatched rows are packed from the same deterministic encodings,
         so the decode phase reads the same pages whether the index held
@@ -470,7 +534,9 @@ class QuantizedDenseBackend(DecodeBackend):
         scratch = self._scratch(request, prefill)
         prompt = prefill.prompt
         n_context = scratch.n_context
-        plan = self._plan_request(request, scratch)
+        plan = prefill.plan
+        if plan is None:
+            plan = self._plan_request(request, scratch)
         fingerprint, hashes = (
             self._reuse_keys(plan, prompt[:n_context])
             if prefix_cache is not None

@@ -20,7 +20,8 @@ by step, one decode token per in-flight sequence per :meth:`step`.
 There is one way to run a request: it is admitted as a
 :class:`~repro.serving.backends.PrefillJob` (full-precision prefill into a
 private scratch cache, whole or metered by
-``max_prefill_tokens_per_step``), its backend's ``prepare`` turns the
+``max_prefill_tokens_per_step``, starting past whatever context rows the
+row tier already holds), its backend's ``prepare`` turns the
 finished scratch into pool-resident storage, it decodes out of the pool,
 and under pressure it is preempted by swapping its pages to the host
 store and back.
@@ -51,6 +52,7 @@ from repro.core.quantizer import CocktailQuantizer
 from repro.baselines.base import KVCacheQuantizer
 from repro.kvpool.pool import BlockPool, PoolExhausted
 from repro.kvpool.prefix import PrefixCache
+from repro.kvpool.rows import ContextRowCache
 from repro.model.decode import BatchedDecodeStep
 from repro.model.tokenizer import Tokenizer
 from repro.profiling import span as profiling_span
@@ -113,9 +115,12 @@ class ExecutionStats:
     #: one per metered chunk with one — always the sum of the requests'
     #: ``RequestStats.n_prefill_chunks``.
     n_prefill_chunks: int = 0
-    #: Prompt tokens pushed through those passes (swap-ins restore pages
-    #: without prefilling and are not counted).
+    #: Prompt tokens pushed through those passes — computed tokens only
+    #: (swap-ins restore pages without prefilling and are not counted).
     n_prefill_tokens: int = 0
+    #: Context tokens whose rows prefill jobs copied from the row tier
+    #: instead of computing (:class:`~repro.kvpool.rows.ContextRowCache`).
+    n_prefill_reused_tokens: int = 0
     #: Draft tokens attached to verify forwards (speculative decoding).
     n_drafted_tokens: int = 0
     #: Drafted tokens the greedy verification accepted — each one a
@@ -194,8 +199,14 @@ class EngineCore:
         earlier request *adopts* those shared pages (ref-counted,
         copy-on-write) instead of allocating and re-quantizing them, and
         reports the reuse via ``RequestStats.cached_tokens`` /
-        ``cache_hit_blocks``.  Decoded outputs are bit-identical with the
-        cache on or off.  Pass ``False`` to disable.
+        ``cache_hit_blocks``.  It also keeps a host-side
+        :class:`~repro.kvpool.rows.ContextRowCache` of full-precision
+        context rows under the same block hashes, so a request on a
+        document seen twice before skips the prefill forward over the
+        stored rows (``RequestStats.prefill_reused_tokens``; costs up to
+        :data:`~repro.kvpool.rows.CONTEXT_ROW_BYTES` of host memory once
+        contexts repeat).  Decoded outputs are identical with the
+        cache on or off.  Pass ``False`` to disable both.
     prefix_cache_blocks:
         Cap on pages retained by the prefix index (LRU-evicted beyond it).
         Bounded pools also reclaim idle index pages on demand, so the cap
@@ -300,6 +311,16 @@ class EngineCore:
             prefix_cache_blocks = DEFAULT_PREFIX_CACHE_BLOCKS
         self.prefix_cache: PrefixCache | None = (
             PrefixCache(self.pool, max_blocks=prefix_cache_blocks)
+            if prefix_caching
+            else None
+        )
+        self.context_rows: ContextRowCache | None = (
+            ContextRowCache(
+                model.config.n_layers,
+                model.config.n_kv_heads,
+                model.config.head_dim,
+                self.pool.block_size,
+            )
             if prefix_caching
             else None
         )
@@ -422,7 +443,7 @@ class EngineCore:
             )
         # Admission hint: pages the index would serve — the scheduler
         # charges only the blocks this request will actually allocate.
-        state.cached_blocks_hint = backend.probe_cached_blocks(request)
+        state.cached_blocks_hint, state.plan = backend.probe_cached_blocks(request)
         self._states[rid] = state
         self.scheduler.enqueue(state)
         return rid
@@ -457,7 +478,7 @@ class EngineCore:
         return len(self.scheduler.prefilling)
 
     def assert_consistent(self) -> None:
-        """Walk the pool + prefix-cache structural invariants (tests/replay).
+        """Walk the pool, prefix-index and row-tier invariants (tests/replay).
 
         One call on any engine-shaped object — a bare core or a sharded
         facade fanning out to every worker — so harnesses need not know
@@ -466,6 +487,8 @@ class EngineCore:
         self.pool.assert_consistent()
         if self.prefix_cache is not None:
             self.prefix_cache.assert_consistent()
+        if self.context_rows is not None:
+            self.context_rows.assert_consistent()
 
     def is_finished(self, request_id: str) -> bool:
         """Whether ``request_id`` has completed."""
@@ -585,7 +608,15 @@ class EngineCore:
                 if not self._swap_in(state):
                     break
                 continue
-            state.prefill = PrefillJob(self.model, self.tokenizer, state.request)
+            job = state.prefill = PrefillJob(
+                self.model,
+                self.tokenizer,
+                state.request,
+                plan=state.plan,
+                context_rows=self.context_rows,
+            )
+            state.stats.prefill_reused_tokens = job.n_reused
+            self.exec_stats.n_prefill_reused_tokens += job.n_reused
             self.scheduler.mark_prefilling(state)
             consumed, aborted = self._advance_prefill(state, remaining)
             remaining -= consumed
@@ -1031,6 +1062,12 @@ class EngineCore:
         if state is None:
             raise KeyError(f"unknown request_id {request_id!r}")
         return state.stats
+
+    def context_rows_stats(self) -> dict | None:
+        """The ``context_rows`` block of ``/v1/stats`` (``None`` without the tier)."""
+        if self.context_rows is None:
+            return None
+        return self.context_rows.stats_payload()
 
     def adaptive_stats(self) -> dict:
         """Current readings of the configured adaptive controllers.

@@ -191,6 +191,11 @@ class RequestStats:
     #: Measured bytes of the adopted pages — prefill storage the request
     #: did not have to create.
     cached_bytes: int = 0
+    #: Leading context tokens whose full-precision rows the prefill copied
+    #: from the engine's row tier instead of computing (the prefill forward
+    #: ran over the rest of the prompt only).  Independent of
+    #: ``cached_tokens``: rows save the forward, pages save encode and pack.
+    prefill_reused_tokens: int = 0
     #: Draft tokens proposed for this request's verify forwards
     #: (speculative decoding; 0 when speculation was off or inapplicable).
     drafted_tokens: int = 0
@@ -497,6 +502,7 @@ def result_to_wire(result: GenerationResult) -> dict:
             "n_preemptions": stats.n_preemptions,
             "n_pauses": stats.n_pauses,
             "cached_tokens": stats.cached_tokens,
+            "prefill_reused_tokens": stats.prefill_reused_tokens,
             "tenant": stats.tenant,
             "slo_class": stats.slo_class,
         },

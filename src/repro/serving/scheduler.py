@@ -30,6 +30,7 @@ from repro.serving.backends import PrefillJob, PreparedSequence
 from repro.serving.request import GenerationRequest, RequestStats, TokenEvent
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.baselines.base import KVQuantizationPlan
     from repro.kvpool.pool import BlockPool
     from repro.serving.adaptive import DraftWindowController, SloPolicy
 
@@ -58,6 +59,9 @@ class SequenceState:
     #: (admission hint set at submit time; the scheduler charges only the
     #: *new* pages a request will actually allocate).
     cached_blocks_hint: int = 0
+    #: The quantization plan the admission probe made (cache-free planners
+    #: only), carried to ``prepare`` so the request is planned once.
+    plan: "KVQuantizationPlan | None" = None
     #: Absolute deadline stamped at submit time by the engine's
     #: :class:`~repro.serving.adaptive.SloPolicy` (``None`` without one, or
     #: for classes with no deadline budget).  Preemption measures slack

@@ -439,6 +439,9 @@ class ServerCore:
                 "hit_rate": stats.hit_rate,
                 "saved_bytes": stats.saved_bytes,
             }
+        context_rows = engine.context_rows_stats()
+        if context_rows is not None:
+            payload["context_rows"] = context_rows
         worker_stats = getattr(engine, "worker_stats_payload", None)
         if callable(worker_stats):
             payload["workers"] = worker_stats()

@@ -516,6 +516,7 @@ class ShardedEngine:
             merged.n_decode_tokens += stats.n_decode_tokens
             merged.n_prefill_chunks += stats.n_prefill_chunks
             merged.n_prefill_tokens += stats.n_prefill_tokens
+            merged.n_prefill_reused_tokens += stats.n_prefill_reused_tokens
             merged.n_drafted_tokens += stats.n_drafted_tokens
             merged.n_accepted_tokens += stats.n_accepted_tokens
             for name, seconds in stats.phase_times.items():
@@ -527,6 +528,17 @@ class ShardedEngine:
     def worker_stats_payload(self) -> list[dict]:
         """Per-worker stats rows, the ``workers`` section of ``/v1/stats``."""
         return [worker.stats_payload() for worker in self.workers]
+
+    def context_rows_stats(self) -> dict | None:
+        """Every worker's row-tier counters and bytes, summed (``None`` without tiers)."""
+        merged: dict | None = None
+        for worker in self.workers:
+            payload = worker.engine.context_rows_stats()
+            if payload is not None:
+                merged = merged or dict.fromkeys(payload, 0)
+                for key, value in payload.items():
+                    merged[key] += value
+        return merged
 
     def adaptive_stats(self) -> dict:
         """Per-worker adaptive-controller readings, keyed ``worker<id>``.

@@ -296,7 +296,8 @@ class TestResultToWire:
     def test_wire_result_shape_and_round_trip(self):
         stats = RequestStats(
             submitted_at=1.0, scheduled_at=2.0, first_token_at=3.0,
-            finished_at=7.0, n_generated=5, cached_tokens=32, tenant="acme",
+            finished_at=7.0, n_generated=5, cached_tokens=32,
+            prefill_reused_tokens=48, tenant="acme",
         )
         result = GenerationResult(
             request_id="req-9",
@@ -323,6 +324,7 @@ class TestResultToWire:
         assert wire["stats"]["ttft_seconds"] == pytest.approx(2.0)
         assert wire["stats"]["tpot_seconds"] == pytest.approx(1.0)
         assert wire["stats"]["cached_tokens"] == 32
+        assert wire["stats"]["prefill_reused_tokens"] == 48
         assert wire["stats"]["tenant"] == "acme"
         import json
 

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import CocktailConfig
+from repro.kvpool.rows import CONTEXT_ROW_BYTES
 from repro.serving.engine import InferenceEngine
 from repro.serving.server import ServerCore, ServingServer, TenantRegistry, TenantSpec
 from repro.workloads import (
@@ -455,6 +456,10 @@ class TestStatsGoldenShape:
         "peak_bytes", "capacity_blocks", "block_size",
     }
     PREFIX_KEYS = {"n_blocks", "n_hit_blocks", "hit_rate", "saved_bytes"}
+    CONTEXT_ROWS_KEYS = {
+        "hit_blocks", "miss_blocks", "admitted_blocks", "evicted_blocks",
+        "resident_bytes", "capacity_bytes",
+    }
     HTTP_KEYS = {"n_connections", "n_client_errors", "n_disconnect_cancels"}
     MONOTONIC = [
         ("server", "n_submitted"),
@@ -464,6 +469,9 @@ class TestStatsGoldenShape:
         ("engine", "n_decode_tokens"),
         ("http", "n_connections"),
         ("prefix_cache", "n_hit_blocks"),
+        ("context_rows", "hit_blocks"),
+        ("context_rows", "miss_blocks"),
+        ("context_rows", "admitted_blocks"),
     ]
 
     def test_stats_shape_and_monotonic_counters_across_a_workload(
@@ -480,6 +488,7 @@ class TestStatsGoldenShape:
             assert set(payload["engine"]) == self.ENGINE_KEYS
             assert set(payload["pool"]) == self.POOL_KEYS
             assert set(payload["prefix_cache"]) == self.PREFIX_KEYS
+            assert set(payload["context_rows"]) == self.CONTEXT_ROWS_KEYS
             assert set(payload["http"]) == self.HTTP_KEYS
             assert "anonymous" in payload["tenants"]
 
@@ -583,6 +592,8 @@ class TestWorkersStatsSection:
             # are absent rather than lying with zeros.
             assert "pool" not in payload
             assert "prefix_cache" not in payload
+            # The row tiers are host memory, not a pool: summed over workers.
+            assert payload["context_rows"]["capacity_bytes"] == 2 * CONTEXT_ROW_BYTES
         for worker_id in (0, 1):
             for key in self.MONOTONIC:
                 series = [s["workers"][worker_id][key] for s in snapshots]
