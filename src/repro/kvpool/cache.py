@@ -17,9 +17,16 @@ tokens stay full precision — matching the paper, which never quantizes
 decode-phase tokens.  Both directions work at the granularity the paper's
 chunk reordering exists for — one dense call per precision, not per page:
 packing bit-packs each tensor's rows of one bitwidth once and hands pages
-their slices, and gathering decodes every same-codec run of a layer's
-context in one call (:meth:`PagedKVCache.gather_context`), bit-for-bit
+their slices, and decoding turns every same-codec run of a layer's pages
+into floats in one call (:meth:`PagedKVCache.gather_context`), bit-for-bit
 identical to the dense fake-quant cache (see :mod:`repro.kvpool.codecs`).
+
+The only per-sequence float copy is one pair of head-major *mirrors* per
+layer — ``(h, d, capacity)`` keys and ``(h, capacity, d)`` values, the
+operand layout of attention's per-head GEMMs.  A rebuild (first read,
+after packing, after a swap) decodes the pages straight into them and
+drops the decoded rows; a decode step copies only its appended
+full-precision rows; a speculative rollback shrinks the valid length.
 
 Preemption uses the pool's swap interface: :meth:`swap_out` detaches every
 *exclusively-owned* page to a host-side store (freeing pool capacity for
@@ -48,35 +55,26 @@ from repro.quant.dtypes import BitWidth, bytes_for_elements
 from repro.quant.packing import pack_code_rows
 
 
-class _GatherBuffer:
-    """One layer's reusable gather scratch: rows plus transposed mirrors.
+class _Mirror:
+    """One layer's float working copy: head-major K/V with growth headroom.
 
-    ``k``/``v`` hold the gathered ``(capacity, h, d)`` rows of which the
-    first ``valid`` are filled; ``views`` is the ``(k[:valid], v[:valid])``
-    tuple handed to callers (recreated only when ``valid`` moves, so a
-    repeated read returns the *same* tuple).  ``k_t``/``v_t`` are the
-    lazily-built head-major mirrors — ``(h, d, capacity)`` keys and
-    ``(h, capacity, d)`` values, exactly the operand layout the per-head
-    attention GEMMs consume — maintained incrementally so the attend path
-    never re-transposes the whole history per step.
-
-    Appends past ``valid`` write rows no previously returned view covers;
-    any mutation of existing rows bumps the cache's ``_content_version``,
-    which retires the whole buffer (fresh arrays, never an in-place rewrite
-    a caller-held view could observe).
+    ``k_t`` is ``(h, d, capacity)`` and ``v_t`` ``(h, capacity, d)``; the
+    first ``valid`` token columns/rows equal the layer's pages (packed runs
+    decoded).  Columns past ``valid`` are scratch the next append or
+    rollback overwrites in place, so handed-out views are valid until the
+    cache's next write.
     """
 
-    __slots__ = ("k", "v", "k_t", "v_t", "valid", "version", "views", "mirror_views")
+    __slots__ = ("k_t", "v_t", "valid")
 
-    def __init__(self, k: np.ndarray, v: np.ndarray, valid: int, version: int):
-        self.k = k
-        self.v = v
-        self.k_t: np.ndarray | None = None
-        self.v_t: np.ndarray | None = None
-        self.valid = valid
-        self.version = version
-        self.views = (k[:valid], v[:valid])
-        self.mirror_views: tuple[np.ndarray, np.ndarray] | None = None
+    def __init__(self, h: int, d: int, capacity: int):
+        self.k_t = np.empty((h, d, capacity), dtype=np.float32)
+        self.v_t = np.empty((h, capacity, d), dtype=np.float32)
+        self.valid = 0
+
+    @property
+    def capacity(self) -> int:
+        return self.k_t.shape[2]
 
 
 class BlockTable:
@@ -141,10 +139,12 @@ class PagedLayerView:
         self._cache.append_layer(self._layer, k_new, v_new)
 
     def keys(self) -> np.ndarray:
-        return self._cache.gather_layer(self._layer)[0]
+        """Valid K rows ``(length, h, d)``: a transient contiguous copy of the mirror."""
+        return np.ascontiguousarray(self.kv_mirrors()[0].transpose(2, 0, 1))
 
     def values(self) -> np.ndarray:
-        return self._cache.gather_layer(self._layer)[1]
+        """Valid V rows ``(length, h, d)``: a transient contiguous copy of the mirror."""
+        return np.ascontiguousarray(self.kv_mirrors()[1].transpose(1, 0, 2))
 
     def kv_mirrors(self) -> tuple[np.ndarray, np.ndarray]:
         """Head-major transposed K/V views (see :meth:`PagedKVCache.layer_mirrors`)."""
@@ -175,25 +175,10 @@ class PagedKVCache:
         self._released = False
         #: Leading pages adopted from the prefix index (shared, pre-packed).
         self.n_adopted_blocks = 0
-        #: Per-layer growing gather scratch (rows + transposed mirrors); a
-        #: decode step's ``keys()``/``values()``/``kv_mirrors()`` reads cost
-        #: one incremental row copy instead of re-materialising (and
-        #: re-dequantizing) the whole layer — see :meth:`gather_layer`.
-        self._gather_buffers: dict[int, _GatherBuffer] = {}
-        #: Per-layer memo of the gathered context-region pages, keyed on
-        #: ``(n_blocks, _context_version)`` — see :meth:`gather_context`.
-        self._context_memo: dict[
-            int, tuple[tuple[int, int], tuple[np.ndarray, np.ndarray]]
-        ] = {}
-        #: Bumped whenever *any* already-written row may have changed
-        #: (COW fork, packing, truncation, adoption);
-        #: retires the per-layer gather buffers.
-        self._content_version = 0
-        #: Bumped only by mutations that can touch *context-region* pages
-        #: (COW fork, packing, adoption) — deliberately
-        #: not by :meth:`truncate`, which cannot reach the context region,
-        #: so speculative rollbacks keep the context memo warm.
-        self._context_version = 0
+        #: Per-layer head-major float working copy, built on first read and
+        #: dropped when packing changes row values or a swap frees the pages
+        #: — see :meth:`layer_mirrors`.
+        self._mirrors: dict[int, _Mirror] = {}
 
     # -- geometry ------------------------------------------------------------
 
@@ -279,8 +264,7 @@ class PagedKVCache:
         self.table.block_ids = list(block_ids)
         self._layer_lengths = [n_tokens] * self.n_layers
         self.n_adopted_blocks = len(block_ids)
-        self._content_version += 1
-        self._context_version += 1
+        self._mirrors.clear()  # an empty cache's mirrors cannot see packed rows
 
     # -- writes --------------------------------------------------------------
 
@@ -295,14 +279,12 @@ class PagedKVCache:
 
         Writing to a shared page first copies it (copy-on-write), so a decode
         tail or a repack can never mutate storage another sequence or the
-        prefix index still reads.
+        prefix index still reads.  The copy holds the same values, so the
+        mirrors stay valid.
         """
         block_id = self.table.block_ids[index]
         new_id = self.pool.copy_on_write(block_id)
-        if new_id != block_id:
-            self.table.block_ids[index] = new_id
-            self._content_version += 1
-            self._context_version += 1
+        self.table.block_ids[index] = new_id
         return self.pool.get(new_id)
 
     def append_layer(self, layer_index: int, k_new: np.ndarray, v_new: np.ndarray) -> None:
@@ -348,7 +330,8 @@ class PagedKVCache:
         copy-on-write discipline guarantees the affected pages are
         privately owned: pages left wholly beyond the new length are
         released back to the pool, and the stale rows of the straddling
-        page are simply overwritten by the next append.
+        page are simply overwritten by the next append.  The mirrors only
+        shrink their valid length, so a rollback decodes nothing.
         """
         self._check_writable()
         if n_tokens < self.n_context:
@@ -366,8 +349,10 @@ class PagedKVCache:
             self.pool.release(block_id)
         del self.table.block_ids[keep:]
         self._layer_lengths = [n_tokens] * self.n_layers
-        self._gather_buffers.clear()
-        self._content_version += 1
+        for layer_index, mirror in self._mirrors.items():
+            mirror.valid = min(mirror.valid, n_tokens)
+            if mirror.capacity > 2 * n_tokens:  # a long rollback returns its headroom
+                self._mirrors[layer_index] = self._resized_mirror(mirror, n_tokens)
 
     # -- reads ---------------------------------------------------------------
 
@@ -378,44 +363,33 @@ class PagedKVCache:
             raise RuntimeError("cache is swapped out; swap it in before use")
 
     def gather_context(self, layer_index: int) -> tuple[np.ndarray, np.ndarray]:
-        """Zero-copy read of one layer's context-region pages.
+        """Decode one layer's context-region pages into fresh arrays.
 
         Returns float32 ``(n, h, d)`` K and V covering every page that lies
         wholly inside the context region (``n`` is ``n_context`` rounded
-        down to a page boundary; the page straddling the context/decode
-        boundary keeps taking live appends and is gathered separately).
-        This is the batched decode path's hot read: once a request's
-        context is packed those pages never change again, so the gather is
-        memoized against ``(n_blocks, _context_version)``, a pair of plain
-        counters this cache already maintains.  A warm hit is therefore two
-        integer compares — no per-page ``pool.get`` walk to rebuild a key
-        tuple, which profiling showed dominating the hit path.  Every
-        mutation that can reach a context page (COW fork, repack,
-        adoption) bumps ``_context_version``; a swap
-        round-trip clears the memo outright.
+        down to a page boundary).  Nothing is memoized: decode reads the
+        mirrors (:meth:`layer_mirrors`), whose rebuild runs the same
+        decoder over all of the layer's pages.
+        """
+        self._check_readable()
+        n_rows = min(self.n_context, self._layer_lengths[layer_index])
+        return self._decode_pages(layer_index, n_rows // self.table.block_size)
 
-        A miss dequantizes per codec, not per page: each tensor's packed
-        runs are grouped by :meth:`~repro.kvpool.codecs.TokenRowCodec.batch_key`
+    def _decode_pages(self, layer_index: int, n_pages: int) -> tuple[np.ndarray, np.ndarray]:
+        """One layer's float rows of the first ``n_pages`` pages, runs decoded.
+
+        Dequantizes per codec, not per page: each tensor's packed runs are
+        grouped by :meth:`~repro.kvpool.codecs.TokenRowCodec.batch_key`
         across all pages (adopted pages carry another request's codec
         objects), decoded by one :func:`~repro.kvpool.pool.decode_runs`
         call per group and scattered over the pages' float rows.
-
-        Callers must treat the returned arrays as read-only.
         """
-        self._check_readable()
-        bs = self.table.block_size
-        n_rows = min(self.n_context, self._layer_lengths[layer_index])
-        n_blocks = n_rows // bs
-        if n_blocks == 0:
+        if n_pages == 0:
             empty = np.empty((0, self.n_kv_heads, self.head_dim), dtype=np.float32)
             return empty, empty
-        key = (n_blocks, self._context_version)
-        memo = self._context_memo.get(layer_index)
-        if memo is not None and memo[0] == key:
-            return memo[1]
         with profiling_span("gather"):
-            blocks = [self.pool.get(bid) for bid in self.table.block_ids[:n_blocks]]
-            result = (
+            blocks = [self.pool.get(bid) for bid in self.table.block_ids[:n_pages]]
+            return (
                 self._gather_tensor(
                     [block.fp_k[layer_index] for block in blocks],
                     [block.packed_k[layer_index] for block in blocks],
@@ -425,13 +399,11 @@ class PagedKVCache:
                     [block.packed_v[layer_index] for block in blocks],
                 ),
             )
-        self._context_memo[layer_index] = (key, result)
-        return result
 
     def _gather_tensor(
         self, page_rows: list[np.ndarray], page_runs: list[list[PackedRun]]
     ) -> np.ndarray:
-        """Full pages' float rows with every packed run decoded over them."""
+        """Pages' float rows with every packed run decoded over them."""
         bs = self.table.block_size
         out = np.concatenate(page_rows)
         groups: dict[object, tuple[list[PackedRun], list[np.ndarray]]] = {}
@@ -445,116 +417,89 @@ class PagedKVCache:
         return out
 
     def gather_layer(self, layer_index: int) -> tuple[np.ndarray, np.ndarray]:
-        """Materialise one layer's valid rows as float32 ``(length, h, d)``.
+        """One layer's valid rows as float32 ``(length, h, d)`` copies of the mirrors."""
+        view = self.layers[layer_index]
+        return view.keys(), view.values()
 
-        Reads are served from a per-layer growing scratch buffer
-        (:class:`_GatherBuffer`): an unchanged layer returns the same view
-        tuple with zero copies, and a layer that merely *grew* (the decode
-        step's append) copies only the rows appended since the last call —
-        appended rows are always full-precision, so a decode step no longer
-        re-materialises (or re-dequantizes) its whole history per layer.
-        Only a content mutation (COW fork, packing, truncation, adoption —
-        anything that bumps ``_content_version``) rebuilds the
-        buffer from scratch, with the immutable context prefix coming from
-        the :meth:`gather_context` memo as one memcpy.  Rebuilds allocate
-        *fresh* arrays: views handed out earlier are never rewritten in
-        place, so callers may safely hold them across steps (read-only).
+    def layer_mirrors(self, layer_index: int) -> tuple[np.ndarray, np.ndarray]:
+        """Head-major views of one layer's valid K/V: the decode read.
+
+        Returns ``(h, d, length)`` keys and ``(h, length, d)`` values — the
+        exact operand layout of attention's per-head GEMMs — as views into
+        the layer's :class:`_Mirror`, the sequence's only float copy of its
+        history.  The first read (and the first after packing or a swap)
+        decodes the pages straight into a fresh mirror; later reads copy
+        only the rows appended since, growing into a larger mirror (valid
+        prefix copied, nothing re-decoded) once the headroom is used up.
+        The views are read-only and valid until the cache's next write.
         """
         self._check_readable()
         length = self._layer_lengths[layer_index]
-        buffer = self._gather_buffers.get(layer_index)
-        if buffer is not None and buffer.version == self._content_version:
-            if buffer.valid == length:
-                return buffer.views
-            if buffer.valid < length <= buffer.k.shape[0]:
-                with profiling_span("gather"):
-                    self._fill_rows(buffer, layer_index, buffer.valid, length)
-                buffer.valid = length
-                buffer.views = (buffer.k[:length], buffer.v[:length])
-                if buffer.k_t is not None:
-                    buffer.mirror_views = (
-                        buffer.k_t[:, :, :length],
-                        buffer.v_t[:, :length, :],
-                    )
-                return buffer.views
-        with profiling_span("gather"):
-            buffer = self._rebuild_buffer(layer_index, length)
-        self._gather_buffers[layer_index] = buffer
-        return buffer.views
-
-    def layer_mirrors(self, layer_index: int) -> tuple[np.ndarray, np.ndarray]:
-        """Head-major transposed views of one layer's gathered K/V.
-
-        Returns ``(h, d, length)`` keys and ``(h, length, d)`` values — the
-        exact operand layout of attention's per-head GEMMs — as views of
-        incrementally-maintained mirror buffers, so the attend path avoids
-        its two per-call ``ascontiguousarray`` transpose copies of the full
-        history.  The mirrors are built lazily on first request and kept in
-        sync by :meth:`gather_layer`; the same read-only contract applies.
-        """
-        self.gather_layer(layer_index)  # sync buffer (and mirrors) first
-        buffer = self._gather_buffers[layer_index]
-        if buffer.k_t is None:
+        mirror = self._mirrors.get(layer_index)
+        if mirror is None:
             with profiling_span("gather"):
-                capacity = buffer.k.shape[0]
-                h, d = self.n_kv_heads, self.head_dim
-                valid = buffer.valid
-                buffer.k_t = np.empty((h, d, capacity), dtype=np.float32)
-                buffer.v_t = np.empty((h, capacity, d), dtype=np.float32)
-                buffer.k_t[:, :, :valid] = buffer.k[:valid].transpose(1, 2, 0)
-                buffer.v_t[:, :valid, :] = buffer.v[:valid].transpose(1, 0, 2)
-                buffer.mirror_views = (
-                    buffer.k_t[:, :, :valid],
-                    buffer.v_t[:, :valid, :],
-                )
-        return buffer.mirror_views
+                mirror = self._mirrors[layer_index] = self._build_mirror(layer_index, length)
+        elif mirror.valid < length:
+            with profiling_span("gather"):
+                if length > mirror.capacity:
+                    mirror = self._mirrors[layer_index] = self._resized_mirror(mirror, length)
+                self._fill_rows(mirror, layer_index, length)
+        return mirror.k_t[:, :, :length], mirror.v_t[:, :length, :]
 
-    def _fill_rows(
-        self, buffer: _GatherBuffer, layer_index: int, start: int, stop: int
-    ) -> None:
-        """Copy rows ``[start, stop)`` from the pages into ``buffer``.
+    def _mirror_capacity(self, length: int) -> int:
+        """Token columns of a mirror sized at ``length`` rows.
 
-        Only called for rows appended since the buffer was last synced at
-        the *same* ``_content_version``: such rows were written exclusively
-        by :meth:`append_layer` (anything else bumps the version), so they
-        are plain full-precision rows — no packed-run overlay to decode.
+        Geometric headroom of half the current length, so a long decode
+        grows O(log n) times while the mirror never holds more than 1.5x
+        its rows; never more than the cache's own capacity.
+        """
+        return max(length, min(self.capacity, length + length // 2))
+
+    def _build_mirror(self, layer_index: int, length: int) -> _Mirror:
+        """Decode the layer's pages into a fresh mirror."""
+        k, v = self._decode_pages(
+            layer_index, BlockTable.blocks_for_tokens(length, self.table.block_size)
+        )
+        mirror = _Mirror(self.n_kv_heads, self.head_dim, self._mirror_capacity(length))
+        mirror.k_t[:, :, :length] = k[:length].transpose(1, 2, 0)
+        mirror.v_t[:, :length, :] = v[:length].transpose(1, 0, 2)
+        mirror.valid = length
+        return mirror
+
+    def _resized_mirror(self, mirror: _Mirror, length: int) -> _Mirror:
+        """A mirror sized for ``length`` rows holding ``mirror``'s valid prefix.
+
+        Growth and a long rollback both copy floats; neither re-decodes.
+        """
+        resized = _Mirror(self.n_kv_heads, self.head_dim, self._mirror_capacity(length))
+        valid = resized.valid = mirror.valid
+        resized.k_t[:, :, :valid] = mirror.k_t[:, :, :valid]
+        resized.v_t[:, :valid, :] = mirror.v_t[:, :valid, :]
+        return resized
+
+    def _fill_rows(self, mirror: _Mirror, layer_index: int, stop: int) -> None:
+        """Copy the layer's rows ``[mirror.valid, stop)`` from the pages.
+
+        Rows past the valid length were written by :meth:`append_layer`
+        since the mirror was last synced (packing and adoption drop the
+        mirror), so they are plain full-precision rows — no packed run to
+        decode.
         """
         bs = self.table.block_size
-        row = start
+        row = mirror.valid
         while row < stop:
             index, offset = self.table.locate(row)
             take = min(stop - row, bs - offset)
             block = self.pool.get(self.table.block_ids[index])
-            buffer.k[row : row + take] = block.fp_k[layer_index, offset : offset + take]
-            buffer.v[row : row + take] = block.fp_v[layer_index, offset : offset + take]
+            rows = slice(offset, offset + take)
+            mirror.k_t[:, :, row : row + take] = block.fp_k[layer_index, rows].transpose(1, 2, 0)
+            mirror.v_t[:, row : row + take, :] = block.fp_v[layer_index, rows].transpose(1, 0, 2)
             row += take
-        if buffer.k_t is not None:
-            buffer.k_t[:, :, start:stop] = buffer.k[start:stop].transpose(1, 2, 0)
-            buffer.v_t[:, start:stop, :] = buffer.v[start:stop].transpose(1, 0, 2)
+        mirror.valid = stop
 
-    def _rebuild_buffer(self, layer_index: int, length: int) -> _GatherBuffer:
-        """Gather the whole layer into a fresh buffer with growth headroom."""
-        bs = self.table.block_size
-        # Geometric headroom: the buffer absorbs at least 4 pages (or half
-        # the current length) of future appends before the next rebuild, so
-        # long decodes re-gather O(log n) times, not every ``slack`` rows.
-        slack = max(4 * bs, length // 2)
-        capacity = max(length, min(self.capacity, length + slack))
-        k = np.empty((capacity, self.n_kv_heads, self.head_dim), dtype=np.float32)
-        v = np.empty_like(k)
-        context_k, context_v = self.gather_context(layer_index)
-        done = min(context_k.shape[0], length)
-        k[:done] = context_k[:done]
-        v[:done] = context_v[:done]
-        for block_id in self.table.block_ids[done // bs :]:
-            if done >= length:
-                break
-            take = min(bs, length - done)
-            block_k, block_v = self.pool.get(block_id).gather(layer_index, take)
-            k[done : done + take] = block_k
-            v[done : done + take] = block_v
-            done += take
-        return _GatherBuffer(k, v, length, self._content_version)
+    def working_set_bytes(self) -> int:
+        """Host bytes of the sequence's float working copy (the mirrors)."""
+        return sum(m.k_t.nbytes + m.v_t.nbytes for m in list(self._mirrors.values()))
 
     # -- context region ------------------------------------------------------
 
@@ -642,8 +587,7 @@ class PagedKVCache:
             enc.shared_bytes() for pair in encodings for enc in pair
         )
         self._packed = True
-        self._content_version += 1
-        self._context_version += 1
+        self._mirrors.clear()  # packed rows now read back dequantized
 
     # -- preemption: swap and release ----------------------------------------
 
@@ -664,11 +608,9 @@ class PagedKVCache:
                 state.append(("host", self.pool.swap_out(block_id)))
         self._swap_state = state
         self.table.block_ids = []
-        # A swapped sequence holds no device pages; drop the gather scratch
-        # and memos too (host pages come back under fresh ids and must be
-        # re-gathered after swap_in).
-        self._gather_buffers.clear()
-        self._context_memo.clear()
+        # A preempted sequence gives back its host working copy too; the
+        # first read after swap_in rebuilds it from the restored pages.
+        self._mirrors.clear()
 
     def swap_in(self) -> None:
         """Restore the swapped pages into the pool (fresh ids for host pages).
@@ -711,8 +653,7 @@ class PagedKVCache:
             for block_id in self.table.block_ids:
                 self.pool.release(block_id)
         self.table.block_ids = []
-        self._gather_buffers.clear()
-        self._context_memo.clear()
+        self._mirrors.clear()
         self._released = True
 
     # -- measured accounting -------------------------------------------------

@@ -109,8 +109,8 @@ def decode_runs(runs: Sequence[PackedRun]) -> np.ndarray:
     """Dequantize runs sharing one codec ``batch_key`` with a single decode.
 
     Returns the ``(total rows, h, d)`` float rows in run order.  This is
-    the only dequantization path: a lone page's gather passes one run, the
-    context gather passes a tensor's runs from every page at once.
+    the only dequantization path: the paged cache's decoder passes one
+    codec group of a tensor's runs from every page at once.
     """
     first = runs[0]
     with profiling_span("dequant"):
@@ -140,11 +140,7 @@ class Block:
         #: below this offset are frozen, even the FP16 ones kept as floats.
         self.packed_upto: int = 0
         #: Bumped by every mutation — a change audit trail for tests and
-        #: debugging.  (The gather memos in
-        #: :class:`repro.kvpool.cache.PagedKVCache` key on the cache's own
-        #: ``_content_version``/``_context_version`` counters, bumped by
-        #: every path that can mutate a mapped page, so warm hits stay O(1)
-        #: instead of walking the pages to collect versions.)
+        #: debugging; no read path keys on it.
         self.version: int = 0
 
     # -- writes --------------------------------------------------------------
@@ -196,17 +192,6 @@ class Block:
         copy.packed_upto = self.packed_upto
         copy.version = self.version
         return copy
-
-    # -- reads ---------------------------------------------------------------
-
-    def gather(self, layer: int, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """Materialise rows ``[0, n_rows)`` of one layer as float32 K and V."""
-        k = self.fp_k[layer, :n_rows].copy()
-        v = self.fp_v[layer, :n_rows].copy()
-        for runs, out in ((self.packed_k[layer], k), (self.packed_v[layer], v)):
-            for run in runs:
-                out[run.rows] = decode_runs([run])
-        return k, v
 
     # -- accounting ----------------------------------------------------------
 
@@ -407,6 +392,22 @@ class BlockPool:
         every allocation — is O(1) instead of a walk over the pool.
         """
         return self._resident_bytes
+
+    def physical_bytes(self) -> int:
+        """Host bytes the allocated pages actually hold.
+
+        Unlike :meth:`allocated_bytes` (the device storage model), this is
+        ``nbytes`` as held: every page's float32 K/V shadow of all its rows
+        — packed rows included — plus its packed runs' codes and metadata.
+        Runs shared between a page and its copy-on-write clone count once.
+        """
+        runs: dict[int, PackedRun] = {}
+        total = 0
+        for block in list(self._blocks.values()):
+            total += block.fp_k.nbytes + block.fp_v.nbytes
+            for layer_runs in (*block.packed_k, *block.packed_v):
+                runs.update((id(run), run) for run in layer_runs)
+        return total + sum(run.packed_codes.nbytes + run.meta.nbytes for run in runs.values())
 
     def note_block_repacked(self, byte_delta: int) -> None:
         """Adjust the resident-byte counter after a page's storage changed

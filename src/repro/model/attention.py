@@ -5,8 +5,8 @@ positional encodings, prefill over a block of tokens and single-token decode
 against a layer cache.  The cache argument is duck-typed: anything exposing
 ``append``/``keys``/``values`` works, which is how the same attention code
 drives both the dense :class:`~repro.model.kv_cache.LayerKVCache` and the
-pool-backed :class:`~repro.kvpool.cache.PagedLayerView` (whose ``keys``
-gathers and dequantizes packed context pages on the fly).
+pool-backed :class:`~repro.kvpool.cache.PagedLayerView` (whose
+``kv_mirrors`` serves packed context pages dequantized, head-major).
 
 Decode hot-path notes
 ---------------------
@@ -19,7 +19,8 @@ values, with fewer kernel launches and allocations:
   nothing);
 - caches may expose ``kv_mirrors()`` returning head-major transposed K/V
   views maintained incrementally (see ``PagedLayerView``), which replaces
-  both per-call transpose copies with buffer reuse;
+  both per-call transpose copies with buffer reuse (GQA repeats the
+  mirrors' heads instead of transposing repeated rows);
 - the q/k/v projections of one token run as a single GEMM against the
   concatenated ``[Wq | Wk | Wv]`` weight (sgemm computes each output column
   as an independent dot product over ``d_model``, so the merged columns are
@@ -195,17 +196,22 @@ class AttentionLayer:
         return np.repeat(kv, group, axis=1)
 
     def _mirrors(self, cache) -> tuple[np.ndarray, np.ndarray] | None:
-        """Head-major transposed K/V views of ``cache``, if it maintains them.
+        """Head-major K/V operands from ``cache``'s mirrors, if it keeps them.
 
-        Only usable when KV heads need no GQA expansion; callers fall back
-        to the transpose-copy path otherwise.
+        Under GQA each KV head's mirror is repeated ``group`` times along
+        the head axis, which builds the same contiguous ``(n_heads, d, L)``
+        / ``(n_heads, L, d)`` arrays the transpose-copy path makes from
+        repeated rows.
         """
-        if self.config.gqa_group != 1:
-            return None
         getter = getattr(cache, "kv_mirrors", None)
         if getter is None:
             return None
-        return getter()
+        k_heads, v_heads = getter()
+        group = self.config.gqa_group
+        if group != 1:
+            k_heads = np.repeat(k_heads, group, axis=0)
+            v_heads = np.repeat(v_heads, group, axis=0)
+        return k_heads, v_heads
 
     def attend(
         self,

@@ -203,6 +203,9 @@ class PreparedSequence:
         Measured-memory probe; returns the sequence's current resident KV
         bytes breakdown (see
         :meth:`repro.kvpool.cache.PagedKVCache.measured_bytes`).
+    working_set_bytes:
+        Host bytes of the sequence's float working copy of its pages (see
+        :meth:`repro.kvpool.cache.PagedKVCache.working_set_bytes`).
     cached_tokens, cache_hit_blocks, cached_bytes:
         Prefix-reuse outcome of this preparation: context tokens / pool
         pages adopted from the engine's prefix index and the measured bytes
@@ -238,6 +241,7 @@ class PreparedSequence:
     swap_in: Callable[[], None]
     release: Callable[[], None]
     kv_bytes: Callable[[], dict]
+    working_set_bytes: Callable[[], int] = field(default=lambda: 0, repr=False)
     details: dict = field(default_factory=dict, repr=False)
     cached_tokens: int = 0
     cache_hit_blocks: int = 0
@@ -542,7 +546,10 @@ class QuantizedDenseBackend(DecodeBackend):
             if prefix_cache is not None
             else (None, [])
         )
-        cache = self.model.new_cache(pool=pool)
+        # Sized to what the request can write, so the cache's float working
+        # copy never reserves rows past its last possible token.
+        capacity = min(len(prompt) + request.max_new_tokens, self.model.config.max_seq_len)
+        cache = self.model.new_cache(capacity, pool=pool)
         try:
             matched_ids = prefix_cache.match(fingerprint, hashes) if hashes else []
             matched_tokens = len(matched_ids) * pool.block_size
@@ -592,6 +599,7 @@ class QuantizedDenseBackend(DecodeBackend):
             swap_in=cache.swap_in,
             release=cache.release,
             kv_bytes=cache.measured_bytes,
+            working_set_bytes=cache.working_set_bytes,
             cached_tokens=matched_tokens,
             cache_hit_blocks=len(matched_ids),
             cached_bytes=cached_bytes,
@@ -720,6 +728,7 @@ class BlockwiseBackend(DecodeBackend):
             swap_in=decode_cache.swap_in,
             release=decode_cache.release,
             kv_bytes=kv_bytes,
+            working_set_bytes=decode_cache.working_set_bytes,
             details={"chunked_caches": chunked_caches},
         )
 

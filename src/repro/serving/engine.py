@@ -1063,6 +1063,26 @@ class EngineCore:
             raise KeyError(f"unknown request_id {request_id!r}")
         return state.stats
 
+    def kv_memory_stats(self) -> dict[str, int]:
+        """The ``kv_memory`` block of ``/v1/stats``: accounted vs held KV bytes.
+
+        ``accounted_bytes`` is the pool under the device storage model,
+        ``physical_pool_bytes`` what its pages hold on the host, and
+        ``working_set_bytes`` the prepared sequences' float working copies.
+        It iterates snapshots of the live tables, so the server's thread
+        may call it while a step runs.
+        """
+        states = list(self._states.values())
+        return {
+            "accounted_bytes": self.pool.allocated_bytes(),
+            "physical_pool_bytes": self.pool.physical_bytes(),
+            "working_set_bytes": sum(
+                state.prepared.working_set_bytes()
+                for state in states
+                if state.prepared is not None
+            ),
+        }
+
     def context_rows_stats(self) -> dict | None:
         """The ``context_rows`` block of ``/v1/stats`` (``None`` without the tier)."""
         if self.context_rows is None:

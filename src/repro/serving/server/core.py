@@ -382,7 +382,7 @@ class ServerCore:
             return len(self._handles)
 
     def stats_payload(self) -> dict:
-        """The JSON body of ``/v1/stats``: server, engine, pool, tenants."""
+        """The JSON body of ``/v1/stats``: server, engine, pool, KV memory, tenants."""
         engine = self.engine
         exec_stats = engine.exec_stats
         payload = {
@@ -431,6 +431,7 @@ class ServerCore:
                 "capacity_blocks": pool.capacity_blocks,
                 "block_size": pool.block_size,
             }
+        payload["kv_memory"] = engine.kv_memory_stats()
         if engine.prefix_cache is not None:
             stats = engine.prefix_cache.stats
             payload["prefix_cache"] = {

@@ -529,6 +529,14 @@ class ShardedEngine:
         """Per-worker stats rows, the ``workers`` section of ``/v1/stats``."""
         return [worker.stats_payload() for worker in self.workers]
 
+    def kv_memory_stats(self) -> dict[str, int]:
+        """Every worker's accounted/physical/working-set KV bytes, summed."""
+        merged: dict[str, int] = {}
+        for worker in self.workers:
+            for key, value in worker.engine.kv_memory_stats().items():
+                merged[key] = merged.get(key, 0) + value
+        return merged
+
     def context_rows_stats(self) -> dict | None:
         """Every worker's row-tier counters and bytes, summed (``None`` without tiers)."""
         merged: dict | None = None

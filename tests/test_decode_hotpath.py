@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kvpool import BlockPool
+from repro.kvpool import BlockPool, PagedKVCache, PagedLayerView
 from repro.model.attention import _TILE_TRIANGLE, _decode_mask, softmax
+from repro.model.config import ModelConfig
 from repro.model.mlp import silu
+from repro.model.transformer import Transformer
+from repro.model.weights import build_random_weights
 from repro.serving.spec import NgramProposer
 
 
@@ -112,24 +115,36 @@ class TestIncrementalTailGather:
         return k, v
 
     def test_grown_layer_gathers_only_the_tail_and_stays_exact(
-        self, retrieval_model, rng
+        self, retrieval_model, rng, monkeypatch
     ):
-        layer = self.make_cache(retrieval_model).layers[0]
+        cache = self.make_cache(retrieval_model)
+        layer = cache.layers[0]
         k_all, v_all = self.append(layer, rng, 13)
-        first_k = layer.keys()
-        np.testing.assert_array_equal(first_k, k_all)
-        # Unchanged layer: the very same view tuple, no copies.
-        assert layer.keys() is first_k
-        # Grown layer: earlier rows must not be re-gathered or moved as
-        # long as the buffer has headroom — the new view extends the same
-        # backing array.
+        np.testing.assert_array_equal(layer.keys(), k_all)
+        first_k_t, first_v_t = layer.kv_mirrors()
+        decoded = []
+        real = PagedKVCache._decode_pages
+        monkeypatch.setattr(
+            PagedKVCache,
+            "_decode_pages",
+            lambda self, *args: decoded.append(args) or real(self, *args),
+        )
+        # Grown within the headroom: the new rows land in the same backing
+        # arrays and nothing is re-decoded.
         k_tail, v_tail = self.append(layer, rng, 3)
-        second_k = layer.keys()
-        np.testing.assert_array_equal(second_k[:13], k_all)
-        np.testing.assert_array_equal(second_k[13:], k_tail)
+        second_k_t, second_v_t = layer.kv_mirrors()
+        assert second_k_t.base is first_k_t.base and second_v_t.base is first_v_t.base
+        np.testing.assert_array_equal(layer.keys()[:13], k_all)
+        np.testing.assert_array_equal(layer.keys()[13:], k_tail)
         np.testing.assert_array_equal(layer.values()[13:], v_tail)
-        if second_k.base is not None and first_k.base is not None:
-            assert second_k.base is first_k.base
+        # Grown past the headroom: a larger mirror, the valid prefix copied,
+        # still nothing re-decoded.
+        k_more, v_more = self.append(layer, rng, 20)
+        third_k_t, _ = layer.kv_mirrors()
+        assert third_k_t.base is not first_k_t.base and third_k_t.shape[2] == 36
+        np.testing.assert_array_equal(layer.keys(), np.concatenate([k_all, k_tail, k_more]))
+        np.testing.assert_array_equal(layer.values(), np.concatenate([v_all, v_tail, v_more]))
+        assert decoded == []
 
     def test_mirrors_track_appends_and_match_transposes(self, retrieval_model, rng):
         layer = self.make_cache(retrieval_model).layers[0]
@@ -194,3 +209,44 @@ class TestCausalMasks:
             _TILE_TRIANGLE, np.arange(n)[None, :] > np.arange(n)[:, None]
         )
         assert not _TILE_TRIANGLE.flags.writeable
+
+
+class TestGqaThroughMirrors:
+    """GQA attention over a paged cache reads head-repeated mirrors.
+
+    ``np.repeat`` of the ``(n_kv_heads, d, L)`` mirrors builds the same
+    contiguous ``(n_heads, d, L)`` operands the transpose path makes from
+    repeated rows, so logits match a dense cache's bit for bit.
+    """
+
+    def test_prefill_continuation_and_decode_match_the_transpose_path(
+        self, rng, monkeypatch
+    ):
+        config = ModelConfig(
+            name="gqa-unit", vocab_size=50, d_model=32, n_layers=2, n_heads=4,
+            n_kv_heads=2, d_ff=64, max_seq_len=64, positional="rope",
+            use_rmsnorm=True,
+        )
+        assert config.gqa_group == 2
+        model = Transformer(config, build_random_weights(config, seed=3, scale=0.2))
+        pool = BlockPool(config.n_layers, config.n_kv_heads, config.head_dim, block_size=8)
+        paged, dense = model.new_cache(pool=pool), model.new_cache()
+        tokens = rng.integers(0, config.vocab_size, size=30).tolist()
+
+        def row_major_read(view):
+            raise AssertionError("paged attention asked for row-major K/V")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(PagedLayerView, "keys", row_major_read)
+            patch.setattr(PagedLayerView, "values", row_major_read)
+            # Prefill in two chunks: the second attends over cached rows.
+            for chunk in (tokens[:13], tokens[13:27]):
+                _assert_identical(model.prefill(chunk, paged), model.prefill(chunk, dense))
+            for token in tokens[27:]:
+                _assert_identical(
+                    model.decode_step(token, paged), model.decode_step(token, dense)
+                )
+        for layer in range(config.n_layers):
+            k_t, v_t = paged.layers[layer].kv_mirrors()
+            assert k_t.shape[0] == config.n_kv_heads  # one copy per KV head
+            np.testing.assert_array_equal(paged.layers[layer].keys(), dense.layers[layer].keys())

@@ -218,22 +218,28 @@ class TestPagedKVCache:
         cache.release()
         assert pool.allocated_bytes() == 0
 
-    def test_gather_memo_invalidated_by_writes(self, rng):
+    def test_mirrors_see_repack_and_growth(self, rng):
         pool = make_pool()
         cache = PagedKVCache(pool, capacity=64)
         k, v = fill_cache(cache, rng, 10)
-        first = cache.gather_layer(0)
-        assert cache.gather_layer(0) is first  # memo hit, same tuple
+        first_k, first_v = cache.gather_layer(0)
+        np.testing.assert_array_equal(first_k, k)
+        np.testing.assert_array_equal(first_v, v)
+        assert cache.working_set_bytes() > 0
         cache.mark_context(10)
         token_bits = np.full(10, 4, dtype=np.int64)
         cache.pack_context(
             [encode_per_token_groups(k, v, token_bits, D) for _ in range(N_LAYERS)]
         )
+        assert cache.working_set_bytes() == 0  # packing retires the mirrors
         np.testing.assert_array_equal(
             cache.gather_layer(0)[0], group_quantize(k, 4, D).dequantize()
-        )  # repack visible: memo invalidated
+        )  # repack visible
         cache.append_layer(0, k[:1], v[:1])
-        assert cache.gather_layer(0)[0].shape[0] == 11  # growth visible
+        grown_k, grown_v = cache.gather_layer(0)
+        assert grown_k.shape[0] == 11  # growth visible
+        np.testing.assert_array_equal(grown_k[10:], k[:1])
+        np.testing.assert_array_equal(grown_v[10:], v[:1])
 
     def test_swap_roundtrip_preserves_bytes_and_contents(self, rng):
         pool = make_pool(capacity_blocks=4)

@@ -1,8 +1,8 @@
 """Batched pack/dequant == the per-page formulation, byte for byte.
 
 ``PagedKVCache.pack_context`` bit-packs each tensor's rows of one bitwidth
-once and hands pages slices; ``gather_context`` decodes every same-codec run
-of a layer in one call.  The page-at-a-time versions they replaced live on
+once and hands pages slices; a mirror rebuild (and ``gather_context``)
+decodes every same-codec run of a layer in one call.  The page-at-a-time versions they replaced live on
 here as the reference: every page must hold the bytes a per-page packer
 would have produced, and every gathered row must equal a per-page decode —
 for all four codecs, mixed bitwidths plus FP16 rows, a partial last context
@@ -162,10 +162,7 @@ def kv(rng):
 
 @pytest.fixture()
 def decode_calls(monkeypatch):
-    """Sizes of every ``decode_runs`` batch the context gather issues.
-
-    (The straddling page decodes through ``Block.gather``, not seen here.)
-    """
+    """Sizes of every ``decode_runs`` batch the paged cache issues."""
     calls: list[int] = []
     real = cache_module.decode_runs
 
@@ -175,6 +172,25 @@ def decode_calls(monkeypatch):
 
     monkeypatch.setattr(cache_module, "decode_runs", counting)
     return calls
+
+
+def pages_holding(token_bits, bits, pages) -> int:
+    return sum(int((token_bits[p * BS : (p + 1) * BS] == bits).any()) for p in pages)
+
+
+def rebuild_mirrors(cache, decode_calls) -> list[int]:
+    """Read every layer's mirrors from scratch; the decode batches it took.
+
+    A second read must be served by the mirrors without decoding.
+    """
+    decode_calls.clear()
+    for layer in range(N_LAYERS):
+        cache.layer_mirrors(layer)
+    rebuild = sorted(decode_calls)
+    for layer in range(N_LAYERS):
+        cache.layer_mirrors(layer)
+    assert sorted(decode_calls) == rebuild
+    return rebuild
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -196,10 +212,12 @@ class TestBatchedPackAndGather:
         )
         pool.assert_consistent()
 
+        # One decode per (layer, tensor, bitwidth) per rebuild, each over
+        # every page holding that bitwidth (the straddling page included).
+        bitwidths = sorted(set(token_bits.tolist()) - {FP16})
+        per_tensor = [pages_holding(token_bits, bits, range(5)) for bits in bitwidths]
+        assert rebuild_mirrors(cache, decode_calls) == sorted(per_tensor * N_LAYERS * 2)
         assert_gathers_match(cache, lambda layer, i: [encodings[layer][i]] * 5, k, v)
-        # One decode per (layer, tensor, bitwidth), each over all four full pages.
-        n_bitwidths = len(set(token_bits.tolist()) - {FP16})
-        assert decode_calls == [4] * (N_LAYERS * 2 * n_bitwidths)
 
     def test_warm_request_adopts_another_requests_pages(
         self, kind, rng, kv, decode_calls
@@ -236,15 +254,16 @@ class TestBatchedPackAndGather:
                 encodings[layer][index]
             ] * 3
 
-        decode_calls.clear()
-        assert_gathers_match(warm, page_encodings, k, v)
         # Token-local codecs batch across both requests' codec objects (same
         # geometry); fitted ones only with their own object's runs.
-        n_bitwidths = len(set(token_bits.tolist()) - {FP16})
+        bitwidths = sorted(set(token_bits.tolist()) - {FP16})
         if kind in ("group", "token"):
-            assert decode_calls == [4] * (N_LAYERS * 2 * n_bitwidths)
+            groups = [(bits, range(5)) for bits in bitwidths]
         else:
-            assert decode_calls == [2] * (N_LAYERS * 2 * 2)
+            groups = [(4, range(first_block)), (4, range(first_block, 5))]
+        per_tensor = [n for bits, pages in groups if (n := pages_holding(token_bits, bits, pages))]
+        assert rebuild_mirrors(warm, decode_calls) == sorted(per_tensor * N_LAYERS * 2)
+        assert_gathers_match(warm, page_encodings, k, v)
         # And the donor still reads its own pages unchanged.
         assert_gathers_match(
             donor, lambda layer, i: [donor_encodings[layer][i]] * 5, k, v

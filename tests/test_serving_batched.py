@@ -288,7 +288,7 @@ class TestGatherContextMemo:
         )
         return pool, retrieval_model.new_cache(pool=pool)
 
-    def test_memo_hit_is_zero_copy_and_correct(
+    def test_context_decode_is_fresh_and_matches_the_mirrors(
         self, retrieval_model, tokenizer
     ):
         pool, cache = self.make_pool_cache(retrieval_model)
@@ -299,13 +299,21 @@ class TestGatherContextMemo:
         # Full pages inside the context only: 30 // 8 pages of 8 rows.
         assert k1.shape[0] == (30 // 8) * 8
         k2, v2 = cache.gather_context(0)
-        assert k2 is k1 and v2 is v1  # memoized: no re-gather, no copy
-        full_k, _ = cache.gather_layer(0)
+        assert k2 is not k1 and v2 is not v1  # a plain decoder: no memo
+        np.testing.assert_array_equal(k2, k1)
+        np.testing.assert_array_equal(v2, v1)
+        full_k, full_v = cache.gather_layer(0)
         np.testing.assert_array_equal(full_k[: k1.shape[0]], k1)
-        # Decode appends touch only the tail: the context memo survives.
+        np.testing.assert_array_equal(full_v[: v1.shape[0]], v1)
+        # Decode appends touch only the tail: the context rows are unchanged
+        # in both the decoder's output and the mirrors decode reads.
         retrieval_model.decode_step(3, cache)
         k3, _ = cache.gather_context(0)
-        assert k3 is k1
+        np.testing.assert_array_equal(k3, k1)
+        k_t, v_t = cache.layer_mirrors(0)
+        assert k_t.shape[2] == len(prompt) + 1
+        np.testing.assert_array_equal(k_t[:, :, : k1.shape[0]], k1.transpose(1, 2, 0))
+        np.testing.assert_array_equal(v_t[:, : v1.shape[0]], v1.transpose(1, 0, 2))
         cache.release()
 
     def test_memo_invalidated_by_context_writes(self, retrieval_model, tokenizer):

@@ -329,3 +329,31 @@ class TestResultToWire:
         import json
 
         assert json.loads(json.dumps(wire)) == wire
+
+
+class TestStatsPayloadWire:
+    """``/v1/stats`` is JSON on the wire: its ``kv_memory`` block included."""
+
+    KV_MEMORY_KEYS = {"accounted_bytes", "physical_pool_bytes", "working_set_bytes"}
+
+    def test_kv_memory_block_shape_and_json_round_trip(
+        self, vocab, tokenizer, retrieval_model
+    ):
+        import json
+
+        from repro.core.config import CocktailConfig
+        from repro.serving.engine import InferenceEngine
+        from repro.serving.server import ServerCore
+
+        engine = InferenceEngine(
+            retrieval_model, tokenizer, CocktailConfig(chunk_size=16), lexicon=vocab.lexicon
+        )
+        words = vocab.all_words()
+        engine.run(GenerationRequest(words[100:140], words[110:113], max_new_tokens=3))
+        payload = ServerCore(engine).stats_payload()
+        kv_memory = payload["kv_memory"]
+        assert set(kv_memory) == self.KV_MEMORY_KEYS
+        assert all(type(value) is int and value >= 0 for value in kv_memory.values())
+        assert kv_memory["accounted_bytes"] == engine.pool.allocated_bytes()
+        assert kv_memory["physical_pool_bytes"] >= kv_memory["accounted_bytes"]
+        assert json.loads(json.dumps(payload)) == payload

@@ -461,6 +461,7 @@ class TestStatsGoldenShape:
         "resident_bytes", "capacity_bytes",
     }
     HTTP_KEYS = {"n_connections", "n_client_errors", "n_disconnect_cancels"}
+    KV_MEMORY_KEYS = {"accounted_bytes", "physical_pool_bytes", "working_set_bytes"}
     MONOTONIC = [
         ("server", "n_submitted"),
         ("server", "n_finished"),
@@ -490,6 +491,7 @@ class TestStatsGoldenShape:
             assert set(payload["prefix_cache"]) == self.PREFIX_KEYS
             assert set(payload["context_rows"]) == self.CONTEXT_ROWS_KEYS
             assert set(payload["http"]) == self.HTTP_KEYS
+            assert set(payload["kv_memory"]) == self.KV_MEMORY_KEYS
             assert "anonymous" in payload["tenants"]
 
         async def scenario():
@@ -525,6 +527,10 @@ class TestStatsGoldenShape:
         assert final["server"]["n_finished"] == run.n_completed
         assert final["server"]["n_active"] == 0
         assert final["pool"]["n_allocated"] == final["prefix_cache"]["n_blocks"]
+        kv_memory = final["kv_memory"]
+        assert kv_memory["accounted_bytes"] == final["pool"]["allocated_bytes"]
+        assert kv_memory["physical_pool_bytes"] >= kv_memory["accounted_bytes"]
+        assert kv_memory["working_set_bytes"] == 0  # every sequence finished
 
 
 class TestWorkersStatsSection:
@@ -594,6 +600,8 @@ class TestWorkersStatsSection:
             assert "prefix_cache" not in payload
             # The row tiers are host memory, not a pool: summed over workers.
             assert payload["context_rows"]["capacity_bytes"] == 2 * CONTEXT_ROW_BYTES
+            # KV memory is summed over workers too.
+            assert set(payload["kv_memory"]) == TestStatsGoldenShape.KV_MEMORY_KEYS
         for worker_id in (0, 1):
             for key in self.MONOTONIC:
                 series = [s["workers"][worker_id][key] for s in snapshots]
@@ -608,3 +616,5 @@ class TestWorkersStatsSection:
             assert row["in_flight"] == 0
             assert row["outstanding_tokens"] == 0
             assert row["pool_blocks"] == row["prefix_blocks"]
+        assert final["kv_memory"]["working_set_bytes"] == 0
+        assert final["kv_memory"]["accounted_bytes"] > 0  # published prefix pages
