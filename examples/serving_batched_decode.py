@@ -3,11 +3,11 @@
 
 Eight long-context QA requests over four decode backends are served through
 one :class:`repro.serving.InferenceEngine`.  On paged engines the batched
-round is the default: every running sequence whose backend supports fused
-execution advances through **one** ``decode_step_batch`` model invocation
-per step (dense / cocktail / the ablation variants all share one fused
-group, even mixed in the same batch), while backends carrying per-request
-fitted codebooks (KIVI here) transparently keep the sequential
+round is the default: every running sequence that decodes over a plain
+model cache advances through **one** ``decode_step_batch`` model invocation
+per step (dense / cocktail / the baselines / the ablation variants all
+share it, even mixed in the same batch), while blockwise — whose step is
+the paper's own chunk-level kernel — keeps the sequential
 one-forward-per-token path.  A ``max_prefill_tokens_per_step`` budget
 additionally meters long prompts across steps (chunked prefill) so
 admissions never stall the in-flight decodes.
@@ -26,9 +26,9 @@ from repro.datasets.longbench import build_dataset, build_vocabulary
 from repro.evaluation.setup import build_model, build_tokenizer
 from repro.serving import GenerationRequest, InferenceEngine
 
-#: Three fused-capable backends plus KIVI, whose per-request fitted scales
-#: keep it on the sequential path — demonstrating the transparent fallback.
-BACKENDS = ("dense", "cocktail", "fp16", "kivi")
+#: Three fused backends plus blockwise, whose chunk-level kernel keeps it on
+#: the sequential path — demonstrating the transparent fallback.
+BACKENDS = ("dense", "cocktail", "fp16", "blockwise")
 
 
 def build_engine(model, tokenizer, vocab, *, batched: bool) -> InferenceEngine:
@@ -65,8 +65,8 @@ def main() -> None:
     rids = [engine.submit(request) for request in make_requests(samples)]
     print(f"submitted {len(rids)} requests over backends {BACKENDS}")
     print(
-        "batched round: one fused forward advances the whole batchable set; "
-        "kivi falls back to sequential steps\n"
+        "batched round: one fused forward advances every cached sequence; "
+        "blockwise falls back to sequential steps\n"
     )
 
     step = 0

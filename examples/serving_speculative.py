@@ -25,8 +25,8 @@ from repro.datasets.longbench import build_dataset, build_vocabulary
 from repro.evaluation.setup import build_model, build_tokenizer
 from repro.serving import GenerationRequest, InferenceEngine, SpeculativeConfig
 
-#: Fused-capable backends only: blockwise and the fitted-codebook baselines
-#: would transparently serve on their plain path instead of speculating.
+#: Blockwise is left out: it cannot speculate and would serve on its plain
+#: decode path instead.
 BACKENDS = ("dense", "cocktail", "fp16", "atom")
 
 

@@ -131,14 +131,6 @@ class KVCacheQuantizer(abc.ABC):
     name: str = "quantizer"
     #: Name as printed in the paper's tables.
     display_name: str = "Quantizer"
-    #: Whether decode-time dequantization depends on state fitted *per
-    #: request* across the whole context (KIVI's per-channel K scales,
-    #: KVQuant's nuq codebooks).  A fused batched decode kernel shares its
-    #: dequantization tables across the batch, so methods carrying
-    #: per-request fitted state are served on the sequential decode path
-    #: instead (see :mod:`repro.serving.backends`).  Token-local schemes
-    #: leave this ``False`` and batch freely.
-    fitted_context_state: bool = False
     #: Whether :meth:`plan` reads ``request.cache`` (KVQuant ranks outlier
     #: tokens by the prefilled K magnitudes).  Such a plan — and the page
     #: hashes derived from its bitwidths — exists only after prefill, so the

@@ -28,10 +28,6 @@ class KIVIQuantizer(KVCacheQuantizer):
 
     name = "kivi"
     display_name = "KIVI"
-    #: The per-channel K scales are fitted over the whole context of each
-    #: request, so the fused batched kernel cannot share dequant tables
-    #: across a mixed batch — KIVI decodes on the sequential path.
-    fitted_context_state = True
 
     def __init__(self, bits: BitWidth | int = BitWidth.INT4):
         self.bits = BitWidth.from_bits(int(bits))

@@ -27,10 +27,6 @@ class KVQuantQuantizer(KVCacheQuantizer):
 
     name = "kvquant"
     display_name = "KVQuant"
-    #: The nuq codebooks and channel normalisation are fitted per request
-    #: over every non-outlier context token — per-request lookup tables the
-    #: fused batched kernel cannot share, so KVQuant decodes sequentially.
-    fitted_context_state = True
     #: The outlier ranking reads the prefilled K rows.
     plan_reads_cache = True
 

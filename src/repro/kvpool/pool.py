@@ -139,9 +139,6 @@ class Block:
         #: Context rows of this block covered by packing (write guard): rows
         #: below this offset are frozen, even the FP16 ones kept as floats.
         self.packed_upto: int = 0
-        #: Bumped by every mutation — a change audit trail for tests and
-        #: debugging; no read path keys on it.
-        self.version: int = 0
 
     # -- writes --------------------------------------------------------------
 
@@ -155,12 +152,10 @@ class Block:
             raise ValueError("cannot overwrite rows that were packed")
         self.fp_k[layer, start_row:end] = k_rows
         self.fp_v[layer, start_row:end] = v_rows
-        self.version += 1
 
     def add_packed_run(self, layer: int, tensor: str, run: PackedRun) -> None:
         """Attach a packed run to one layer's K or V storage."""
         (self.packed_k if tensor == "k" else self.packed_v)[layer].append(run)
-        self.version += 1
 
     def seal_quantized_rows(self, rows: np.ndarray, packed_upto: int) -> None:
         """Zero the full-precision copies of rows now held as packed runs.
@@ -175,7 +170,6 @@ class Block:
             self.fp_v[:, rows] = 0.0
         self.n_quantized_rows += int(rows.size)
         self.packed_upto = max(self.packed_upto, packed_upto)
-        self.version += 1
 
     def clone(self) -> "Block":
         """Private deep copy of this page (the copy-on-write target).
@@ -190,7 +184,6 @@ class Block:
         copy.packed_v = [list(runs) for runs in self.packed_v]
         copy.n_quantized_rows = self.n_quantized_rows
         copy.packed_upto = self.packed_upto
-        copy.version = self.version
         return copy
 
     # -- accounting ----------------------------------------------------------

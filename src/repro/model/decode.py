@@ -250,8 +250,8 @@ class BatchedDecodeStep:
     step_batch_fn:
         ``(token_ids, payloads) -> list_of_logits`` — the fused backend
         forward.  ``payloads`` are the opaque per-session objects passed to
-        :meth:`add` (the serving engine passes its prepared sequences, whose
-        caches the fused model forward appends to).
+        :meth:`add` (the serving engine passes each sequence's model cache,
+        which the fused model forward appends to).
     reserve:
         Optional callback taking a page count.  Called with
         ``session.step_cost()`` (or the explicit ``step_cost`` handed to

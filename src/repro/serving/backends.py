@@ -211,25 +211,19 @@ class PreparedSequence:
         pages adopted from the engine's prefix index and the measured bytes
         of those pages (prefill storage the request did not re-create).
     cache:
-        The decode cache the session appends to, exposed so a fused
-        ``step_batch`` call can advance many sequences through one model
-        forward.  ``None`` for backends whose decode state is not a plain
-        model cache (blockwise).
-    batch_key:
-        Fused-execution group: sequences carrying the same non-``None`` key
-        are advanced through **one** :meth:`DecodeBackend.step_batch` call
-        per engine step.  ``None`` keeps the sequence on the sequential
-        path.
+        The plain model cache the session appends to, or ``None`` for
+        backends whose decode state is not one (blockwise).  This is the one
+        fused-decode predicate: a sequence with a ``cache`` is advanced
+        through the engine's single
+        :meth:`~repro.model.transformer.Transformer.decode_step_batch`
+        forward per step and may run speculative verify steps (with
+        :meth:`~repro.kvpool.cache.PagedKVCache.truncate` rollback); one
+        without keeps the sequential one-forward-per-token path.
     prompt_ids:
         Token IDs of the full prompt, kept for the speculative-decoding
         draft proposer (prompt-lookup drafting matches n-grams over prompt
         + generated history).  ``None`` when the backend does not surface
         them.
-    spec_capable:
-        Whether this sequence may run speculative verify steps
-        (:meth:`DecodeBackend.verify_batch` over its plain model cache
-        with :meth:`~repro.kvpool.cache.PagedKVCache.truncate` rollback).
-        Stamped by the backend; requires ``cache`` and ``prompt_ids``.
     """
 
     session: DecodeSession
@@ -247,9 +241,7 @@ class PreparedSequence:
     cache_hit_blocks: int = 0
     cached_bytes: int = 0
     cache: object | None = field(default=None, repr=False)
-    batch_key: str | None = None
     prompt_ids: tuple[int, ...] | None = None
-    spec_capable: bool = False
 
 
 class DecodeBackend(abc.ABC):
@@ -309,65 +301,6 @@ class DecodeBackend(abc.ABC):
         distribution.  The backend builds whatever it decodes over from
         those rows; the scratch itself is dropped with the job.
         """
-
-    # -- batched execution ---------------------------------------------------
-
-    #: Fused-execution group key stamped on prepared sequences when
-    #: :attr:`supports_batched_step` holds.  Every backend driving the
-    #: standard transformer decode over a plain model cache shares one key,
-    #: so a mixed dense/cocktail/ablation batch still fuses into a single
-    #: forward per engine step.
-    TRANSFORMER_BATCH_KEY = "transformer-decode"
-
-    @property
-    def supports_batched_step(self) -> bool:
-        """Whether this backend's prepared sequences may be fused into one
-        :meth:`step_batch` forward per engine step.  ``False`` keeps every
-        sequence on the sequential one-forward-per-token path."""
-        return False
-
-    def step_batch(
-        self, token_ids: Sequence[int], sequences: Sequence[PreparedSequence]
-    ) -> list[np.ndarray]:
-        """One fused decode forward for ``sequences`` (same ``batch_key``).
-
-        ``token_ids[i]`` is the token :meth:`DecodeSession.begin_step`
-        emitted for ``sequences[i]``; the return value is one next-token
-        logits row per sequence, in order.
-        """
-        raise NotImplementedError(
-            f"backend {self.name!r} decodes on the sequential path"
-        )
-
-    # -- speculative decoding -------------------------------------------------
-
-    @property
-    def supports_speculation(self) -> bool:
-        """Whether this backend's sequences may run speculative verify steps.
-
-        Requires the standard transformer decode over a plain model cache
-        (so a verify forward can append ``k + 1`` rows and the rejected
-        tail can be truncated) — the same constraint as
-        :attr:`supports_batched_step`.  ``False`` keeps every sequence on
-        plain one-token-per-step decoding.
-        """
-        return False
-
-    def verify_batch(
-        self,
-        token_lists: Sequence[Sequence[int]],
-        sequences: Sequence[PreparedSequence],
-    ) -> list[list[np.ndarray]]:
-        """One fused speculative-verify forward for ``sequences``.
-
-        ``token_lists[i]`` is ``[token, *drafts]`` for ``sequences[i]``;
-        the return value is one logits block per sequence with one row per
-        input token (see
-        :meth:`~repro.model.transformer.Transformer.decode_verify_step_batch`).
-        """
-        raise NotImplementedError(
-            f"backend {self.name!r} does not support speculative decoding"
-        )
 
     # -- prefix reuse ---------------------------------------------------------
 
@@ -436,51 +369,6 @@ class QuantizedDenseBackend(DecodeBackend):
         super().__init__(engine)
         self.quantizer = quantizer
         self.name = name or quantizer.name
-
-    @property
-    def supports_batched_step(self) -> bool:
-        """Token-local quantizers fuse; per-request fitted codebooks do not.
-
-        The fused kernel shares dequantization tables across the batch, so
-        methods whose decode-time state is fitted per request (KIVI,
-        KVQuant — see
-        :attr:`~repro.baselines.base.KVCacheQuantizer.fitted_context_state`)
-        fall back to the sequential path transparently.
-        """
-        return not self.quantizer.fitted_context_state
-
-    def step_batch(
-        self, token_ids: Sequence[int], sequences: Sequence[PreparedSequence]
-    ) -> list[np.ndarray]:
-        """Advance every sequence one token through one fused model forward."""
-        caches = []
-        for sequence in sequences:
-            if sequence.cache is None:
-                raise ValueError("sequence carries no decode cache to batch over")
-            caches.append(sequence.cache)
-        return self.model.decode_step_batch(list(token_ids), caches)
-
-    @property
-    def supports_speculation(self) -> bool:
-        """Speculation shares the fused kernel's constraint: token-local
-        quantizers verify in one multi-token forward; per-request fitted
-        codebooks (KIVI, KVQuant) stay on the plain sequential path."""
-        return self.supports_batched_step
-
-    def verify_batch(
-        self,
-        token_lists: Sequence[Sequence[int]],
-        sequences: Sequence[PreparedSequence],
-    ) -> list[list[np.ndarray]]:
-        """Run every sequence's verify run through one fused model forward."""
-        caches = []
-        for sequence in sequences:
-            if sequence.cache is None:
-                raise ValueError("sequence carries no decode cache to verify over")
-            caches.append(sequence.cache)
-        return self.model.decode_verify_step_batch(
-            [list(tokens) for tokens in token_lists], caches
-        )
 
     def _plan_request(self, request: "GenerationRequest", cache):
         """Run this method's quantization planning for one request."""
@@ -604,9 +492,7 @@ class QuantizedDenseBackend(DecodeBackend):
             cache_hit_blocks=len(matched_ids),
             cached_bytes=cached_bytes,
             cache=cache,
-            batch_key=self.TRANSFORMER_BATCH_KEY if self.supports_batched_step else None,
             prompt_ids=tuple(prompt),
-            spec_capable=self.supports_speculation,
         )
 
 
@@ -666,7 +552,7 @@ class BlockwiseBackend(DecodeBackend):
 
     The blockwise step *is* the paper's custom chunk-level decode kernel
     (its own per-layer attention over chunked segments), so it stays on the
-    sequential path — :attr:`supports_batched_step` remains ``False``.
+    sequential path: its prepared sequences carry no ``cache``.
     Only its query/generated rows live in pool pages; the context is held
     in the chunked segments built straight from the prefill scratch.
     """

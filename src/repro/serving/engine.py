@@ -103,7 +103,7 @@ class ExecutionStats:
     #: Model decode invocations: fused batch calls + single-sequence
     #: forwards.
     n_forward_calls: int = 0
-    #: Fused ``step_batch`` invocations.
+    #: Fused ``decode_step_batch`` / ``decode_verify_step_batch`` invocations.
     n_fused_calls: int = 0
     #: Summed batch sizes of the fused invocations.
     n_fused_sequences: int = 0
@@ -128,6 +128,10 @@ class ExecutionStats:
     #: what pushes ``forwards_per_token`` below the batched floor of
     #: ``1 / mean_batch_occupancy``.
     n_accepted_tokens: int = 0
+    #: Decode steps of sampled (non-greedy) sequences that would otherwise
+    #: have drafted: greedy verification cannot check a sampled token, so
+    #: these steps ran without speculation.
+    n_spec_skipped_sampled: int = 0
     #: Per-phase wall-clock seconds (schedule / gather / dequant / project /
     #: attend / verify / bookkeeping, …) accumulated by an attached
     #: :class:`repro.profiling.StepProfiler`; empty unless one was attached.
@@ -214,15 +218,15 @@ class EngineCore:
         pools default to :data:`DEFAULT_PREFIX_CACHE_BLOCKS` instead of
         ``None`` (pass an explicit value to change it).
     batched_decode:
-        ``True`` (the default) fuses every running
-        sequence whose backend supports it into **one** model forward per
-        engine step (:meth:`~repro.model.transformer.Transformer.decode_step_batch`
+        ``True`` (the default) fuses every running sequence that decodes
+        over a plain model cache — every backend but blockwise — into
+        **one** model forward per engine step
+        (:meth:`~repro.model.transformer.Transformer.decode_step_batch`
         driven by a :class:`~repro.model.decode.BatchedDecodeStep`);
-        backends without fused support — blockwise and the fitted-codebook
-        baselines — transparently keep decoding one forward per token.
-        Outputs are bit-identical with batching on or off for every
-        backend.  ``False`` forces the sequential path everywhere (the
-        parity reference).
+        blockwise runs its own chunk-level kernel and keeps decoding one
+        forward per token either way.  Outputs are bit-identical with
+        batching on or off for every backend.  ``False`` forces the
+        sequential path everywhere (the parity reference).
     max_prefill_tokens_per_step:
         Chunked-prefill budget: at most this many prompt tokens are
         prefilled per engine step, so a long-context arrival prefills
@@ -240,13 +244,14 @@ class EngineCore:
         and the rejected tail's cache rows are rolled back
         (:meth:`~repro.kvpool.cache.PagedKVCache.truncate`).  Greedy
         verification is exact, so outputs are bit-identical to plain
-        decoding for every backend; sequences that cannot speculate —
-        non-greedy sampling, blockwise, the fitted-codebook baselines —
-        transparently keep their plain decode path (explicitly opting such
-        a backend in via ``SpeculativeConfig(backends=...)`` raises at
-        construction instead).  Drafted rows reserve pool pages through
-        the same ledger as the batched round, so speculation never claims
-        capacity a sequential engine would not have been granted.
+        decoding for every backend; sequences that cannot speculate keep
+        their plain decode path — blockwise (explicitly opting it in via
+        ``SpeculativeConfig(backends=...)`` raises at construction instead)
+        and non-greedy sampling (counted in
+        ``ExecutionStats.n_spec_skipped_sampled``).  Drafted rows reserve
+        pool pages through the same ledger as the batched round, so
+        speculation never claims capacity a sequential engine would not
+        have been granted.
         Requires ``batched_decode``; ``None`` (default) disables.
     prefill_controller:
         Optional :class:`~repro.serving.adaptive.PrefillBudgetController`.
@@ -368,17 +373,15 @@ class EngineCore:
         self._counter = 0
         if self.speculative is not None and self.speculative.backends is not None:
             # Fail at construction, not deep inside a decode round: a backend
-            # explicitly opted into speculation must actually support the
-            # multi-token verify forward.
+            # explicitly opted into speculation must decode over the plain
+            # model cache the multi-token verify forward appends to.
             for name in self.speculative.backends:
-                if not self.get_backend(name).supports_speculation:
+                if not isinstance(self.get_backend(name), QuantizedDenseBackend):
                     raise ValueError(
-                        f"backend {name!r} cannot run speculative decoding: its "
-                        "decode state is fitted per request "
-                        "(fitted_context_state) or it decodes outside the "
-                        "standard transformer cache; drop it from "
-                        "SpeculativeConfig.backends (unlisted backends serve "
-                        "on their plain decode path)"
+                        f"backend {name!r} cannot run speculative decoding: it "
+                        "decodes outside the standard transformer cache; drop "
+                        "it from SpeculativeConfig.backends (unlisted backends "
+                        "serve on their plain decode path)"
                     )
 
     # -- backends ------------------------------------------------------------
@@ -713,12 +716,14 @@ class EngineCore:
         """Advance every running sequence by one token, fusing where possible.
 
         The round walks the running set once, in admission (round-robin)
-        order.  Sequences whose backend supports fused execution run phase 1
-        of their step immediately — checks, token emission, event creation —
-        while their model forward is queued on a shared
-        :class:`~repro.model.decode.BatchedDecodeStep`; non-batchable
-        sequences advance inline.  Afterwards each fused group executes
-        **one** ``step_batch`` forward.
+        order.  Sequences carrying a plain model ``cache`` (every backend but
+        blockwise) run phase 1 of their step immediately — checks, token
+        emission, event creation — while their model forward is queued on
+        the round's one :class:`~repro.model.decode.BatchedDecodeStep`, with
+        the cache as payload; the rest advance inline.  Afterwards the batch
+        executes **one**
+        :meth:`~repro.model.transformer.Transformer.decode_step_batch`
+        forward.
 
         Sequential equivalence under pool pressure: a queued forward has not
         allocated its page yet when later sequences run their capacity
@@ -728,18 +733,17 @@ class EngineCore:
         outcomes (including ``cache_full``) stay bit-identical.
 
         With ``speculative`` configured, phase 1 additionally asks the
-        draft proposer for up to ``k`` continuation guesses per batchable
+        draft proposer for up to ``k`` continuation guesses per batched
         sequence (window clamped by decode budget, cache capacity and pool
         headroom — the drafted rows are reserved like any deferred
-        allocation); the group's one fused call becomes a *verify* forward
+        allocation); the one fused call becomes a *verify* forward
         over ``[token, *drafts]`` per sequence, and a third phase emits the
         accepted tokens and truncates the rejected tails' cache rows.
         """
         events: list[TokenEvent] = []
-        batches: dict[str, BatchedDecodeStep] = {}
-        #: Per-group states whose verify outcome phase 3 must absorb,
-        #: aligned with each batch's pending (add) order.
-        spec_queue: dict[str, list[tuple[SequenceState, int]]] = {}
+        #: States whose verify outcome phase 3 must absorb, aligned with the
+        #: batch's pending (add) order.
+        spec_queue: list[tuple[SequenceState, int]] = []
         reserved = 0
 
         def reserve(n_blocks: int) -> None:
@@ -748,28 +752,24 @@ class EngineCore:
                 self.pool.reserve(n_blocks)
                 reserved += n_blocks
 
+        batch = BatchedDecodeStep(
+            self.model.decode_step_batch,
+            reserve=reserve,
+            verify_batch_fn=(
+                self.model.decode_verify_step_batch
+                if self.speculative is not None
+                else None
+            ),
+        )
         try:
             for state in self.scheduler.decode_order():
                 prepared = state.prepared
-                key = prepared.batch_key if self.batched_decode else None
-                if key is None:
+                if prepared.cache is None or not self.batched_decode:
                     events.extend(self._advance(state))
                     continue
-                batch = batches.get(key)
-                if batch is None:
-                    backend = self.get_backend(state.request.backend)
-                    batch = batches[key] = BatchedDecodeStep(
-                        backend.step_batch,
-                        reserve=reserve,
-                        verify_batch_fn=(
-                            backend.verify_batch
-                            if self.speculative is not None
-                            else None
-                        ),
-                    )
                 drafts, step_cost = self._plan_drafts(state)
                 token, needs_forward = batch.add(
-                    prepared.session, prepared, drafts=drafts, step_cost=step_cost
+                    prepared.session, prepared.cache, drafts=drafts, step_cost=step_cost
                 )
                 state.stats.n_decode_steps += 1
                 if token is not None:
@@ -777,20 +777,17 @@ class EngineCore:
                 if prepared.session.finished:
                     events.append(self._finalize(state))
                 elif needs_forward and self.speculative is not None:
-                    spec_queue.setdefault(key, []).append((state, len(drafts)))
+                    spec_queue.append((state, len(drafts)))
         finally:
             if reserved:
                 self.pool.unreserve(reserved)
-        for key, batch in batches.items():
-            batch_size = batch.commit()
-            if batch_size:
-                self.exec_stats.n_forward_calls += 1
-                self.exec_stats.n_fused_calls += 1
-                self.exec_stats.n_fused_sequences += batch_size
-            for (state, n_drafts), accepted in zip(
-                spec_queue.get(key, ()), batch.accepted_drafts
-            ):
-                events.extend(self._absorb_verified(state, n_drafts, accepted))
+        batch_size = batch.commit()
+        if batch_size:
+            self.exec_stats.n_forward_calls += 1
+            self.exec_stats.n_fused_calls += 1
+            self.exec_stats.n_fused_sequences += batch_size
+        for (state, n_drafts), accepted in zip(spec_queue, batch.accepted_drafts):
+            events.extend(self._absorb_verified(state, n_drafts, accepted))
         return events
 
     def _plan_drafts(self, state: SequenceState) -> tuple[list[int], int | None]:
@@ -812,27 +809,24 @@ class EngineCore:
           under the round's reservation ledger, so drafting never claims
           pages a sequential engine would not have been granted.
 
-        Sequences that cannot speculate — non-greedy sampling, backends
-        without verify support, no history to look up — return an empty
-        draft (the plain fused step).
+        Sequences that cannot speculate — non-greedy sampling (counted in
+        ``n_spec_skipped_sampled``), backends not opted in, no history to
+        look up — return an empty draft (the plain fused step).
         """
         spec = self.speculative
         if spec is None:
             return [], None
         prepared = state.prepared
         session = prepared.session
-        if (
-            not prepared.spec_capable
-            or prepared.cache is None
-            or prepared.prompt_ids is None
-            or session.finished
-            or not state.request.sampling.is_greedy
-        ):
+        if prepared.prompt_ids is None or session.finished:
             return [], None
         if (
             spec.backends is not None
             and state.request.backend.lower() not in spec.backends
         ):
+            return [], None
+        if not state.request.sampling.is_greedy:
+            self.exec_stats.n_spec_skipped_sampled += 1
             return [], None
         cache = prepared.cache
         # After this step's token, at most remaining_budget - 1 more tokens

@@ -405,6 +405,7 @@ class ServerCore:
                 "n_prefill_chunks": exec_stats.n_prefill_chunks,
                 "n_drafted_tokens": exec_stats.n_drafted_tokens,
                 "n_accepted_tokens": exec_stats.n_accepted_tokens,
+                "n_spec_skipped_sampled": exec_stats.n_spec_skipped_sampled,
                 "acceptance_rate": exec_stats.acceptance_rate,
                 "forwards_per_token": exec_stats.forwards_per_token,
                 "mean_batch_occupancy": exec_stats.mean_batch_occupancy,

@@ -51,12 +51,12 @@ class SpeculativeConfig:
         match, longest first.
     backends:
         Optional explicit opt-in list of backend names.  ``None`` (default)
-        speculates on every capable backend and silently serves the rest
-        (blockwise, fitted-codebook baselines) on their plain decode path;
-        naming a backend that *cannot* speculate — one whose quantizer
-        reports :attr:`~repro.baselines.base.KVCacheQuantizer.
-        fitted_context_state` — is rejected with a ``ValueError`` at engine
-        construction instead of failing deep inside a decode round.
+        speculates on every backend that decodes over a plain model cache
+        and serves blockwise on its plain decode path; naming a backend
+        that *cannot* speculate — blockwise, or any backend other than a
+        :class:`~repro.serving.backends.QuantizedDenseBackend` — is
+        rejected with a ``ValueError`` at engine construction instead of
+        failing deep inside a decode round.
     adaptive:
         ``True`` turns ``k`` into a *ceiling*: each sequence gets a
         :class:`~repro.serving.adaptive.DraftWindowController` that

@@ -1,4 +1,4 @@
-"""Shared utilities: seeded RNG helpers, validation and lightweight logging."""
+"""Shared utilities: seeded RNG helpers and validation."""
 
 from repro.utils.rng import derive_rng, derive_seed, spawn_rngs
 from repro.utils.validation import (

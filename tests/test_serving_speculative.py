@@ -17,6 +17,7 @@ import pytest
 from repro.core.config import CocktailConfig
 from repro.kvpool import BlockPool
 from repro.model.decode import BatchedDecodeStep, DecodeSession
+from repro.serving import backends as backends_module
 from repro.serving.engine import InferenceEngine
 from repro.serving.request import GenerationRequest, SamplingParams
 from repro.serving.spec import (
@@ -33,8 +34,9 @@ CHUNK_SIZE = 16
 #: Every globally registered backend (the 7-backend parity matrix).
 ALL_BACKENDS = ("dense", "cocktail", "blockwise", "fp16", "atom", "kivi", "kvquant")
 
-#: Backends whose prepared sequences can run speculative verify steps.
-SPEC_CAPABLE = ("dense", "cocktail", "fp16", "atom")
+#: Backends whose prepared sequences can run speculative verify steps:
+#: every backend that decodes over a plain model cache (all but blockwise).
+SPEC_CAPABLE = ("dense", "cocktail", "fp16", "atom", "kivi", "kvquant")
 
 
 def make_engine(vocab, tokenizer, model, **kwargs) -> InferenceEngine:
@@ -192,16 +194,34 @@ class TestEngineKnobValidation:
                 speculative=2, batched_decode=False,
             )
 
-    @pytest.mark.parametrize("backend", ("kivi", "kvquant", "blockwise"))
-    def test_fitted_state_backends_rejected_at_construction(
+    @pytest.mark.parametrize("backend", ("blockwise",))
+    def test_backend_without_model_cache_rejected_at_construction(
         self, vocab, tokenizer, retrieval_model, backend
     ):
-        """Explicitly opting in a backend that cannot verify fails fast with
-        a clear error, not a downstream assertion inside a decode round."""
+        """Explicitly opting in a backend that decodes outside the plain
+        model cache — so cannot verify or roll back — fails fast with a
+        clear error, not a downstream assertion inside a decode round."""
         with pytest.raises(ValueError, match="cannot run speculative decoding"):
             make_engine(
                 vocab, tokenizer, retrieval_model,
                 speculative=SpeculativeConfig(backends=(backend,)),
+            )
+
+    def test_custom_decode_backend_rejected_at_construction(
+        self, vocab, tokenizer, retrieval_model, monkeypatch
+    ):
+        """Only a ``QuantizedDenseBackend`` is known to hand its sequences a
+        verifiable model cache; any other ``DecodeBackend`` is refused."""
+
+        class OpaqueBackend(backends_module.DecodeBackend):
+            def prepare(self, request, prefill):
+                raise NotImplementedError
+
+        monkeypatch.setitem(backends_module._BACKEND_FACTORIES, "opaque", OpaqueBackend)
+        with pytest.raises(ValueError, match="cannot run speculative decoding"):
+            make_engine(
+                vocab, tokenizer, retrieval_model,
+                speculative=SpeculativeConfig(backends=("opaque",)),
             )
 
     def test_capable_backends_accepted(self, vocab, tokenizer, retrieval_model):
@@ -439,7 +459,7 @@ class TestSpeculativeParity:
         return outputs, engines
 
     def test_all_backends_concurrent(
-        self, vocab, tokenizer, retrieval_model, tiny_samples
+        self, vocab, tokenizer, retrieval_model, tiny_samples, oracle
     ):
         outputs, engines = self.run_pair(
             vocab,
@@ -449,6 +469,10 @@ class TestSpeculativeParity:
             max_running=8,
         )
         assert outputs[True] == outputs[False]
+        for request, (token_ids, stopped_by, *_) in zip(
+            make_requests(tiny_samples, ALL_BACKENDS), outputs[True]
+        ):
+            assert (token_ids, stopped_by) == oracle(engines[True], request)[:2]
         on, off = engines[True].exec_stats, engines[False].exec_stats
         assert on.n_decode_tokens == off.n_decode_tokens > 0
         assert on.n_accepted_tokens > 0
@@ -595,6 +619,80 @@ class TestSpeculativeParity:
             assert result.stats.accepted_tokens < result.stats.n_generated + 1
             assert 0.0 <= result.stats.acceptance_rate <= 1.0
         assert stats.acceptance_rate > 0.0
+
+
+class TestFittedCodecsSpeculate:
+    """KIVI and KVQuant decode over plain model caches whose pages carry
+    per-request fitted scales and codebooks; each page decodes with its own
+    codec, so both fuse into the shared forward and speculate."""
+
+    BACKENDS = ("kivi", "kvquant", "kivi", "kvquant")
+
+    def test_fitted_batch_fuses_speculates_and_matches_the_oracle(
+        self, vocab, tokenizer, retrieval_model, tiny_samples, oracle
+    ):
+        engine = make_engine(
+            vocab,
+            tokenizer,
+            retrieval_model,
+            max_running=4,
+            speculative=SpeculativeConfig(k=4, backends=("kivi", "kvquant")),
+        )
+        requests = make_requests(tiny_samples, self.BACKENDS, max_new_tokens=32)
+        results = engine.run_batch(requests)
+        stats = engine.exec_stats
+        assert stats.n_sequential_forwards == 0
+        assert stats.n_fused_calls > 0
+        for backend in ("kivi", "kvquant"):
+            mine = [r.stats for r in results if r.backend == backend]
+            assert sum(s.drafted_tokens for s in mine) > 0, backend
+            assert sum(s.accepted_tokens for s in mine) > 0, backend
+        for request, result in zip(requests, results):
+            token_ids, stopped_by, _ = oracle(engine, request)
+            assert result.token_ids == token_ids
+            assert result.stopped_by == stopped_by
+
+
+class TestSampledSkipCounter:
+    """``n_spec_skipped_sampled`` counts the decode steps sampled sequences
+    spend outside speculation, instead of dropping them silently."""
+
+    def serve(self, vocab, tokenizer, model, samples, speculative, sampling):
+        engine = make_engine(vocab, tokenizer, model, speculative=speculative)
+        results = engine.run_batch(
+            make_requests(samples[:1], ("dense",), max_new_tokens=8, sampling=sampling)
+        )
+        return engine.exec_stats, results[0]
+
+    def test_sampled_request_counts_its_skipped_steps(
+        self, vocab, tokenizer, retrieval_model, tiny_samples
+    ):
+        stats, result = self.serve(
+            vocab, tokenizer, retrieval_model, tiny_samples,
+            SpeculativeConfig(k=4), SamplingParams(top_k=3, seed=11),
+        )
+        assert result.stats.drafted_tokens == 0
+        # Every one of its fused decode steps ran without drafting.
+        assert stats.n_spec_skipped_sampled == result.stats.n_decode_steps > 0
+
+    def test_greedy_request_counts_zero(
+        self, vocab, tokenizer, retrieval_model, tiny_samples
+    ):
+        stats, _ = self.serve(
+            vocab, tokenizer, retrieval_model, tiny_samples,
+            SpeculativeConfig(k=4), SamplingParams(),
+        )
+        assert stats.n_spec_skipped_sampled == 0
+
+    def test_engine_without_speculation_counts_zero(
+        self, vocab, tokenizer, retrieval_model, tiny_samples
+    ):
+        stats, result = self.serve(
+            vocab, tokenizer, retrieval_model, tiny_samples,
+            None, SamplingParams(top_k=3, seed=11),
+        )
+        assert result.stats.n_decode_steps > 0
+        assert stats.n_spec_skipped_sampled == 0
 
 
 class TestSpeculativeCancellation:

@@ -247,8 +247,9 @@ class TestEngineStress:
     ):
         """The same pressure cooker with n-gram speculative decoding on:
         draft windows clamp against the starved pool, verify rollbacks
-        release rejected pages, and every structural invariant — plus
-        bit-identical outputs against the replay oracles — must survive."""
+        release rejected pages (KVQuant's fitted codec included), and every
+        structural invariant — plus bit-identical outputs against the replay
+        oracles — must survive."""
         from repro.serving.spec import SpeculativeConfig
 
         generator = WorkloadGenerator(tiny_samples[:2], block_size=16)
@@ -259,7 +260,7 @@ class TestEngineStress:
             rate=2.0,
             context_range=(56, 56),
             max_new_tokens=10,
-            backends=("dense", "fp16", "cocktail", "blockwise"),
+            backends=("dense", "fp16", "cocktail", "kvquant", "blockwise"),
         )
         for request in trace:
             request.stop_on_special = False  # decode into the repetitive regime

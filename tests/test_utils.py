@@ -1,13 +1,10 @@
-"""Tests for repro.utils (rng derivation, validation helpers, logging)."""
+"""Tests for repro.utils (rng derivation and validation helpers)."""
 
 from __future__ import annotations
-
-import logging
 
 import numpy as np
 import pytest
 
-from repro.utils.logging import get_logger
 from repro.utils.rng import derive_rng, derive_seed, spawn_rngs
 from repro.utils.validation import (
     check_in_range,
@@ -83,12 +80,3 @@ class TestValidation:
         with pytest.raises(ValueError):
             check_shape("a", np.zeros((3, 4)), (3, 4, 1))
 
-
-class TestLogging:
-    def test_namespaced_logger(self):
-        logger = get_logger("core.search")
-        assert logger.name == "repro.core.search"
-        assert isinstance(logger, logging.Logger)
-
-    def test_root_library_logger(self):
-        assert get_logger().name == "repro"

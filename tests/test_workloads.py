@@ -448,7 +448,8 @@ class TestStatsGoldenShape:
     ENGINE_KEYS = {
         "n_steps", "n_forward_calls", "n_fused_calls", "n_decode_tokens",
         "n_prefill_chunks", "n_drafted_tokens", "n_accepted_tokens",
-        "acceptance_rate", "forwards_per_token", "mean_batch_occupancy",
+        "n_spec_skipped_sampled", "acceptance_rate", "forwards_per_token",
+        "mean_batch_occupancy",
         "n_running", "n_waiting", "n_prefilling",
     }
     POOL_KEYS = {
