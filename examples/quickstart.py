@@ -3,10 +3,10 @@
 
 The example builds the simulated Llama2-7B retrieval model, generates a
 synthetic single-document-QA request (Qasper-style) and serves it through
-the :class:`repro.serving.InferenceEngine` with the ``"blockwise"`` backend
-(chunk-level quantization search, chunk reordering, mixed-precision
-quantization, Algorithm-1 blockwise decode), streaming the answer token by
-token.  The FP16 reference runs through the very same engine — the decode
+the :class:`repro.serving.InferenceEngine` with the ``"cocktail"`` backend
+(chunk-level quantization search, mixed-precision quantization packed into
+pool pages grouped by precision, decode attention over them), streaming
+the answer token by token.  The FP16 reference runs through the very same engine — the decode
 backend is just another registry name.
 
 Run with:  PYTHONPATH=src python examples/quickstart.py
@@ -41,10 +41,10 @@ def main() -> None:
 
     # 3. Build the serving engine with the paper's default hyper-parameters
     #    (chunk size 32, alpha 0.6, beta 0.1, Contriever encoder) and stream
-    #    the Cocktail answer through the blockwise (Algorithm 1) backend.
+    #    the Cocktail answer.
     engine = InferenceEngine(model, tokenizer, CocktailConfig(), lexicon=vocab.lexicon)
     request = GenerationRequest(
-        sample.context_words, sample.query_words, max_new_tokens=64, backend="blockwise"
+        sample.context_words, sample.query_words, max_new_tokens=64, backend="cocktail"
     )
     print("\n--- streaming decode ---")
     for event in engine.stream(request):
@@ -61,7 +61,8 @@ def main() -> None:
     print(f"FP16 chunks     : {counts[BitWidth.FP16]}")
     print(f"search latency  : {result.plan.search_seconds * 1e3:.1f} ms (modeled)")
 
-    compression = result.details["chunked_caches"][0].compression_ratio()
+    kv_bytes = result.details["kv_bytes"]
+    compression = kv_bytes["context_fp16_bytes"] / kv_bytes["context_bytes"]
     print("\n--- chunk-level KV cache computation ---")
     print(f"context KV compression vs FP16 : {compression:.2f}x")
     print(f"TTFT (measured, sim speed)     : {fmt_ms(result.stats.ttft_seconds)}")

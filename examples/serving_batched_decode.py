@@ -2,13 +2,11 @@
 """Batched decode execution: one fused forward per engine step.
 
 Eight long-context QA requests over four decode backends are served through
-one :class:`repro.serving.InferenceEngine`.  On paged engines the batched
-round is the default: every running sequence that decodes over a plain
-model cache advances through **one** ``decode_step_batch`` model invocation
-per step (dense / cocktail / the baselines / the ablation variants all
-share it, even mixed in the same batch), while blockwise — whose step is
-the paper's own chunk-level kernel — keeps the sequential
-one-forward-per-token path.  A ``max_prefill_tokens_per_step`` budget
+one :class:`repro.serving.InferenceEngine`.  The batched round is the
+default: every running sequence advances through **one**
+``decode_step_batch`` model invocation per step (dense / cocktail /
+blockwise / the baselines / the ablation variants all share it, even mixed
+in the same batch).  A ``max_prefill_tokens_per_step`` budget
 additionally meters long prompts across steps (chunked prefill) so
 admissions never stall the in-flight decodes.
 
@@ -26,8 +24,7 @@ from repro.datasets.longbench import build_dataset, build_vocabulary
 from repro.evaluation.setup import build_model, build_tokenizer
 from repro.serving import GenerationRequest, InferenceEngine
 
-#: Three fused backends plus blockwise, whose chunk-level kernel keeps it on
-#: the sequential path — demonstrating the transparent fallback.
+#: Four backends sharing every fused forward.
 BACKENDS = ("dense", "cocktail", "fp16", "blockwise")
 
 
@@ -64,10 +61,7 @@ def main() -> None:
     engine = build_engine(model, tokenizer, vocab, batched=True)
     rids = [engine.submit(request) for request in make_requests(samples)]
     print(f"submitted {len(rids)} requests over backends {BACKENDS}")
-    print(
-        "batched round: one fused forward advances every cached sequence; "
-        "blockwise falls back to sequential steps\n"
-    )
+    print("batched round: one fused forward advances every running sequence\n")
 
     step = 0
     while engine.has_pending:

@@ -19,7 +19,8 @@ from repro.datasets.longbench import build_dataset, build_vocabulary
 from repro.evaluation.setup import build_model, build_tokenizer
 from repro.serving import GenerationRequest, InferenceEngine
 
-#: Backends cycled over the requests: Cocktail twice (both execution paths),
+#: Backends cycled over the requests: Cocktail twice (``dense`` and
+#: ``blockwise`` are two registry names for the same packed-page backend),
 #: then two of the paper's baselines — all through the same registry.
 BACKENDS = ("dense", "blockwise", "kivi", "fp16")
 

@@ -25,8 +25,7 @@ from repro.datasets.longbench import build_dataset, build_vocabulary
 from repro.evaluation.setup import build_model, build_tokenizer
 from repro.serving import GenerationRequest, InferenceEngine, SpeculativeConfig
 
-#: Blockwise is left out: it cannot speculate and would serve on its plain
-#: decode path instead.
+#: Every built-in backend can speculate; four keep the example short.
 BACKENDS = ("dense", "cocktail", "fp16", "atom")
 
 

@@ -29,7 +29,7 @@ The package is organised in layers:
     experiments (Figures 4-6, Table V).
 ``repro.serving``
     The serving engine: request/result/token-event objects, a pluggable
-    decode-backend registry (Cocktail dense/blockwise plus every baseline),
+    decode-backend registry (Cocktail plus every baseline),
     streaming decode and a continuous-batching scheduler with FIFO
     admission, round-robin decode and capacity-aware preemption.
 ``repro.evaluation``

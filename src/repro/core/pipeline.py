@@ -7,28 +7,30 @@ Mirrors Figure 2 of the paper:
 2. the chunk-level quantization search scores chunks against the query and
    fixes the per-chunk bitwidths,
 3. the model prefills the prompt at full precision,
-4. the context KV cache is reordered so same-precision chunks are contiguous
-   and quantized accordingly,
-5. decode phases run blockwise attention over the mixed-precision cache
-   (Algorithm 1) until the answer is produced.
+4. the context KV cache is quantized per chunk and stored grouped by
+   precision — one packed run per (layer, tensor, bitwidth) in every pool
+   page, Algorithm 1's reordered storage,
+5. decode phases attend over that mixed-precision cache until the answer
+   is produced (by paper eqs. 4-5 the result equals Algorithm 1's
+   blockwise attention, which :mod:`repro.core.computation` keeps as the
+   reference).
 
 Since the serving redesign, all of the above executes inside
 :class:`repro.serving.engine.InferenceEngine`; :class:`CocktailPipeline`
 remains as the single-request blocking facade with its historical
 signature.  ``mode=`` strings resolve through the
-:mod:`repro.serving.backends` registry, so besides ``"dense"`` (fake-quant
-+ standard attention) and ``"blockwise"`` (Algorithm 1 over the chunked
-mixed-precision cache) any registered backend name — e.g. the baseline
-methods ``"fp16"``, ``"atom"``, ``"kivi"``, ``"kvquant"`` — is accepted.
+:mod:`repro.serving.backends` registry: ``"dense"``, ``"cocktail"`` and
+``"blockwise"`` all serve Cocktail over the packed pool pages, and any
+other registered backend name — e.g. the baseline methods ``"fp16"``,
+``"atom"``, ``"kivi"``, ``"kvquant"`` — is accepted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.baselines.base import KVQuantizationPlan, QuantizationRequest
-from repro.core.cache import ChunkedLayerCache
 from repro.core.config import CocktailConfig
 from repro.model.kv_cache import ModelKVCache
 from repro.model.tokenizer import Tokenizer
@@ -46,7 +48,6 @@ class CocktailRunResult:
     stopped_by: str
     n_context_tokens: int
     n_prompt_tokens: int
-    chunked_caches: list[ChunkedLayerCache] | None = field(default=None, repr=False)
 
     @property
     def chunk_bits(self) -> list:
@@ -127,10 +128,9 @@ class CocktailPipeline:
         max_new_tokens:
             Decode budget; must be >= 1.
         mode:
-            Decode-backend name — ``"dense"`` (fake-quant + standard
-            attention), ``"blockwise"`` (Algorithm 1 over the chunked
-            mixed-precision cache) or any other name registered with
-            :mod:`repro.serving.backends`.
+            Decode-backend name — ``"dense"`` (Cocktail; ``"cocktail"``
+            and ``"blockwise"`` are the same backend) or any other name
+            registered with :mod:`repro.serving.backends`.
         """
         from repro.serving.request import GenerationRequest
 
@@ -156,5 +156,4 @@ class CocktailPipeline:
             stopped_by=result.stopped_by,
             n_context_tokens=result.n_context_tokens,
             n_prompt_tokens=result.n_prompt_tokens,
-            chunked_caches=result.details.get("chunked_caches"),
         )

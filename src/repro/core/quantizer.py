@@ -105,8 +105,9 @@ class CocktailQuantizer(KVCacheQuantizer):
 
         Per-token groups along the head dimension are used for both K and V,
         matching the quantization performed when building the chunked cache,
-        so the dense (fake-quant) decode path and the blockwise path of
-        Algorithm 1 see numerically identical cache contents.
+        so the dense (fake-quant) decode path and Algorithm 1's blockwise
+        reference (:meth:`build_chunked_caches`) see numerically identical
+        cache contents.
         """
         for layer_index in range(cache.n_layers):
             k, v = cache.context_kv(layer_index)

@@ -316,15 +316,13 @@ def serving_stats_table(
     the engine too; the ``fwd/tok`` and ``batch occ`` columns then report
     the engine-wide measured execution profile — model forwards per
     generated token and mean fused-batch occupancy.  Execution is fused
-    *across* methods (one forward advances a mixed batch of every method but
-    blockwise), so these two columns carry the same engine-wide value on
-    every row.
+    *across* methods (one forward advances a mixed batch of every method),
+    so these two columns carry the same engine-wide value on every row.
 
     ``speculative`` (a :class:`~repro.serving.spec.SpeculativeConfig` or an
     int ``k``) turns on n-gram speculative decoding; the ``drafted`` /
     ``accepted`` / ``accept %`` columns then report each method's measured
-    draft-acceptance outcome (blockwise cannot speculate: it shows zeros
-    and serves on its plain decode path).
+    draft-acceptance outcome.
     """
     if n_requests < 1:
         raise ValueError(f"n_requests must be >= 1, got {n_requests}")

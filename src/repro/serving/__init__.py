@@ -42,7 +42,6 @@ from repro.serving.adaptive import (
     SloPolicy,
 )
 from repro.serving.backends import (
-    BlockwiseBackend,
     DecodeBackend,
     PrefillJob,
     PreparedSequence,
@@ -96,7 +95,6 @@ __all__ = [
     "TokenEvent",
     "DecodeBackend",
     "QuantizedDenseBackend",
-    "BlockwiseBackend",
     "PreparedSequence",
     "register_backend",
     "backend_names",

@@ -8,13 +8,13 @@ method-specific from there — quantization planning, building the stored
 cache out of the scratch rows, and the per-token decode step.  What it
 hands back is a :class:`~repro.model.decode.DecodeSession` wrapped in a
 :class:`PreparedSequence`, so the continuous-batching scheduler can drive
-every method — Cocktail's packed-page path, Cocktail's blockwise
-Algorithm-1 path and all the paper's baselines — through the exact same
-step interface.  Whatever a prepared sequence keeps resident lives in pages
-of the engine's :class:`~repro.kvpool.BlockPool`.
+every method — Cocktail and all the paper's baselines — through the exact
+same step interface.  Whatever a prepared sequence keeps resident lives in
+pages of the engine's :class:`~repro.kvpool.BlockPool`.
 
-Backends resolve by name through a registry: ``"dense"``/``"cocktail"``,
-``"blockwise"``, and the baseline method names from
+Backends resolve by name through a registry: ``"dense"``, ``"cocktail"``
+and ``"blockwise"`` (three names for Cocktail over the engine's quantizer),
+and the baseline method names from
 :data:`repro.baselines.registry.BASELINE_NAMES`.  New methods plug in via
 :func:`register_backend` (globally) or
 :meth:`repro.serving.engine.InferenceEngine.add_backend` (per engine).
@@ -35,9 +35,10 @@ from repro.baselines.base import (
     QuantizationRequest,
 )
 from repro.baselines.registry import BASELINE_NAMES, get_baseline
-from repro.core.cache import ChunkedLayerCache
-from repro.core.computation import chunk_level_decode_attention
-from repro.kvpool.cache import PagedKVCache
+# Re-exported only as the e2e tracer's ``core.blockwise_attn`` boundary (it
+# wraps this dotted name); no serving path calls it, so the span reads 0
+# until ROADMAP item 2(a) re-points it.
+from repro.core.computation import chunk_level_decode_attention  # noqa: F401
 from repro.kvpool.prefix import block_hashes
 from repro.kvpool.rows import ContextRowCache
 from repro.model.decode import DecodeSession
@@ -190,8 +191,9 @@ class PreparedSequence:
         Current number of KV rows this sequence holds (prompt + generated),
         used for capacity-aware admission and preemption.
     details:
-        Backend-specific extras surfaced on the result (e.g. the blockwise
-        backend's chunked caches).
+        Backend-specific extras copied into the result's ``details``, beside
+        the ``kv_bytes`` the engine samples at finalize.  The built-in
+        backends add none; it is the hook for a custom backend's extras.
     swap_out, swap_in:
         Preemption hooks over the sequence's pool pages: ``swap_out``
         evicts every exclusively-owned page to a host-side store (freeing
@@ -211,10 +213,10 @@ class PreparedSequence:
         pages adopted from the engine's prefix index and the measured bytes
         of those pages (prefill storage the request did not re-create).
     cache:
-        The plain model cache the session appends to, or ``None`` for
-        backends whose decode state is not one (blockwise).  This is the one
-        fused-decode predicate: a sequence with a ``cache`` is advanced
-        through the engine's single
+        The plain model cache the session appends to — every built-in
+        backend sets it — or ``None`` for a custom backend whose decode
+        state is not one.  This is the one fused-decode predicate: a
+        sequence with a ``cache`` is advanced through the engine's single
         :meth:`~repro.model.transformer.Transformer.decode_step_batch`
         forward per step and may run speculative verify steps (with
         :meth:`~repro.kvpool.cache.PagedKVCache.truncate` rollback); one
@@ -356,8 +358,12 @@ class QuantizedDenseBackend(DecodeBackend):
 
     This one backend serves every method exposing the common
     :class:`~repro.baselines.base.KVCacheQuantizer` interface: the FP16 /
-    Atom / KIVI / KVQuant baselines, Cocktail's dense mode and the ablation
-    variants.
+    Atom / KIVI / KVQuant baselines, Cocktail (as ``dense``, ``cocktail``
+    and ``blockwise``) and the ablation variants.  For Cocktail the packed
+    context pages hold one run per (layer, tensor, bitwidth, page) —
+    Algorithm 1's precision-grouped storage — and attention over their
+    decoded rows equals Algorithm 1's blockwise result, since softmax over
+    keys does not depend on key order (paper eqs. 4-5).
     """
 
     def __init__(
@@ -496,129 +502,6 @@ class QuantizedDenseBackend(DecodeBackend):
         )
 
 
-class _BlockwiseDecodeState:
-    """Per-sequence state of the blockwise (Algorithm 1) decode path.
-
-    The quantized context lives in per-layer :class:`ChunkedLayerCache`
-    segments; query and generated tokens accumulate in ``decode_caches``,
-    one full-precision layer buffer each (``append``/``keys``/``values`` —
-    the backend passes the layer views of a pool-backed paged cache, so
-    even the blockwise path's growing state is a pool-accounted resource).
-    ``position`` is the number of tokens already cached (context + query).
-    Each step runs chunk-level decode attention per layer.
-    """
-
-    def __init__(
-        self,
-        model: Transformer,
-        chunked_caches: list[ChunkedLayerCache],
-        decode_caches: Sequence,
-        position: int,
-    ):
-        self.model = model
-        self.chunked_caches = chunked_caches
-        self.decode_caches = decode_caches
-        self.position = position
-
-    def step(self, token_id: int) -> np.ndarray:
-        """One decode step with chunk-level KV cache computation per layer."""
-        model = self.model
-        config = model.config
-        positions = np.asarray([self.position])
-        hidden = model.embed([token_id], positions)
-        for layer_index, block in enumerate(model.blocks):
-            attn_in = block.norm_attn.forward(hidden)
-            attention = block.attention
-            q, k_new, v_new = attention.project_qkv(attn_in, positions)
-            q = q[0]
-            self.decode_caches[layer_index].append(k_new, v_new)
-            context_vectors = chunk_level_decode_attention(
-                q,
-                self.chunked_caches[layer_index],
-                self.decode_caches[layer_index].keys(),
-                self.decode_caches[layer_index].values(),
-                gqa_group=config.gqa_group,
-                scale=config.attention_temperature / np.sqrt(config.head_dim),
-            )
-            attn_out = np.einsum("he,hed->d", context_vectors, attention.weights.wo)
-            hidden = hidden + attn_out[None, :]
-            hidden = hidden + block.mlp.forward(block.norm_mlp.forward(hidden))
-        self.position += 1
-        return model._logits(hidden[0])
-
-
-class BlockwiseBackend(DecodeBackend):
-    """Cocktail's Algorithm 1 over the reordered mixed-precision cache.
-
-    The blockwise step *is* the paper's custom chunk-level decode kernel
-    (its own per-layer attention over chunked segments), so it stays on the
-    sequential path: its prepared sequences carry no ``cache``.
-    Only its query/generated rows live in pool pages; the context is held
-    in the chunked segments built straight from the prefill scratch.
-    """
-
-    name = "blockwise"
-
-    def prepare(
-        self, request: "GenerationRequest", prefill: PrefillJob
-    ) -> PreparedSequence:
-        engine = self.engine
-        scratch = self._scratch(request, prefill)
-        n_context = scratch.n_context
-        qrequest = build_quantization_request(
-            request.context_words, request.query_words, engine.chunk_size, scratch
-        )
-        plan = engine.quantizer.plan(qrequest)
-        chunked_caches = engine.quantizer.build_chunked_caches(scratch, plan)
-        # The non-quantized region (query tokens) seeds the FP16 decode pages.
-        decode_cache = PagedKVCache(engine.pool, scratch.capacity - n_context)
-        try:
-            for layer, view in zip(scratch.layers, decode_cache.layers):
-                view.append(layer.keys()[n_context:], layer.values()[n_context:])
-        except Exception:
-            decode_cache.release()
-            raise
-        state = _BlockwiseDecodeState(
-            self.model, chunked_caches, decode_cache.layers, scratch.length
-        )
-
-        def kv_bytes() -> dict:
-            """Measured bytes: chunked context segments + decode-cache pages."""
-            context_bytes = sum(c.storage_bytes() for c in chunked_caches)
-            decode = decode_cache.measured_bytes()
-            return {
-                "context_bytes": context_bytes,
-                "generated_bytes": decode["total_bytes"],
-                "total_bytes": context_bytes + decode["total_bytes"],
-                "context_fp16_bytes": sum(
-                    c.fp16_storage_bytes() for c in chunked_caches
-                ),
-                "n_blocks": decode["n_blocks"],
-            }
-
-        session = DecodeSession(
-            state.step,
-            prefill.first_logits,
-            max_new_tokens=request.max_new_tokens,
-            stop_ids=self._stop_ids(request),
-            sampler=request.sampling.build_sampler(),
-            has_capacity=decode_cache.has_capacity,
-        )
-        return PreparedSequence(
-            session=session,
-            plan=plan,
-            n_prompt_tokens=len(prefill.prompt),
-            n_context_tokens=n_context,
-            live_tokens=lambda: state.position,
-            swap_out=decode_cache.swap_out,
-            swap_in=decode_cache.swap_in,
-            release=decode_cache.release,
-            kv_bytes=kv_bytes,
-            working_set_bytes=decode_cache.working_set_bytes,
-            details={"chunked_caches": chunked_caches},
-        )
-
-
 # -- registry ----------------------------------------------------------------
 
 BackendFactory = Callable[["InferenceEngine"], DecodeBackend]
@@ -663,7 +546,7 @@ def _baseline_backend(engine: "InferenceEngine", name: str) -> DecodeBackend:
 
 register_backend("dense", lambda engine: _dense_cocktail(engine, "dense"))
 register_backend("cocktail", lambda engine: _dense_cocktail(engine, "cocktail"))
-register_backend("blockwise", BlockwiseBackend)
+register_backend("blockwise", lambda engine: _dense_cocktail(engine, "blockwise"))
 for _name in BASELINE_NAMES:
     register_backend(_name, lambda engine, _n=_name: _baseline_backend(engine, _n))
 del _name

@@ -29,7 +29,7 @@ store and back.
 Typical use::
 
     engine = InferenceEngine(model, tokenizer, CocktailConfig(), lexicon=vocab.lexicon)
-    result = engine.run(GenerationRequest(context_words, query_words, backend="blockwise"))
+    result = engine.run(GenerationRequest(context_words, query_words, backend="cocktail"))
     for event in engine.stream(GenerationRequest(context_words, query_words)):
         ...  # TokenEvents arrive as they are decoded
 
@@ -219,14 +219,14 @@ class EngineCore:
         ``None`` (pass an explicit value to change it).
     batched_decode:
         ``True`` (the default) fuses every running sequence that decodes
-        over a plain model cache — every backend but blockwise — into
-        **one** model forward per engine step
+        over a plain model cache — every built-in backend — into **one**
+        model forward per engine step
         (:meth:`~repro.model.transformer.Transformer.decode_step_batch`
-        driven by a :class:`~repro.model.decode.BatchedDecodeStep`);
-        blockwise runs its own chunk-level kernel and keeps decoding one
-        forward per token either way.  Outputs are bit-identical with
-        batching on or off for every backend.  ``False`` forces the
-        sequential path everywhere (the parity reference).
+        driven by a :class:`~repro.model.decode.BatchedDecodeStep`); a
+        custom backend whose sequences carry no cache decodes one forward
+        per token either way.  Outputs are bit-identical with batching on
+        or off for every backend.  ``False`` forces the sequential path
+        everywhere (the parity reference).
     max_prefill_tokens_per_step:
         Chunked-prefill budget: at most this many prompt tokens are
         prefilled per engine step, so a long-context arrival prefills
@@ -245,9 +245,9 @@ class EngineCore:
         (:meth:`~repro.kvpool.cache.PagedKVCache.truncate`).  Greedy
         verification is exact, so outputs are bit-identical to plain
         decoding for every backend; sequences that cannot speculate keep
-        their plain decode path — blockwise (explicitly opting it in via
-        ``SpeculativeConfig(backends=...)`` raises at construction instead)
-        and non-greedy sampling (counted in
+        their plain decode path — a custom backend without a model cache
+        (explicitly opting it in via ``SpeculativeConfig(backends=...)``
+        raises at construction instead) and non-greedy sampling (counted in
         ``ExecutionStats.n_spec_skipped_sampled``).  Drafted rows reserve
         pool pages through the same ledger as the batched round, so
         speculation never claims capacity a sequential engine would not
@@ -502,8 +502,7 @@ class EngineCore:
 
         Results are retained until read with ``pop=True`` (or forever when
         only peeked) — long-lived engines should pop or call
-        :meth:`pop_results`, since blockwise results carry the request's
-        full chunked KV caches in ``details``.
+        :meth:`pop_results` so finished results do not accumulate.
         """
         if request_id in self._results:
             if pop:
@@ -716,8 +715,8 @@ class EngineCore:
         """Advance every running sequence by one token, fusing where possible.
 
         The round walks the running set once, in admission (round-robin)
-        order.  Sequences carrying a plain model ``cache`` (every backend but
-        blockwise) run phase 1 of their step immediately — checks, token
+        order.  Sequences carrying a plain model ``cache`` (every built-in
+        backend) run phase 1 of their step immediately — checks, token
         emission, event creation — while their model forward is queued on
         the round's one :class:`~repro.model.decode.BatchedDecodeStep`, with
         the cache as payload; the rest advance inline.  Afterwards the batch

@@ -51,9 +51,9 @@ class SpeculativeConfig:
         match, longest first.
     backends:
         Optional explicit opt-in list of backend names.  ``None`` (default)
-        speculates on every backend that decodes over a plain model cache
-        and serves blockwise on its plain decode path; naming a backend
-        that *cannot* speculate — blockwise, or any backend other than a
+        speculates on every backend that decodes over a plain model cache —
+        every built-in one — and serves any other on its plain decode path;
+        naming a backend that *cannot* speculate — any backend other than a
         :class:`~repro.serving.backends.QuantizedDenseBackend` — is
         rejected with a ``ValueError`` at engine construction instead of
         failing deep inside a decode round.

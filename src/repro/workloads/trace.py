@@ -32,12 +32,13 @@ CONSTANT_BITS_BACKENDS = frozenset({"fp16"})
 
 #: Prefix-sharing families: two requests can only ever adopt each other's
 #: pages when their backends map to the same family (see
-#: ``KVCacheQuantizer.reuse_fingerprint``).  ``dense`` and ``cocktail``
-#: share one token-local fingerprint; everything else keeps its own page
-#: family; backends absent here (e.g. ``blockwise``) never share.
+#: ``KVCacheQuantizer.reuse_fingerprint``).  ``dense``, ``cocktail`` and
+#: ``blockwise`` share one token-local fingerprint; everything else keeps
+#: its own page family; backends absent here never share.
 PREFIX_FAMILIES = {
     "dense": "cocktail",
     "cocktail": "cocktail",
+    "blockwise": "cocktail",
     "fp16": "fp16",
     "atom": "atom",
     "kivi": "kivi",

@@ -18,16 +18,10 @@ from repro.datasets.base import DatasetSpec
 from repro.datasets.generator import SampleGenerator
 from repro.datasets.vocab import Vocabulary
 from repro.model.config import get_sim_config
-from repro.model.decode import DecodeSession
-from repro.model.kv_cache import LayerKVCache
 from repro.model.tokenizer import Tokenizer
 from repro.model.transformer import Transformer
 from repro.model.weights import build_retrieval_weights
-from repro.serving.backends import (
-    _BlockwiseDecodeState,
-    build_quantization_request,
-    prompt_token_ids,
-)
+from repro.serving.backends import build_quantization_request, prompt_token_ids
 
 
 @pytest.fixture(scope="session")
@@ -83,51 +77,31 @@ def reference_generate(engine, request):
     The one oracle of the serving parity tests: a dense full-precision
     prefill, the method's plan, its fake-quant ``apply`` and the plain
     ``generate_from_cache`` loop (what ``evaluation.accuracy`` runs) — no
-    pool, no pages, no scheduler.  Blockwise decodes Algorithm 1 over
-    chunked caches built from the same prefill, with plain ``LayerKVCache``
-    decode buffers.  ``engine`` only supplies the model, tokenizer, chunk
-    size and the backend's quantizer and stop ids.  Returns ``(token_ids, stopped_by, plan)``.
+    pool, no pages, no scheduler.  ``engine`` only supplies the model,
+    tokenizer, chunk size and the backend's quantizer and stop ids.
+    Returns ``(token_ids, stopped_by, plan)``.
     """
     model, tokenizer = engine.model, engine.tokenizer
     backend = engine.get_backend(request.backend)
-    blockwise = request.backend == "blockwise"
-    quantizer = engine.quantizer if blockwise else backend.quantizer
+    quantizer = backend.quantizer
     prompt = prompt_token_ids(tokenizer, request.context_words, request.query_words)
     cache = model.new_cache()
     first_logits = model.prefill(prompt, cache)
-    n_context = len(request.context_words)
-    cache.mark_context(n_context)
+    cache.mark_context(len(request.context_words))
     plan = quantizer.plan(
         build_quantization_request(
             request.context_words, request.query_words, engine.chunk_size, cache
         )
     )
-    decode = dict(
+    quantizer.apply(cache, plan)
+    result = model.generate_from_cache(
+        cache,
+        first_logits,
         max_new_tokens=request.max_new_tokens,
         stop_ids=backend._stop_ids(request),
         sampler=request.sampling.build_sampler(),
     )
-    if not blockwise:
-        quantizer.apply(cache, plan)
-        result = model.generate_from_cache(cache, first_logits, **decode)
-        return result.token_ids, result.stopped_by, plan
-    buffers = [
-        LayerKVCache(layer.n_kv_heads, layer.head_dim, cache.capacity - n_context)
-        for layer in cache.layers
-    ]
-    for layer, buffer in zip(cache.layers, buffers):
-        buffer.append(layer.keys()[n_context:], layer.values()[n_context:])
-    state = _BlockwiseDecodeState(
-        model, quantizer.build_chunked_caches(cache, plan), buffers, cache.length
-    )
-    session = DecodeSession(
-        state.step,
-        first_logits,
-        has_capacity=lambda: state.position < cache.capacity,
-        **decode,
-    )
-    token_ids, stopped_by = session.run()
-    return token_ids, stopped_by, plan
+    return result.token_ids, result.stopped_by, plan
 
 
 @pytest.fixture(scope="session")

@@ -547,7 +547,7 @@ class TestPlanOnceAndRouteKeys:
         request = request_for(documents["a"], documents["query"], backend)
         fingerprint, keys = engine.get_backend(backend).prefix_route_keys(request)
         engine.run(request)
-        if backend in ("blockwise", "kvquant"):
+        if backend == "kvquant":
             assert (fingerprint, keys) == (None, [])
         else:
             assert fingerprint is not None and len(keys) == 6

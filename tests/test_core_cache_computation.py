@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cache import ChunkedLayerCache, unordered_storage_bytes
+from repro.core.config import CocktailConfig
 from repro.core.computation import (
     blockwise_matches_dense,
     chunk_level_decode_attention,
@@ -17,6 +18,9 @@ from repro.core.computation import (
 from repro.core.reorder import token_reorder_permutation
 from repro.quant.dtypes import BitWidth
 from repro.quant.uniform import quantize_uniform
+from repro.serving.backends import PrefillJob
+from repro.serving.engine import InferenceEngine
+from repro.serving.request import GenerationRequest
 
 
 def _make_inputs(rng, n_context=24, n_kv_heads=2, head_dim=8, chunk_size=4):
@@ -126,6 +130,62 @@ class TestChunkLevelComputation:
             q, kq.dequantize()[:, None, :], vq.dequantize()[:, None, :], scale=0.5
         )
         np.testing.assert_allclose(out, dense, atol=1e-4)
+
+
+class TestAlgorithmOneOnServedStorage:
+    def test_blockwise_over_chunked_caches_equals_attend_over_packed_pages(
+        self, vocab, tokenizer, retrieval_model, tiny_samples, rng
+    ):
+        """Algorithm 1 over the chunked segments of a request's prefill
+        computes what the ``blockwise`` backend serves: attention over its
+        packed Cocktail pages (decoded into the cache's mirrors), layer by
+        layer."""
+        engine = InferenceEngine(
+            retrieval_model,
+            tokenizer,
+            CocktailConfig(chunk_size=16),
+            lexicon=vocab.lexicon,
+        )
+        sample = tiny_samples[0]
+        request = GenerationRequest(
+            sample.context_words, sample.query_words, backend="blockwise"
+        )
+        job = PrefillJob(retrieval_model, tokenizer, request)
+        job.advance(len(job.prompt))
+        prepared = engine.get_backend("blockwise").prepare(request, job)
+        try:
+            cache, scratch, plan = prepared.cache, job.cache, prepared.plan
+            assert {2, 4, 16} <= set(plan.token_bits.tolist())
+            kv_bytes = prepared.kv_bytes()
+            assert kv_bytes["context_bytes"] < kv_bytes["context_fp16_bytes"]
+            n_context = scratch.n_context
+            chunked = engine.quantizer.build_chunked_caches(scratch, plan)
+            config = retrieval_model.config
+            positions = np.asarray([cache.length - 1])
+            for layer_index, block in enumerate(retrieval_model.blocks):
+                attention = block.attention
+                q = rng.normal(size=(config.n_heads, config.head_dim))
+                q = q.astype(np.float32)
+                served = attention.attend(
+                    q[None],
+                    None,
+                    None,
+                    positions,
+                    kv_mirrors=attention._mirrors(cache.layers[layer_index]),
+                )[0]
+                query_rows = scratch.layers[layer_index]
+                context = chunk_level_decode_attention(
+                    q,
+                    chunked[layer_index],
+                    query_rows.keys()[n_context:],
+                    query_rows.values()[n_context:],
+                    gqa_group=config.gqa_group,
+                    scale=attention._scale,
+                )
+                blockwise = np.einsum("he,hed->d", context, attention.weights.wo)
+                np.testing.assert_allclose(blockwise, served, atol=1e-5)
+        finally:
+            prepared.release()
 
 
 @settings(max_examples=25, deadline=None)

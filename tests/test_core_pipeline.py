@@ -9,6 +9,7 @@ from repro.core.config import CocktailConfig
 from repro.core.pipeline import CocktailPipeline
 from repro.metrics.f1 import token_f1
 from repro.quant.dtypes import BitWidth
+from repro.serving.request import GenerationRequest
 
 
 @pytest.fixture(scope="module")
@@ -46,16 +47,19 @@ class TestCocktailPipeline:
             sample.context_words, sample.query_words, max_new_tokens=12, mode="blockwise"
         )
         assert dense.generated_ids == blockwise.generated_ids
-        assert blockwise.chunked_caches is not None
-        assert dense.chunked_caches is None
 
     def test_blockwise_cache_compression(self, pipeline, tiny_samples):
         sample = tiny_samples[2]
-        result = pipeline.run(
-            sample.context_words, sample.query_words, max_new_tokens=4, mode="blockwise"
+        result = pipeline.engine.run(
+            GenerationRequest(
+                sample.context_words,
+                sample.query_words,
+                max_new_tokens=4,
+                backend="blockwise",
+            )
         )
-        for layer_cache in result.chunked_caches:
-            assert layer_cache.storage_bytes() < layer_cache.fp16_storage_bytes()
+        kv_bytes = result.details["kv_bytes"]
+        assert kv_bytes["context_bytes"] < kv_bytes["context_fp16_bytes"]
 
     def test_invalid_mode_rejected(self, pipeline, tiny_samples):
         sample = tiny_samples[0]

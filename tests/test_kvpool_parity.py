@@ -22,8 +22,8 @@ from repro.serving.request import GenerationRequest
 
 CHUNK_SIZE = 16
 
-#: Every globally registered backend: both Cocktail execution paths plus all
-#: of the paper's baselines.
+#: Every globally registered backend: Cocktail under its three names plus
+#: all of the paper's baselines.
 ALL_BACKENDS = ("dense", "cocktail", "blockwise", "fp16", "atom", "kivi", "kvquant")
 
 
@@ -134,9 +134,11 @@ class TestPrefixCachingParity:
     """
 
     #: Backends that serve decode out of pool context pages and therefore
-    #: participate in prefix reuse (blockwise moves its context into
-    #: chunked off-pool segments and releases the prefill pages instead).
-    REUSE_BACKENDS = ("dense", "cocktail", "fp16", "atom", "kivi", "kvquant")
+    #: participate in prefix reuse — every built-in backend, blockwise
+    #: included (it is Cocktail over the same packed pages).
+    REUSE_BACKENDS = (
+        "dense", "cocktail", "blockwise", "fp16", "atom", "kivi", "kvquant"
+    )
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_warm_request_bit_identical_on_vs_off(
@@ -174,6 +176,29 @@ class TestPrefixCachingParity:
             assert on[1].stats.cached_bytes > 0
             assert on[0].stats.cache_hit_blocks == 0
         assert all(r.stats.cache_hit_blocks == 0 for r in off)
+
+    def test_blockwise_adopts_cocktail_pages(
+        self, vocab, tokenizer, retrieval_model, tiny_samples
+    ):
+        """Blockwise is Cocktail over the same packed pages: after a
+        cocktail request it adopts that request's pages and decodes the
+        same tokens."""
+        sample = tiny_samples[0]
+        engine = make_engine(vocab, tokenizer, retrieval_model)
+        cocktail, blockwise = (
+            engine.run(
+                GenerationRequest(
+                    sample.context_words,
+                    sample.query_words,
+                    max_new_tokens=6,
+                    backend=backend,
+                )
+            )
+            for backend in ("cocktail", "blockwise")
+        )
+        assert blockwise.stats.cache_hit_blocks > 0
+        assert blockwise.token_ids == cocktail.token_ids
+        assert blockwise.stopped_by == cocktail.stopped_by
 
     @pytest.mark.parametrize("backend", ("cocktail", "kivi"))
     def test_context_pages_do_not_depend_on_what_the_index_held(

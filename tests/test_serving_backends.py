@@ -8,7 +8,6 @@ from repro.baselines.registry import BASELINE_NAMES, get_baseline
 from repro.core.config import CocktailConfig
 from repro.core.pipeline import CocktailPipeline
 from repro.serving.backends import (
-    BlockwiseBackend,
     QuantizedDenseBackend,
     backend_names,
     build_quantization_request,
@@ -42,7 +41,9 @@ class TestRegistry:
             engine.get_backend("fused")
 
     def test_resolution_is_case_insensitive(self, engine):
-        assert isinstance(engine.get_backend("BLOCKWISE"), BlockwiseBackend)
+        backend = engine.get_backend("BLOCKWISE")
+        assert isinstance(backend, QuantizedDenseBackend)
+        assert backend.quantizer is engine.quantizer
 
     def test_baseline_names_resolve_to_dense_backends(self, engine):
         for name in BASELINE_NAMES:
@@ -114,20 +115,24 @@ class TestBackendExecution:
             assert result.plan.method == method
             assert result.plan.context_len == sample.n_context_tokens
 
-    def test_blockwise_result_exposes_chunked_caches(self, engine, tiny_samples):
+    def test_blockwise_stores_what_cocktail_stores(self, engine, tiny_samples):
+        """Blockwise serves Cocktail's packed pages: same measured bytes."""
         sample = tiny_samples[2]
-        result = engine.run(
-            GenerationRequest(
-                sample.context_words,
-                sample.query_words,
-                max_new_tokens=4,
-                backend="blockwise",
-            )
+        kv_bytes = {
+            backend: engine.run(
+                GenerationRequest(
+                    sample.context_words,
+                    sample.query_words,
+                    max_new_tokens=4,
+                    backend=backend,
+                )
+            ).details["kv_bytes"]
+            for backend in ("cocktail", "blockwise")
+        }
+        assert kv_bytes["blockwise"] == kv_bytes["cocktail"]
+        assert kv_bytes["blockwise"]["context_bytes"] < (
+            kv_bytes["blockwise"]["context_fp16_bytes"]
         )
-        caches = result.details["chunked_caches"]
-        assert len(caches) == engine.model.config.n_layers
-        for cache in caches:
-            assert cache.storage_bytes() < cache.fp16_storage_bytes()
 
 
 class TestSharedRequestBuilder:

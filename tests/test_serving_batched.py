@@ -26,7 +26,7 @@ CHUNK_SIZE = 16
 #: Every globally registered backend (the 7-backend parity matrix).
 ALL_BACKENDS = ("dense", "cocktail", "blockwise", "fp16", "atom", "kivi", "kvquant")
 
-#: Backends whose prepared sequences join the fused transformer-decode group.
+#: A four-backend mix for the fused-forward acceptance bar.
 BATCHABLE = ("dense", "cocktail", "fp16", "atom")
 
 
@@ -110,6 +110,22 @@ class TestBatchedSequentialParity:
         assert stats[True].mean_batch_occupancy >= 4.0
         ratio = stats[False].forwards_per_token / stats[True].forwards_per_token
         assert ratio >= 2.0
+
+    def test_decode_batch_mix_runs_no_sequential_forward(
+        self, vocab, tokenizer, retrieval_model, tiny_samples, oracle
+    ):
+        """The e2e benchmark's decode mix — blockwise included — advances
+        only through fused forwards, at the oracle's tokens."""
+        engine = make_engine(vocab, tokenizer, retrieval_model, max_running=4)
+        requests = make_requests(
+            tiny_samples, ("cocktail", "blockwise", "fp16", "atom"), max_new_tokens=12
+        )
+        results = engine.run_batch(requests)
+        assert engine.exec_stats.n_sequential_forwards == 0
+        assert engine.exec_stats.n_fused_calls > 0
+        for request, result in zip(requests, results):
+            token_ids, stopped_by, _ = oracle(engine, request)
+            assert (result.token_ids, result.stopped_by) == (token_ids, stopped_by)
 
     def test_parity_under_mid_stream_preemption(
         self, vocab, tokenizer, retrieval_model, tiny_samples

@@ -35,8 +35,8 @@ CHUNK_SIZE = 16
 ALL_BACKENDS = ("dense", "cocktail", "blockwise", "fp16", "atom", "kivi", "kvquant")
 
 #: Backends whose prepared sequences can run speculative verify steps:
-#: every backend that decodes over a plain model cache (all but blockwise).
-SPEC_CAPABLE = ("dense", "cocktail", "fp16", "atom", "kivi", "kvquant")
+#: every backend that decodes over a plain model cache (all of them).
+SPEC_CAPABLE = ("dense", "cocktail", "blockwise", "fp16", "atom", "kivi", "kvquant")
 
 
 def make_engine(vocab, tokenizer, model, **kwargs) -> InferenceEngine:
@@ -192,19 +192,6 @@ class TestEngineKnobValidation:
             make_engine(
                 vocab, tokenizer, retrieval_model,
                 speculative=2, batched_decode=False,
-            )
-
-    @pytest.mark.parametrize("backend", ("blockwise",))
-    def test_backend_without_model_cache_rejected_at_construction(
-        self, vocab, tokenizer, retrieval_model, backend
-    ):
-        """Explicitly opting in a backend that decodes outside the plain
-        model cache — so cannot verify or roll back — fails fast with a
-        clear error, not a downstream assertion inside a decode round."""
-        with pytest.raises(ValueError, match="cannot run speculative decoding"):
-            make_engine(
-                vocab, tokenizer, retrieval_model,
-                speculative=SpeculativeConfig(backends=(backend,)),
             )
 
     def test_custom_decode_backend_rejected_at_construction(
