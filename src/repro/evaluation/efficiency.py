@@ -289,7 +289,6 @@ def serving_stats_table(
     seed: int = 0,
     repeats: int = 1,
     prefix_caching: bool = True,
-    batched_decode: bool = True,
     max_prefill_tokens_per_step: int | None = None,
     speculative: "SpeculativeConfig | int | None" = None,
 ) -> ResultTable:
@@ -312,10 +311,10 @@ def serving_stats_table(
     requests never re-created.  ``prefix_caching`` is forwarded to the
     engine.
 
-    ``batched_decode`` / ``max_prefill_tokens_per_step`` are forwarded to
-    the engine too; the ``fwd/tok`` and ``batch occ`` columns then report
-    the engine-wide measured execution profile — model forwards per
-    generated token and mean fused-batch occupancy.  Execution is fused
+    ``max_prefill_tokens_per_step`` is forwarded to the engine too; the
+    ``fwd/tok`` and ``batch occ`` columns report the engine-wide measured
+    execution profile — model forwards per generated token and mean
+    fused-batch occupancy.  Execution is fused
     *across* methods (one forward advances a mixed batch of every method),
     so these two columns carry the same engine-wide value on every row.
 
@@ -340,7 +339,6 @@ def serving_stats_table(
         seed=seed,
         max_running=max_running,
         prefix_caching=prefix_caching,
-        batched_decode=batched_decode,
         max_prefill_tokens_per_step=max_prefill_tokens_per_step,
         speculative=speculative,
     )
@@ -503,69 +501,3 @@ def speculative_decode_table(
         )
     return table
 
-
-def batched_decode_table(
-    n_requests: int = 8,
-    methods: Sequence[str] = ("dense", "cocktail", "fp16", "atom"),
-    *,
-    model_name: str = "llama2-7b",
-    max_new_tokens: int = 12,
-    max_running: int = 4,
-    chunk_size: int = 32,
-    seed: int = 0,
-) -> ResultTable:
-    """Measured batched-vs-sequential decode execution (``fig5_batched_decode``).
-
-    The same concurrent request mix is served twice through otherwise
-    identical engines — once with the fused batched round, once forced onto
-    the sequential one-forward-per-token path — and the table reports each
-    engine's measured model-forward invocations per generated token, mean
-    fused-batch occupancy, wall-clock mean TPOT (simulation speed) and
-    token/step totals.  Outputs are bit-identical between the two rows by
-    construction (the parity suite asserts it); the batched acceptance bar
-    is the ``fwd/tok`` ratio: at batch size >= 4 the fused round must issue
-    at least 2x fewer forwards per token than the sequential baseline.
-    """
-    vocab = shared_vocabulary()
-    tokenizer = build_tokenizer(vocab)
-    model = build_model(model_name, tokenizer, seed=seed)
-    config = CocktailConfig(chunk_size=chunk_size)
-    samples = SampleGenerator(vocab, SERVING_SAMPLE_SPEC, seed=seed).generate_many(
-        n_requests
-    )
-    table = ResultTable(
-        title=f"Batched vs sequential decode execution ({n_requests} requests, "
-        f"max_running={max_running})",
-        row_names=["batched", "sequential"],
-        column_names=["fwd/tok", "batch occ", "tpot ms", "tokens", "steps"],
-    )
-    for row, batched in (("batched", True), ("sequential", False)):
-        engine = InferenceEngine(
-            model,
-            tokenizer,
-            config,
-            lexicon=vocab.lexicon,
-            seed=seed,
-            max_running=max_running,
-            batched_decode=batched,
-            prefix_caching=False,  # both rows serve cold for a fair clock
-        )
-        results = engine.run_batch(
-            [
-                GenerationRequest(
-                    sample.context_words,
-                    sample.query_words,
-                    max_new_tokens=max_new_tokens,
-                    backend=methods[i % len(methods)],
-                )
-                for i, sample in enumerate(samples)
-            ]
-        )
-        tpots = [r.stats.tpot_seconds for r in results if r.stats.tpot_seconds]
-        stats = engine.exec_stats
-        table.set(row, "fwd/tok", stats.forwards_per_token)
-        table.set(row, "batch occ", stats.mean_batch_occupancy)
-        table.set(row, "tpot ms", 1e3 * sum(tpots) / len(tpots) if tpots else 0.0)
-        table.set(row, "tokens", float(stats.n_decode_tokens))
-        table.set(row, "steps", float(stats.n_steps))
-    return table

@@ -377,7 +377,7 @@ class AttentionLayer:
         rows in a shape-dependent order, so a sequence's logits would depend
         on *who else is in the batch* — unacceptable under continuous
         batching, where the batch composition changes every step.  Per-row
-        GEMMs keep the fused step bit-identical to the sequential path for
+        GEMMs keep the fused step bit-identical to :meth:`forward_decode` for
         any batch mix (attention is per-sequence regardless, since every
         sequence gathers its own paged KV).  On real hardware this is where
         a batched kernel would trade that reduction-order freedom for

@@ -7,15 +7,17 @@ stop-token / token-budget / cache-full bookkeeping, so their ``stopped_by``
 semantics could drift.  :class:`DecodeSession` centralises that state machine
 behind a backend-supplied step function and exposes it two ways:
 
-* :meth:`DecodeSession.run` — the classic blocking greedy loop,
-* :meth:`DecodeSession.advance` — one decode step at a time, which is what
-  the continuous-batching scheduler in :mod:`repro.serving` interleaves
-  across many in-flight sequences,
+* :meth:`DecodeSession.run` — the classic blocking greedy loop (what
+  :meth:`~repro.model.transformer.Transformer.generate_from_cache`, the
+  engine-independent reference, runs),
+* :meth:`DecodeSession.advance` — one decode step at a time, the step that
+  loop repeats,
 * :meth:`DecodeSession.begin_step` / :meth:`DecodeSession.complete_step` —
   the same single step split in two phases, so a
   :class:`BatchedDecodeStep` can run every session's bookkeeping first and
   then compute all pending forwards through **one fused call** per engine
-  step instead of one model invocation per sequence,
+  step; this is how the serving engine in :mod:`repro.serving` advances
+  every in-flight sequence,
 * :meth:`DecodeSession.complete_verify` — the speculative variant of phase
   2: the fused call was a multi-token *verify* forward over
   ``[token, *drafts]``, and the session greedily accepts the drafted
@@ -84,7 +86,7 @@ class DecodeSession:
         forward may allocate (0 or 1 for paged caches).  The batched
         coordinator reserves that many pages between a session's capacity
         check and its deferred forward, so a fused round observes exactly
-        the pool availability the sequential round would.
+        the pool availability a one-session-at-a-time round would.
     """
 
     def __init__(
@@ -240,7 +242,7 @@ class BatchedDecodeStep:
     One instance coordinates a single engine round: sessions are
     :meth:`add`-ed in scheduler order (phase 1 — checks, token emission and
     pool-page reservation run immediately, preserving each session's exact
-    stop-token / budget / cache-full semantics and the sequential round's
+    stop-token / budget / cache-full semantics and a one-at-a-time round's
     capacity-check ordering), then :meth:`commit` executes **one**
     ``step_batch_fn`` call covering every session that still needs a
     forward and feeds each session its own logits row.
@@ -256,7 +258,7 @@ class BatchedDecodeStep:
         Optional callback taking a page count.  Called with
         ``session.step_cost()`` (or the explicit ``step_cost`` handed to
         :meth:`add`) whenever an added session will run a forward, so later
-        sessions' capacity checks see the pool as the sequential round
+        sessions' capacity checks see the pool as a one-at-a-time round
         would have left it.  The caller releases the reservation before
         :meth:`commit` (the fused forward then performs the real
         allocations).

@@ -42,11 +42,14 @@ class GenerationResult:
 
 
 class Transformer:
-    """A decoder-only transformer over a single token sequence.
+    """A decoder-only transformer.
 
-    The model is deliberately batch-free: the paper's accuracy experiments
-    evaluate one request at a time, and batching only matters for the
-    analytic throughput model in :mod:`repro.hardware`.
+    Prefill and :meth:`decode_step` run one sequence, which is how the
+    paper's accuracy experiments evaluate requests; the serving engine
+    advances every running sequence through :meth:`decode_step_batch` (or
+    its speculative twin :meth:`decode_verify_step_batch`), one fused
+    forward per round whose logits rows are bit-identical to
+    :meth:`decode_step`'s.
     """
 
     def __init__(self, config: ModelConfig, weights: ModelWeights):
@@ -324,9 +327,10 @@ class Transformer:
         """Build a step-at-a-time decode session over the dense cache.
 
         This is the primitive both :meth:`generate` / :meth:`generate_from_cache`
-        and the serving engine's dense backends drive; the continuous-batching
-        scheduler calls :meth:`DecodeSession.advance` to interleave many
-        sessions token by token.
+        and the serving engine drive: the former call :meth:`DecodeSession.run`,
+        the engine splits each step across a
+        :class:`~repro.model.decode.BatchedDecodeStep` so the round's
+        sessions share one :meth:`decode_step_batch` forward.
         """
         return DecodeSession(
             lambda token_id: self.decode_step(token_id, cache),

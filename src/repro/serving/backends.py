@@ -6,11 +6,12 @@ one ``advance`` or several under a prefill budget) and hands the finished
 job to the request's :class:`DecodeBackend`, which owns everything
 method-specific from there — quantization planning, building the stored
 cache out of the scratch rows, and the per-token decode step.  What it
-hands back is a :class:`~repro.model.decode.DecodeSession` wrapped in a
-:class:`PreparedSequence`, so the continuous-batching scheduler can drive
-every method — Cocktail and all the paper's baselines — through the exact
-same step interface.  Whatever a prepared sequence keeps resident lives in
-pages of the engine's :class:`~repro.kvpool.BlockPool`.
+hands back is a :class:`PreparedSequence`: a
+:class:`~repro.model.decode.DecodeSession` over the sequence's
+:class:`~repro.kvpool.cache.PagedKVCache` in the engine's
+:class:`~repro.kvpool.BlockPool`, so the engine drives every method —
+Cocktail and all the paper's baselines — through the same fused decode
+round.
 
 Backends resolve by name through a registry: ``"dense"``, ``"cocktail"``
 and ``"blockwise"`` (three names for Cocktail over the engine's quantizer),
@@ -39,6 +40,7 @@ from repro.baselines.registry import BASELINE_NAMES, get_baseline
 # wraps this dotted name); no serving path calls it, so the span reads 0
 # until ROADMAP item 2(a) re-points it.
 from repro.core.computation import chunk_level_decode_attention  # noqa: F401
+from repro.kvpool.cache import PagedKVCache
 from repro.kvpool.prefix import block_hashes
 from repro.kvpool.rows import ContextRowCache
 from repro.model.decode import DecodeSession
@@ -187,40 +189,21 @@ class PreparedSequence:
         not quantize at all).
     n_prompt_tokens, n_context_tokens:
         Prompt layout, reported back on the result.
-    live_tokens:
-        Current number of KV rows this sequence holds (prompt + generated),
-        used for capacity-aware admission and preemption.
-    details:
-        Backend-specific extras copied into the result's ``details``, beside
-        the ``kv_bytes`` the engine samples at finalize.  The built-in
-        backends add none; it is the hook for a custom backend's extras.
-    swap_out, swap_in:
-        Preemption hooks over the sequence's pool pages: ``swap_out``
-        evicts every exclusively-owned page to a host-side store (freeing
-        pool capacity) and ``swap_in`` restores them, so the decode session
-        resumes without recompute.
-    release:
-        Returns the sequence's pool pages when it finishes or is cancelled.
-    kv_bytes:
-        Measured-memory probe; returns the sequence's current resident KV
-        bytes breakdown (see
-        :meth:`repro.kvpool.cache.PagedKVCache.measured_bytes`).
-    working_set_bytes:
-        Host bytes of the sequence's float working copy of its pages (see
-        :meth:`repro.kvpool.cache.PagedKVCache.working_set_bytes`).
+    cache:
+        The sequence's pool-resident :class:`~repro.kvpool.cache.PagedKVCache`,
+        which the session appends to.  The engine drives everything else
+        through it: the round's one fused
+        :meth:`~repro.model.transformer.Transformer.decode_step_batch`
+        forward and speculative rollback
+        (:meth:`~repro.kvpool.cache.PagedKVCache.truncate`), admission and
+        preemption accounting (``live_tokens``), swap preemption
+        (``swap_out`` / ``swap_in``), the finished result's
+        ``details["kv_bytes"]`` (``measured_bytes``), ``/v1/stats``
+        (``working_set_bytes``) and page return (``release``).
     cached_tokens, cache_hit_blocks, cached_bytes:
         Prefix-reuse outcome of this preparation: context tokens / pool
         pages adopted from the engine's prefix index and the measured bytes
         of those pages (prefill storage the request did not re-create).
-    cache:
-        The plain model cache the session appends to — every built-in
-        backend sets it — or ``None`` for a custom backend whose decode
-        state is not one.  This is the one fused-decode predicate: a
-        sequence with a ``cache`` is advanced through the engine's single
-        :meth:`~repro.model.transformer.Transformer.decode_step_batch`
-        forward per step and may run speculative verify steps (with
-        :meth:`~repro.kvpool.cache.PagedKVCache.truncate` rollback); one
-        without keeps the sequential one-forward-per-token path.
     prompt_ids:
         Token IDs of the full prompt, kept for the speculative-decoding
         draft proposer (prompt-lookup drafting matches n-grams over prompt
@@ -232,17 +215,10 @@ class PreparedSequence:
     plan: KVQuantizationPlan | None
     n_prompt_tokens: int
     n_context_tokens: int
-    live_tokens: Callable[[], int]
-    swap_out: Callable[[], None]
-    swap_in: Callable[[], None]
-    release: Callable[[], None]
-    kv_bytes: Callable[[], dict]
-    working_set_bytes: Callable[[], int] = field(default=lambda: 0, repr=False)
-    details: dict = field(default_factory=dict, repr=False)
+    cache: PagedKVCache = field(repr=False)
     cached_tokens: int = 0
     cache_hit_blocks: int = 0
     cached_bytes: int = 0
-    cache: object | None = field(default=None, repr=False)
     prompt_ids: tuple[int, ...] | None = None
 
 
@@ -300,8 +276,12 @@ class DecodeBackend(abc.ABC):
         ``prefill`` is the *finished* :class:`PrefillJob` the engine ran for
         this request: its dense scratch cache holds the whole prompt's
         full-precision K/V and ``first_logits`` the first-token
-        distribution.  The backend builds whatever it decodes over from
-        those rows; the scratch itself is dropped with the job.
+        distribution.  The backend builds the sequence's stored cache from
+        those rows; the scratch itself is dropped with the job.  The
+        returned :attr:`PreparedSequence.cache` must be a
+        :class:`~repro.kvpool.cache.PagedKVCache` over the engine's pool,
+        and the session must decode over it: the engine advances it in the
+        round's fused forward, swaps, truncates and releases it.
         """
 
     # -- prefix reuse ---------------------------------------------------------
@@ -488,16 +468,10 @@ class QuantizedDenseBackend(DecodeBackend):
             plan=plan,
             n_prompt_tokens=len(prompt),
             n_context_tokens=n_context,
-            live_tokens=cache.live_tokens,
-            swap_out=cache.swap_out,
-            swap_in=cache.swap_in,
-            release=cache.release,
-            kv_bytes=cache.measured_bytes,
-            working_set_bytes=cache.working_set_bytes,
+            cache=cache,
             cached_tokens=matched_tokens,
             cache_hit_blocks=len(matched_ids),
             cached_bytes=cached_bytes,
-            cache=cache,
             prompt_ids=tuple(prompt),
         )
 

@@ -92,23 +92,22 @@ DEFAULT_PREFIX_CACHE_BLOCKS = 4096
 class ExecutionStats:
     """Engine-wide execution counters behind the batched-decode metrics.
 
-    ``forwards_per_token`` is the acceptance metric of the batched refactor:
-    a sequential engine runs one model forward per generated token (ratio
-    1.0); a batched engine amortises one fused forward over the whole
-    running set, so the ratio approaches ``1 / mean_batch_occupancy``.
+    Every decode round runs at most one fused forward over the whole
+    running set, so ``forwards_per_token`` approaches
+    ``1 / mean_batch_occupancy`` (and falls below it when speculative
+    drafts are accepted).
     """
 
     #: Engine iterations (:meth:`InferenceEngine.step` calls).
     n_steps: int = 0
-    #: Model decode invocations: fused batch calls + single-sequence
-    #: forwards.
+    #: Model decode invocations (at most one per step).
     n_forward_calls: int = 0
-    #: Fused ``decode_step_batch`` / ``decode_verify_step_batch`` invocations.
+    #: Fused ``decode_step_batch`` / ``decode_verify_step_batch``
+    #: invocations — every decode forward is one, so this equals
+    #: ``n_forward_calls``.
     n_fused_calls: int = 0
     #: Summed batch sizes of the fused invocations.
     n_fused_sequences: int = 0
-    #: Forwards that ran on the sequential one-sequence path.
-    n_sequential_forwards: int = 0
     #: Tokens emitted to consumers by decode rounds.
     n_decode_tokens: int = 0
     #: Prefill passes executed: one per admission without a prefill budget,
@@ -217,16 +216,6 @@ class EngineCore:
         mainly bounds an *unbounded* pool's growth — which is why unbounded
         pools default to :data:`DEFAULT_PREFIX_CACHE_BLOCKS` instead of
         ``None`` (pass an explicit value to change it).
-    batched_decode:
-        ``True`` (the default) fuses every running sequence that decodes
-        over a plain model cache — every built-in backend — into **one**
-        model forward per engine step
-        (:meth:`~repro.model.transformer.Transformer.decode_step_batch`
-        driven by a :class:`~repro.model.decode.BatchedDecodeStep`); a
-        custom backend whose sequences carry no cache decodes one forward
-        per token either way.  Outputs are bit-identical with batching on
-        or off for every backend.  ``False`` forces the sequential path
-        everywhere (the parity reference).
     max_prefill_tokens_per_step:
         Chunked-prefill budget: at most this many prompt tokens are
         prefilled per engine step, so a long-context arrival prefills
@@ -244,15 +233,14 @@ class EngineCore:
         and the rejected tail's cache rows are rolled back
         (:meth:`~repro.kvpool.cache.PagedKVCache.truncate`).  Greedy
         verification is exact, so outputs are bit-identical to plain
-        decoding for every backend; sequences that cannot speculate keep
-        their plain decode path — a custom backend without a model cache
-        (explicitly opting it in via ``SpeculativeConfig(backends=...)``
-        raises at construction instead) and non-greedy sampling (counted in
-        ``ExecutionStats.n_spec_skipped_sampled``).  Drafted rows reserve
-        pool pages through the same ledger as the batched round, so
-        speculation never claims capacity a sequential engine would not
-        have been granted.
-        Requires ``batched_decode``; ``None`` (default) disables.
+        decoding for every backend.  ``SpeculativeConfig(backends=...)``
+        limits drafting to the named backends (an unknown name raises at
+        construction); unlisted backends and non-greedy sampling (counted
+        in ``ExecutionStats.n_spec_skipped_sampled``) take the plain fused
+        step.  Drafted rows reserve pool pages through the same ledger as
+        the batched round, so speculation never claims capacity a plain
+        decode round would not have been granted.  ``None`` (default)
+        disables.
     prefill_controller:
         Optional :class:`~repro.serving.adaptive.PrefillBudgetController`.
         When set, each :meth:`step` begins by folding the engine clock into
@@ -286,7 +274,6 @@ class EngineCore:
         max_live_blocks: int | None = None,
         prefix_caching: bool = True,
         prefix_cache_blocks: int | None = None,
-        batched_decode: bool = True,
         max_prefill_tokens_per_step: int | None = None,
         speculative: SpeculativeConfig | int | None = None,
         prefill_controller: "PrefillBudgetController | None" = None,
@@ -349,7 +336,6 @@ class EngineCore:
             # already obeys it.
             max_prefill_tokens_per_step = prefill_controller.budget
         self.max_prefill_tokens_per_step = max_prefill_tokens_per_step
-        self.batched_decode = bool(batched_decode)
         if isinstance(speculative, bool):
             raise ValueError(
                 "speculative takes a SpeculativeConfig or an int k, not a bool"
@@ -359,11 +345,6 @@ class EngineCore:
         self.speculative: SpeculativeConfig | None = speculative
         self._proposer: DraftProposer | None = None
         if speculative is not None:
-            if not self.batched_decode:
-                raise ValueError(
-                    "speculative decoding runs on the batched decode path; "
-                    "it cannot be combined with batched_decode=False"
-                )
             self._proposer = create_proposer(speculative)
         self.exec_stats = ExecutionStats()
         self._clock = clock
@@ -372,17 +353,11 @@ class EngineCore:
         self._results: dict[str, GenerationResult] = {}
         self._counter = 0
         if self.speculative is not None and self.speculative.backends is not None:
-            # Fail at construction, not deep inside a decode round: a backend
-            # explicitly opted into speculation must decode over the plain
-            # model cache the multi-token verify forward appends to.
+            # Fail at construction, not at the first request: every backend
+            # hands over a truncatable pool cache, so a name only has to
+            # resolve.
             for name in self.speculative.backends:
-                if not isinstance(self.get_backend(name), QuantizedDenseBackend):
-                    raise ValueError(
-                        f"backend {name!r} cannot run speculative decoding: it "
-                        "decodes outside the standard transformer cache; drop "
-                        "it from SpeculativeConfig.backends (unlisted backends "
-                        "serve on their plain decode path)"
-                    )
+                self.get_backend(name)
 
     # -- backends ------------------------------------------------------------
 
@@ -533,9 +508,8 @@ class EngineCore:
         ``max_prefill_tokens_per_step`` (chunked prefill, so a long prompt
         never stalls the in-flight decodes for a whole round).  The decode
         round then advances every running sequence by exactly one token —
-        through **one fused forward** for the whole batchable set when
-        ``batched_decode`` is on, one forward per sequence otherwise; this
-        is the continuous batching: new arrivals join mid-flight and short
+        through **one fused forward** for the whole running set; this is
+        the continuous batching: new arrivals join mid-flight and short
         requests drain without waiting for long ones.  Finally, if
         accumulated decode tokens pushed the KV footprint over budget, the
         most recently admitted sequences are preempted: their pages swap
@@ -693,7 +667,7 @@ class EngineCore:
         admitted is a hard error — it could never be served.
         """
         try:
-            state.prepared.swap_in()
+            state.prepared.cache.swap_in()
         except PoolExhausted:
             if not self.scheduler.running and not self.scheduler.prefilling:
                 raise
@@ -705,23 +679,21 @@ class EngineCore:
 
     def _preempt(self, state: SequenceState) -> None:
         """Swap a victim's pages out and return it to the queue front."""
-        state.prepared.swap_out()
+        state.prepared.cache.swap_out()
         state.swapped = True
         state.stats.n_swap_outs += 1
         state.stats.n_preemptions += 1
         self.scheduler.requeue_front(state)
 
     def _decode_round(self) -> list[TokenEvent]:
-        """Advance every running sequence by one token, fusing where possible.
+        """Advance every running sequence by one token in one fused forward.
 
         The round walks the running set once, in admission (round-robin)
-        order.  Sequences carrying a plain model ``cache`` (every built-in
-        backend) run phase 1 of their step immediately — checks, token
-        emission, event creation — while their model forward is queued on
-        the round's one :class:`~repro.model.decode.BatchedDecodeStep`, with
-        the cache as payload; the rest advance inline.  Afterwards the batch
-        executes **one**
-        :meth:`~repro.model.transformer.Transformer.decode_step_batch`
+        order.  Each sequence runs phase 1 of its step immediately — checks,
+        token emission, event creation — while its model forward is queued
+        on the round's one :class:`~repro.model.decode.BatchedDecodeStep`,
+        with its pool cache as payload.  Afterwards the batch executes
+        **one** :meth:`~repro.model.transformer.Transformer.decode_step_batch`
         forward.
 
         Sequential equivalence under pool pressure: a queued forward has not
@@ -729,7 +701,7 @@ class EngineCore:
         checks, so the round *reserves* each deferred allocation on the
         pool; every check therefore observes exactly the availability the
         sequential check-then-allocate interleaving would have produced, and
-        outcomes (including ``cache_full``) stay bit-identical.
+        outcomes (including ``cache_full``) are that interleaving's.
 
         With ``speculative`` configured, phase 1 additionally asks the
         draft proposer for up to ``k`` continuation guesses per batched
@@ -763,9 +735,6 @@ class EngineCore:
         try:
             for state in self.scheduler.decode_order():
                 prepared = state.prepared
-                if prepared.cache is None or not self.batched_decode:
-                    events.extend(self._advance(state))
-                    continue
                 drafts, step_cost = self._plan_drafts(state)
                 token, needs_forward = batch.add(
                     prepared.session, prepared.cache, drafts=drafts, step_cost=step_cost
@@ -801,12 +770,12 @@ class EngineCore:
         * decode budget — drafts beyond ``max_new_tokens`` could never be
           emitted, so they are not proposed;
         * cache capacity — the verify run's ``1 + k`` rows must fit, which
-          keeps the sequential path's ``cache_full`` semantics intact (a
+          keeps the plain step's ``cache_full`` semantics intact (a
           sequence near its capacity degrades to ``k = 0``, i.e. exactly
           the plain step);
         * pool headroom — the run's new pages must be allocatable *now*,
           under the round's reservation ledger, so drafting never claims
-          pages a sequential engine would not have been granted.
+          pages a plain decode round would not have been granted.
 
         Sequences that cannot speculate — non-greedy sampling (counted in
         ``n_spec_skipped_sampled``), backends not opted in, no history to
@@ -840,7 +809,7 @@ class EngineCore:
                 state.draft_window = spec.build_window_controller()
             window = min(window, state.draft_window.next_window())
         # The verify run appends 1 + window rows; keep it inside capacity so
-        # mid-verify acceptance can never outrun the sequential path's
+        # mid-verify acceptance can never outrun the plain step's
         # cache_full check (which this round's begin_step still performs).
         window = min(window, cache.capacity - cache.length - 1)
         if window < 1:
@@ -867,7 +836,7 @@ class EngineCore:
         greedy verification (:meth:`~repro.model.decode.DecodeSession.
         complete_verify`) accepted a prefix of them.  Accepted tokens are
         emitted through the normal streaming path (they are *exactly* the
-        tokens sequential decoding would have produced); the rejected
+        tokens plain decoding would have produced); the rejected
         tail's rows are truncated from the cache — and their pages returned
         to the pool — as if they had never been computed.
         """
@@ -906,22 +875,6 @@ class EngineCore:
             is_first=index == 0,
         )
 
-    def _advance(self, state: SequenceState) -> list[TokenEvent]:
-        """Advance one running sequence by one decode step (sequential path)."""
-        session = state.prepared.session
-        events: list[TokenEvent] = []
-        token = session.advance()
-        state.stats.n_decode_steps += 1
-        if token is not None and not session.finished:
-            # A forward ran (every outcome except the terminal ones).
-            self.exec_stats.n_forward_calls += 1
-            self.exec_stats.n_sequential_forwards += 1
-        if token is not None:
-            events.append(self._emit_token(state, token))
-        if session.finished:
-            events.append(self._finalize(state))
-        return events
-
     def _finalize(self, state: SequenceState) -> TokenEvent:
         """Record the result of a finished sequence and retire it.
 
@@ -934,9 +887,8 @@ class EngineCore:
         state.finished = True
         state.stats.finished_at = self._clock()
         state.stats.n_generated = session.n_generated
-        details = dict(prepared.details)
-        details["kv_bytes"] = prepared.kv_bytes()
-        prepared.release()
+        details = {"kv_bytes": prepared.cache.measured_bytes()}
+        prepared.cache.release()
         result = GenerationResult(
             request_id=state.request_id,
             backend=state.request.backend,
@@ -976,7 +928,7 @@ class EngineCore:
             raise KeyError(f"unknown request_id {request_id!r}")
         state.prefill = None
         if state.prepared is not None:
-            state.prepared.release()
+            state.prepared.cache.release()
             state.prepared = None
         state.swapped = False
         self.scheduler.discard(state)
@@ -1070,7 +1022,7 @@ class EngineCore:
             "accounted_bytes": self.pool.allocated_bytes(),
             "physical_pool_bytes": self.pool.physical_bytes(),
             "working_set_bytes": sum(
-                state.prepared.working_set_bytes()
+                state.prepared.cache.working_set_bytes()
                 for state in states
                 if state.prepared is not None
             ),

@@ -91,7 +91,7 @@ class SequenceState:
             return self.prefill.live_tokens()
         if self.prepared is None or self.swapped:
             return 0
-        return self.prepared.live_tokens()
+        return self.prepared.cache.live_tokens()
 
     @property
     def nearly_finished(self) -> bool:

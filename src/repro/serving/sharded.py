@@ -512,7 +512,6 @@ class ShardedEngine:
             merged.n_forward_calls += stats.n_forward_calls
             merged.n_fused_calls += stats.n_fused_calls
             merged.n_fused_sequences += stats.n_fused_sequences
-            merged.n_sequential_forwards += stats.n_sequential_forwards
             merged.n_decode_tokens += stats.n_decode_tokens
             merged.n_prefill_chunks += stats.n_prefill_chunks
             merged.n_prefill_tokens += stats.n_prefill_tokens

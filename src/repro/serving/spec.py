@@ -51,12 +51,10 @@ class SpeculativeConfig:
         match, longest first.
     backends:
         Optional explicit opt-in list of backend names.  ``None`` (default)
-        speculates on every backend that decodes over a plain model cache —
-        every built-in one — and serves any other on its plain decode path;
-        naming a backend that *cannot* speculate — any backend other than a
-        :class:`~repro.serving.backends.QuantizedDenseBackend` — is
-        rejected with a ``ValueError`` at engine construction instead of
-        failing deep inside a decode round.
+        speculates on every backend (each decodes over a truncatable pool
+        cache); a list limits drafting to the named backends and serves the
+        rest on the plain fused step.  A name the engine cannot resolve
+        raises at engine construction instead of at the first request.
     adaptive:
         ``True`` turns ``k`` into a *ceiling*: each sequence gets a
         :class:`~repro.serving.adaptive.DraftWindowController` that

@@ -156,7 +156,7 @@ class TestAlgorithmOneOnServedStorage:
         try:
             cache, scratch, plan = prepared.cache, job.cache, prepared.plan
             assert {2, 4, 16} <= set(plan.token_bits.tolist())
-            kv_bytes = prepared.kv_bytes()
+            kv_bytes = cache.measured_bytes()
             assert kv_bytes["context_bytes"] < kv_bytes["context_fp16_bytes"]
             n_context = scratch.n_context
             chunked = engine.quantizer.build_chunked_caches(scratch, plan)
@@ -185,7 +185,7 @@ class TestAlgorithmOneOnServedStorage:
                 blockwise = np.einsum("he,hed->d", context, attention.weights.wo)
                 np.testing.assert_allclose(blockwise, served, atol=1e-5)
         finally:
-            prepared.release()
+            prepared.cache.release()
 
 
 @settings(max_examples=25, deadline=None)

@@ -8,6 +8,8 @@ batching produce outputs byte-identical to sequential
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.config import CocktailConfig
@@ -357,11 +359,8 @@ class TestSchedulerUnit:
             plan=None,
             n_prompt_tokens=state.request.n_prompt_tokens,
             n_context_tokens=len(state.request.context_words),
-            live_tokens=lambda: live,
-            swap_out=None,
-            swap_in=None,
-            release=None,
-            kv_bytes=None,
+            # The one cache method the scheduler reads.
+            cache=SimpleNamespace(live_tokens=lambda: live),
         )
 
     def test_slot_limit_gates_admission(self):

@@ -187,29 +187,43 @@ class TestEngineKnobValidation:
         with pytest.raises(ValueError, match="not a bool"):
             make_engine(vocab, tokenizer, retrieval_model, speculative=True)
 
-    def test_requires_batched_decode(self, vocab, tokenizer, retrieval_model):
-        with pytest.raises(ValueError, match="batched decode"):
+    def test_unknown_backend_rejected_at_construction(
+        self, vocab, tokenizer, retrieval_model
+    ):
+        """An opt-in list naming a backend the engine cannot resolve fails
+        when the engine is built, not at the first request."""
+        with pytest.raises(KeyError, match="unknown decode backend 'nope'"):
             make_engine(
                 vocab, tokenizer, retrieval_model,
-                speculative=2, batched_decode=False,
+                speculative=SpeculativeConfig(backends=("dense", "nope")),
             )
 
-    def test_custom_decode_backend_rejected_at_construction(
+    def test_custom_decode_backend_resolved_at_construction(
         self, vocab, tokenizer, retrieval_model, monkeypatch
     ):
-        """Only a ``QuantizedDenseBackend`` is known to hand its sequences a
-        verifiable model cache; any other ``DecodeBackend`` is refused."""
+        """Every backend hands its sequences a truncatable pool cache, so a
+        registered custom ``DecodeBackend`` in the opt-in list is accepted,
+        and resolved once when the engine is built."""
 
         class OpaqueBackend(backends_module.DecodeBackend):
             def prepare(self, request, prefill):
                 raise NotImplementedError
 
-        monkeypatch.setitem(backends_module._BACKEND_FACTORIES, "opaque", OpaqueBackend)
-        with pytest.raises(ValueError, match="cannot run speculative decoding"):
-            make_engine(
-                vocab, tokenizer, retrieval_model,
-                speculative=SpeculativeConfig(backends=("opaque",)),
-            )
+        built = []
+
+        def factory(engine):
+            built.append(OpaqueBackend(engine))
+            return built[-1]
+
+        monkeypatch.setitem(backends_module._BACKEND_FACTORIES, "opaque", factory)
+        engine = make_engine(
+            vocab, tokenizer, retrieval_model,
+            speculative=SpeculativeConfig(backends=("opaque",)),
+        )
+        assert engine.speculative.backends == ("opaque",)
+        assert len(built) == 1
+        assert engine.get_backend("opaque") is built[0]
+        assert len(built) == 1
 
     def test_capable_backends_accepted(self, vocab, tokenizer, retrieval_model):
         engine = make_engine(
@@ -628,7 +642,6 @@ class TestFittedCodecsSpeculate:
         requests = make_requests(tiny_samples, self.BACKENDS, max_new_tokens=32)
         results = engine.run_batch(requests)
         stats = engine.exec_stats
-        assert stats.n_sequential_forwards == 0
         assert stats.n_fused_calls > 0
         for backend in ("kivi", "kvquant"):
             mine = [r.stats for r in results if r.backend == backend]

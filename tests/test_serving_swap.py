@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.config import CocktailConfig
@@ -194,11 +196,8 @@ class TestPreemptThrashGuard:
             plan=None,
             n_prompt_tokens=state.request.n_prompt_tokens,
             n_context_tokens=len(state.request.context_words),
-            live_tokens=lambda: live,
-            swap_out=None,
-            swap_in=None,
-            release=None,
-            kv_bytes=None,
+            # The one cache method the scheduler reads.
+            cache=SimpleNamespace(live_tokens=lambda: live),
         )
         scheduler.enqueue(state)
         scheduler.mark_running(state)
