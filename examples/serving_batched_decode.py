@@ -63,12 +63,12 @@ def main() -> None:
     while engine.has_pending:
         step += 1
         before = engine.exec_stats
-        fused_calls = before.n_fused_calls
+        forward_calls = before.n_forward_calls
         fused_seqs = before.n_fused_sequences
         events = engine.step()
         stats = engine.exec_stats
         occupancy = stats.n_fused_sequences - fused_seqs
-        n_fused = stats.n_fused_calls - fused_calls
+        n_fused = stats.n_forward_calls - forward_calls
         tokens = sum(1 for e in events if e.token_id is not None)
         done = [e.request_id for e in events if e.is_last]
         print(

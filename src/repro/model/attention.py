@@ -1,30 +1,35 @@
 """Multi-head attention with KV caching.
 
 Supports grouped-query attention (GQA), causal masking, RoPE or table
-positional encodings, prefill over a block of tokens and single-token decode
-against a layer cache.  The cache argument is duck-typed: anything exposing
-``append``/``keys``/``values`` works, which is how the same attention code
-drives both the dense :class:`~repro.model.kv_cache.LayerKVCache` and the
-pool-backed :class:`~repro.kvpool.cache.PagedLayerView` (whose
-``kv_mirrors`` serves packed context pages dequantized, head-major).
+positional encodings, prefill over a block of tokens and decode/verify rows
+of many sequences against their layer caches.  The cache argument is
+duck-typed: anything exposing ``append``/``keys``/``values`` works, which is
+how the same attention code drives both the dense
+:class:`~repro.model.kv_cache.LayerKVCache` and the pool-backed
+:class:`~repro.kvpool.cache.PagedLayerView` (whose ``kv_mirrors`` serves
+packed context pages dequantized, head-major).
 
 Decode hot-path notes
 ---------------------
-A decode step is one query row at the last position, and everything on
-that path is bit-preserving — the same GEMMs/ufuncs on the same operand
-values, with fewer kernel launches and allocations:
+Decode and speculative verify rows of every running sequence go through
+:meth:`AttentionLayer.forward_rows` as one stack.  The ``[Wq | Wk | Wv]``
+and ``wo`` projections run through :func:`tiled_matmul`, one NumPy call
+whose every BLAS call multiplies exactly two rows: a row's bits are then
+those of the 2-row-tile class, fixed whatever the batch size, the row's
+slot and its neighbours, and the BLAS thread count (a plain stacked GEMM
+switches kernels with the row count).  Attention itself stays per
+sequence and per row:
 
-- the strictly-causal case skips masking entirely (the mask is
-  all-``False`` there, so ``np.where`` was a full-size copy that changed
-  nothing);
+- each query row scores the keys up to its own position, so the
+  strictly-causal case skips masking entirely;
 - caches may expose ``kv_mirrors()`` returning head-major transposed K/V
   views maintained incrementally (see ``PagedLayerView``), which replaces
   both per-call transpose copies with buffer reuse (GQA repeats the
   mirrors' heads instead of transposing repeated rows);
-- the q/k/v projections of one token run as a single GEMM against the
-  concatenated ``[Wq | Wk | Wv]`` weight (sgemm computes each output column
-  as an independent dot product over ``d_model``, so the merged columns are
-  the separate GEMMs' columns — ``test_merged_projection_bit_identity``
+- the q/k/v projections run as a single GEMM against the concatenated
+  ``[Wq | Wk | Wv]`` weight (sgemm computes each output column as an
+  independent dot product over ``d_model``, so the merged columns are the
+  separate GEMMs' columns — ``test_merged_projection_bit_identity``
   guards this), and softmax runs in place on the logits buffer.
 
 Prefill kernel
@@ -62,6 +67,24 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = x - np.max(x, axis=axis, keepdims=True)
     exps = np.exp(shifted)
     return exps / np.sum(exps, axis=axis, keepdims=True)
+
+
+def tiled_matmul(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """``x @ weight`` as one NumPy call over 2-row tiles.
+
+    ``x`` is ``(n, K)`` with ``n`` even (the row forward pads its stack
+    once); every BLAS call it makes multiplies exactly rows ``2i, 2i + 1``.
+    On OpenBLAS a row's result then has the same bits for any ``n``, either
+    slot and any neighbour, at 1 or 2 threads (pinned for every decode
+    GEMM shape by ``tests/test_model_rows.py``), and a 2-row sgemm costs
+    little more than a 1-row gemv at the layer widths.
+    """
+    n, k = x.shape
+    if n == 2:  # one tile: the same sgemm call, minus the stacked-matmul overhead
+        return x @ weight
+    if n % 2:
+        raise ValueError(f"2-row tiles need an even row count, got {n}")
+    return (x.reshape(n // 2, 2, k) @ weight).reshape(n, weight.shape[1])
 
 
 #: Query rows per prefill tile.  At 128 the ``(heads, tile, n_kv)`` score
@@ -121,6 +144,7 @@ class AttentionLayer:
         )
         self._q_width = self._wq_flat.shape[1]
         self._kv_width = self._wk_flat.shape[1]
+        self._wo_flat = np.ascontiguousarray(weights.wo.reshape(self._q_width, -1))
 
     @staticmethod
     def _flatten_weight(weight: np.ndarray) -> np.ndarray:
@@ -129,13 +153,6 @@ class AttentionLayer:
         return np.ascontiguousarray(
             weight.transpose(1, 0, 2).reshape(d_model, n_heads * head_dim)
         )
-
-    @staticmethod
-    def _project(hidden: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        """Apply a per-head projection ``(n_heads, d_model, head_dim)`` via one GEMM."""
-        n_heads, d_model, head_dim = weight.shape
-        flat = hidden @ weight.transpose(1, 0, 2).reshape(d_model, n_heads * head_dim)
-        return flat.reshape(hidden.shape[0], n_heads, head_dim)
 
     @staticmethod
     def _as_f32(array: np.ndarray) -> np.ndarray:
@@ -176,17 +193,22 @@ class AttentionLayer:
         (guarded by the merged-projection parity test).
         """
         with profiling_span("project"):
-            n = hidden.shape[0]
-            head_dim = self.config.head_dim
-            fused = hidden @ self._w_qkv
-            q_w, kv_w = self._q_width, self._kv_width
-            q = fused[:, :q_w].reshape(n, -1, head_dim)
-            k = fused[:, q_w : q_w + kv_w].reshape(n, -1, head_dim)
-            v = fused[:, q_w + kv_w :].reshape(n, -1, head_dim)
-            if self.config.positional == "rope":
-                q = apply_rope(q, positions, self.config.rope_theta)
-                k = apply_rope(k, positions, self.config.rope_theta)
-            return self._as_f32(q), self._as_f32(k), self._as_f32(v)
+            return self._split_qkv(hidden @ self._w_qkv, positions)
+
+    def _split_qkv(
+        self, fused: np.ndarray, positions: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-head q, k, v of a ``[Wq|Wk|Wv]`` product, rotated under RoPE."""
+        n = fused.shape[0]
+        head_dim = self.config.head_dim
+        q_w, kv_w = self._q_width, self._kv_width
+        q = fused[:, :q_w].reshape(n, -1, head_dim)
+        k = fused[:, q_w : q_w + kv_w].reshape(n, -1, head_dim)
+        v = fused[:, q_w + kv_w :].reshape(n, -1, head_dim)
+        if self.config.positional == "rope":
+            q = apply_rope(q, positions, self.config.rope_theta)
+            k = apply_rope(k, positions, self.config.rope_theta)
+        return self._as_f32(q), self._as_f32(k), self._as_f32(v)
 
     def _expand_kv_heads(self, kv: np.ndarray) -> np.ndarray:
         """Repeat KV heads to match the number of query heads (GQA)."""
@@ -195,17 +217,22 @@ class AttentionLayer:
             return kv
         return np.repeat(kv, group, axis=1)
 
-    def _mirrors(self, cache) -> tuple[np.ndarray, np.ndarray] | None:
-        """Head-major K/V operands from ``cache``'s mirrors, if it keeps them.
+    def _head_major(self, cache) -> tuple[np.ndarray, np.ndarray]:
+        """``(n_heads, d, L)`` keys and ``(n_heads, L, d)`` values of ``cache``.
 
-        Under GQA each KV head's mirror is repeated ``group`` times along
-        the head axis, which builds the same contiguous ``(n_heads, d, L)``
-        / ``(n_heads, L, d)`` arrays the transpose-copy path makes from
-        repeated rows.
+        Caches keeping mirrors hand them out directly; under GQA each KV
+        head's mirror is repeated ``group`` times along the head axis,
+        which builds the same contiguous arrays the transpose copy of a
+        plain cache's repeated rows makes.
         """
         getter = getattr(cache, "kv_mirrors", None)
         if getter is None:
-            return None
+            keys = self._expand_kv_heads(cache.keys())
+            values = self._expand_kv_heads(cache.values())
+            return (
+                np.ascontiguousarray(keys.transpose(1, 2, 0)),
+                np.ascontiguousarray(values.transpose(1, 0, 2)),
+            )
         k_heads, v_heads = getter()
         group = self.config.gqa_group
         if group != 1:
@@ -262,8 +289,7 @@ class AttentionLayer:
             n_heads, n_q, head_dim = context.shape
             # Output projection: concatenate heads and apply one GEMM.
             context_flat = context.transpose(1, 0, 2).reshape(n_q, n_heads * head_dim)
-            wo_flat = self.weights.wo.reshape(n_heads * head_dim, -1)
-            return self._as_f32(context_flat @ wo_flat)
+            return self._as_f32(context_flat @ self._wo_flat)
 
     def _attend_row(
         self, q: np.ndarray, k_heads: np.ndarray, v_heads: np.ndarray, position: int
@@ -279,10 +305,10 @@ class AttentionLayer:
             logits = np.where(mask[None, :, :], np.float32(-1e9), logits)
         # In-place softmax: same subtract/exp/divide as `softmax` on a
         # buffer this method owns, minus the temporaries.
-        np.subtract(logits, np.max(logits, axis=-1, keepdims=True), out=logits)
+        np.subtract(logits, logits.max(axis=-1, keepdims=True), out=logits)
         np.exp(logits, out=logits)
         probs = logits
-        probs /= np.sum(probs, axis=-1, keepdims=True)
+        probs /= probs.sum(axis=-1, keepdims=True)
         return probs @ v_heads
 
     def _attend_tiled(
@@ -326,15 +352,6 @@ class AttentionLayer:
             tile /= denominator
         return context
 
-    def _attend_cache(
-        self, q: np.ndarray, cache, positions: np.ndarray
-    ) -> np.ndarray:
-        """Attend ``q`` against everything in ``cache`` (mirrors when offered)."""
-        mirrors = self._mirrors(cache)
-        if mirrors is not None:
-            return self.attend(q, None, None, positions, kv_mirrors=mirrors)
-        return self.attend(q, cache.keys(), cache.values(), positions)
-
     def forward_prefill(
         self, hidden: np.ndarray, cache: LayerKVCache, positions: np.ndarray
     ) -> np.ndarray:
@@ -348,43 +365,36 @@ class AttentionLayer:
         cache.append(k, v)
         if was_empty:
             return self.attend(q, k, v, positions)
-        return self._attend_cache(q, cache, positions)
+        return self.attend(q, None, None, positions, kv_mirrors=self._head_major(cache))
 
-    def forward_decode(
-        self, hidden: np.ndarray, cache: LayerKVCache, position: int
-    ) -> np.ndarray:
-        """Process a single token at ``position``, appending its K/V to ``cache``."""
-        positions = np.asarray([position])
-        q, k, v = self.project_qkv(hidden, positions)
-        cache.append(k, v)
-        return self._attend_cache(q, cache, positions)
-
-    def forward_decode_batch(
+    def forward_rows(
         self,
         hidden: np.ndarray,
         caches: Sequence[LayerKVCache],
-        positions: Sequence[int],
+        positions: np.ndarray,
+        spans: Sequence[tuple[int, int]],
     ) -> np.ndarray:
-        """One decode position for each of ``n`` *independent* sequences.
+        """Decode/verify rows of several sequences: ``(n, d_model)`` in and out.
 
-        ``hidden`` is the stacked ``(n, d_model)`` input (one row per
-        sequence); row ``i`` is projected, appended to ``caches[i]`` and
-        attended against that sequence's own K/V, exactly like
-        :meth:`forward_decode` would.
-
-        The projection GEMMs deliberately run per row rather than as one
-        stacked ``(n, d_model) @ W`` GEMM: BLAS accumulates a stacked GEMM's
-        rows in a shape-dependent order, so a sequence's logits would depend
-        on *who else is in the batch* — unacceptable under continuous
-        batching, where the batch composition changes every step.  Per-row
-        GEMMs keep the fused step bit-identical to :meth:`forward_decode` for
-        any batch mix (attention is per-sequence regardless, since every
-        sequence gathers its own paged KV).  On real hardware this is where
-        a batched kernel would trade that reduction-order freedom for
-        throughput; in this reproduction the fusion win is one model
-        invocation per engine step plus the shared gather/bookkeeping path.
+        Rows ``spans[i] = (start, stop)`` of the stack are sequence ``i``'s
+        run, at ``positions[start:stop]``.  The projections run once over
+        the whole stack through :func:`tiled_matmul` (``n`` even; rows in
+        no span are padding).  Each run appends all its K/V rows to
+        ``caches[i]``, then each of its rows attends the keys up to its own
+        position — exactly the operands a one-token step at that position
+        reads, so a verify row equals the decode step it stands for.
         """
-        out = np.empty((hidden.shape[0], self.weights.wo.shape[2]), dtype=np.float32)
-        for i, (cache, position) in enumerate(zip(caches, positions)):
-            out[i] = self.forward_decode(hidden[i : i + 1], cache, int(position))[0]
-        return out
+        with profiling_span("project"):
+            q, k, v = self._split_qkv(tiled_matmul(hidden, self._w_qkv), positions)
+        context = np.zeros((hidden.shape[0], self._q_width), dtype=np.float32)
+        for cache, (start, stop) in zip(caches, spans):
+            cache.append(k[start:stop], v[start:stop])
+            with profiling_span("attend"):
+                k_heads, v_heads = self._head_major(cache)
+                for row in range(start, stop):
+                    n_kv = int(positions[row]) + 1
+                    context[row] = self._attend_row(
+                        q[row : row + 1], k_heads[:, :, :n_kv], v_heads[:, :n_kv], n_kv - 1
+                    ).reshape(-1)
+        with profiling_span("attend"):
+            return tiled_matmul(context, self._wo_flat)

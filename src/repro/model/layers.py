@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.model.attention import AttentionLayer, AttentionWeights
+from repro.model.attention import AttentionLayer, AttentionWeights, tiled_matmul
 from repro.model.config import ModelConfig
 from repro.model.kv_cache import LayerKVCache
 from repro.model.mlp import MLPLayer, MLPWeights, RMSNorm
@@ -44,37 +44,21 @@ class TransformerBlock:
         mlp_out = self.mlp.forward(self.norm_mlp.forward(hidden))
         return hidden + mlp_out
 
-    def forward_decode(
-        self, hidden: np.ndarray, cache: LayerKVCache, position: int
-    ) -> np.ndarray:
-        """Process a single token (appends its K/V to ``cache``)."""
-        attn_out = self.attention.forward_decode(
-            self.norm_attn.forward(hidden), cache, position
-        )
-        hidden = hidden + attn_out
-        mlp_out = self.mlp.forward(self.norm_mlp.forward(hidden))
-        return hidden + mlp_out
-
-    def forward_decode_batch(
+    def forward_rows(
         self,
         hidden: np.ndarray,
         caches: Sequence[LayerKVCache],
-        positions: Sequence[int],
+        positions: np.ndarray,
+        spans: Sequence[tuple[int, int]],
     ) -> np.ndarray:
-        """Process one token per sequence for ``n`` independent sequences.
+        """Decode/verify rows of several sequences (appends their K/V).
 
-        Norms, residual adds and activations are computed over the whole
-        ``(n, d_model)`` stack (all row-local, so bit-identical to the
-        per-sequence path); attention and the MLP GEMMs run per row — see
-        :meth:`AttentionLayer.forward_decode_batch` for why batch-shaped
-        GEMMs would break batch-composition invariance.
+        Norms, residuals and activations are row-local, so they run over
+        the whole stack, pad row included; every GEMM runs on 2-row tiles
+        (see :meth:`AttentionLayer.forward_rows`).
         """
-        attn_out = self.attention.forward_decode_batch(
-            self.norm_attn.forward(hidden), caches, positions
+        attn_out = self.attention.forward_rows(
+            self.norm_attn.forward(hidden), caches, positions, spans
         )
         hidden = hidden + attn_out
-        normed = self.norm_mlp.forward(hidden)
-        mlp_out = np.empty_like(hidden)
-        for i in range(hidden.shape[0]):
-            mlp_out[i] = self.mlp.forward(normed[i : i + 1])[0]
-        return hidden + mlp_out
+        return hidden + self.mlp.forward(self.norm_mlp.forward(hidden), tiled_matmul)

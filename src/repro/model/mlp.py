@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -38,10 +39,18 @@ class MLPLayer:
         )
         self._d_ff = weights.w_gate.shape[1]
 
-    def forward(self, hidden: np.ndarray) -> np.ndarray:
-        """Apply the feed-forward transform to ``(n, d_model)`` hidden states."""
+    def forward(
+        self,
+        hidden: np.ndarray,
+        matmul: Callable[[np.ndarray, np.ndarray], np.ndarray] = np.matmul,
+    ) -> np.ndarray:
+        """Apply the feed-forward transform to ``(n, d_model)`` hidden states.
+
+        ``matmul`` runs both GEMMs: a plain product for prefill, 2-row
+        tiles (:func:`~repro.model.attention.tiled_matmul`) for decode rows.
+        """
         with profiling_span("mlp"):
-            fused = hidden @ self._w_gate_up
+            fused = matmul(hidden, self._w_gate_up)
             gate = fused[:, : self._d_ff]
             up = fused[:, self._d_ff :]
             # silu(gate) * up with in-place temporaries: the same exp/add/
@@ -50,7 +59,7 @@ class MLPLayer:
             act += 1.0
             np.divide(gate, act, out=act)
             act *= up
-            out = act @ self.weights.w_down
+            out = matmul(act, self.weights.w_down)
             return out if out.dtype == np.float32 else out.astype(np.float32)
 
 

@@ -44,12 +44,12 @@ class GenerationResult:
 class Transformer:
     """A decoder-only transformer.
 
-    Prefill and :meth:`decode_step` run one sequence, which is how the
-    paper's accuracy experiments evaluate requests; the serving engine
-    advances every running sequence through :meth:`decode_step_batch` (or
-    its speculative twin :meth:`decode_verify_step_batch`), one fused
-    forward per round whose logits rows are bit-identical to
-    :meth:`decode_step`'s.
+    Prefill runs one sequence.  Every decode and verify row goes through
+    :meth:`forward_rows`: the paper's accuracy experiments call it through
+    :meth:`decode_step`, one sequence at a time, and the serving engine
+    through :meth:`decode_step_batch` (or its speculative twin
+    :meth:`decode_verify_step_batch`), one forward per round over the
+    whole running set.  A row's logits are the same bits either way.
     """
 
     def __init__(self, config: ModelConfig, weights: ModelWeights):
@@ -101,11 +101,17 @@ class Transformer:
             hidden = hidden + self.weights.pos_table[positions]
         return hidden
 
-    def _logits(self, hidden_row: np.ndarray) -> np.ndarray:
+    def _logits(self, hidden: np.ndarray) -> list[np.ndarray]:
+        """Next-token logits of each row of ``(n, d_model)`` hidden states.
+
+        The unembedding stays one gemv per row: a 2-row sgemm over this
+        ``(d_model, vocab)`` weight costs about two gemvs, and most rounds
+        carry a single row.  A gemv's bits depend on the BLAS thread count,
+        so served logits do too (every tiled GEMM is thread-invariant).
+        """
         with profiling_span("logits"):
-            normed = self.final_norm.forward(hidden_row.reshape(1, -1))[0]
-            logits = normed @ self.weights.unembedding
-            return logits if logits.dtype == np.float32 else logits.astype(np.float32)
+            normed = self.final_norm.forward(hidden)
+            return [row @ self.weights.unembedding for row in normed]
 
     # -- phases --------------------------------------------------------------
 
@@ -125,111 +131,93 @@ class Transformer:
         hidden = self.embed(token_ids, positions)
         for block, layer_cache in zip(self.blocks, cache.layers):
             hidden = block.forward_prefill(hidden, layer_cache, positions)
-        return self._logits(hidden[-1])
+        return self._logits(hidden[-1:])[0]
+
+    def forward_rows(
+        self,
+        runs: Sequence[Sequence[int]],
+        caches: Sequence[ModelKVCache],
+    ) -> list[list[np.ndarray]]:
+        """The one decode/verify forward: append each run to its cache.
+
+        ``runs[i]`` is ``[token]`` for a decode step or ``[token, *drafts]``
+        for a speculative verify.  Returns, per run, one next-token logits
+        row per input token.  The runs' rows are stacked and each weight
+        GEMM runs once over 2-row tiles
+        (:func:`~repro.model.attention.tiled_matmul`), so a row's bits
+        depend neither on its batch nor on its run's length.  Attention
+        stays per sequence, the unembedding per row (see :meth:`_logits`).
+        """
+        if len(runs) != len(caches):
+            raise ValueError(f"{len(runs)} token runs for {len(caches)} caches")
+        tokens: list[int] = []
+        positions: list[int] = []
+        spans: list[tuple[int, int]] = []
+        for run, cache in zip(runs, caches):
+            start = cache.length
+            if len(run) == 0:
+                raise ValueError("a run needs at least one token")
+            if start + len(run) > cache.capacity:
+                raise ValueError(
+                    f"run of {len(run)} tokens does not fit the cache "
+                    f"(length {start}, capacity {cache.capacity})"
+                )
+            spans.append((len(tokens), len(tokens) + len(run)))
+            tokens.extend(run)
+            positions.extend(range(start, start + len(run)))
+        n_rows = len(tokens)
+        if not n_rows:
+            return []
+        # An odd stack gets one zero row (at position 0) so every tile has two.
+        hidden = np.zeros((n_rows + n_rows % 2, self.config.d_model), dtype=np.float32)
+        hidden[:n_rows] = self.embed(tokens, np.asarray(positions))
+        positions = np.asarray(positions + [0] * (n_rows % 2))
+        for index, block in enumerate(self.blocks):
+            layer_caches = [cache.layers[index] for cache in caches]
+            hidden = block.forward_rows(hidden, layer_caches, positions, spans)
+        logits = self._logits(hidden[:n_rows])
+        return [logits[start:stop] for start, stop in spans]
 
     def decode_step(self, token_id: int, cache: ModelKVCache) -> np.ndarray:
-        """Run one decode step for ``token_id``, appending to ``cache``.
-
-        Returns the logits predicting the next token.
-        """
-        position = cache.length
-        if position >= cache.capacity:
-            raise ValueError("KV cache is full")
-        hidden = self.embed([token_id], np.asarray([position]))
-        for block, layer_cache in zip(self.blocks, cache.layers):
-            hidden = block.forward_decode(hidden, layer_cache, position)
-        return self._logits(hidden[0])
+        """Append ``token_id`` to ``cache``; return the next-token logits."""
+        return self.forward_rows([[token_id]], [cache])[0][0]
 
     def decode_step_batch(
         self,
         token_ids: Sequence[int],
         caches: Sequence[ModelKVCache],
     ) -> list[np.ndarray]:
-        """One fused decode forward advancing ``n`` independent sequences.
+        """Append ``token_ids[i]`` to ``caches[i]``; one logits row per sequence.
 
-        ``token_ids[i]`` is appended to ``caches[i]`` at that sequence's own
-        next position and the corresponding next-token logits are returned,
-        one row per sequence.  This is the serving engine's batched hot
-        path: the whole running set moves one token through the model in a
-        *single* invocation (one embedding lookup, one pass over the layer
-        stack) instead of ``n`` per-sequence forwards.  Outputs are
-        bit-identical to ``n`` separate :meth:`decode_step` calls for any
-        batch composition — see
-        :meth:`~repro.model.attention.AttentionLayer.forward_decode_batch`
-        for the invariance argument.
+        The serving engine's plain round: the whole running set moves one
+        token in one :meth:`forward_rows` call.
         """
-        if len(token_ids) != len(caches):
-            raise ValueError(
-                f"{len(token_ids)} tokens for {len(caches)} caches"
-            )
-        if not caches:
-            return []
-        positions = []
-        for cache in caches:
-            position = cache.length
-            if position >= cache.capacity:
-                raise ValueError("KV cache is full")
-            positions.append(position)
-        hidden = self.embed(list(token_ids), np.asarray(positions))
-        for layer_index, block in enumerate(self.blocks):
-            layer_caches = [cache.layers[layer_index] for cache in caches]
-            hidden = block.forward_decode_batch(hidden, layer_caches, positions)
-        return [self._logits(hidden[i]) for i in range(hidden.shape[0])]
+        return [rows[0] for rows in self.forward_rows([[t] for t in token_ids], caches)]
 
     def decode_verify_step(
         self, token_ids: Sequence[int], cache: ModelKVCache
     ) -> list[np.ndarray]:
-        """One multi-token verify forward for speculative decoding.
+        """Speculative verify of ``[next_token, *drafts]``: one logits row per token.
 
-        ``token_ids`` is ``[next_token, draft_1, .., draft_k]`` — the token
-        the decode session is emitting this step plus the proposer's
-        guesses.  All ``k + 1`` rows are appended to ``cache`` and one
-        next-token logits row per input is returned; the caller verifies
-        the drafts against those logits and truncates the cache rows of the
-        rejected tail (see :meth:`~repro.kvpool.cache.PagedKVCache.truncate`).
-
-        Positions run strictly sequentially inside the single invocation —
-        exactly the per-row discipline of :meth:`decode_step_batch` — so
-        every logits row is bit-identical to the sequential
-        :meth:`decode_step` it replaces *regardless of how many drafts were
-        attached*: acceptance length can never perturb the numerics.  On
-        real hardware this is one causal multi-row forward (the prefill
-        kernel at decode time); here the fusion win is one model invocation
-        per verify run instead of one per token.
+        All rows are appended to ``cache``; the caller checks the drafts
+        against the logits and truncates the rejected tail's rows (see
+        :meth:`~repro.kvpool.cache.PagedKVCache.truncate`).
         """
-        token_ids = list(token_ids)
-        if not token_ids:
-            raise ValueError("verify requires at least one token")
-        if cache.length + len(token_ids) > cache.capacity:
-            raise ValueError(
-                f"verify run of {len(token_ids)} tokens does not fit the cache "
-                f"(length {cache.length}, capacity {cache.capacity})"
-            )
         with profiling_span("verify"):
-            return [self.decode_step(token_id, cache) for token_id in token_ids]
+            return self.forward_rows([token_ids], [cache])[0]
 
     def decode_verify_step_batch(
         self,
         token_lists: Sequence[Sequence[int]],
         caches: Sequence[ModelKVCache],
     ) -> list[list[np.ndarray]]:
-        """One fused verify forward advancing ``n`` independent sequences.
+        """The speculative round: every sequence's verify run in one forward.
 
-        ``token_lists[i]`` is sequence ``i``'s ``[next_token, *drafts]``
-        run (lengths may differ per sequence — acceptance windows shrink
-        with budget and pool headroom); the return value is one logits
-        block per sequence with one row per input token.  This is the
-        speculative serving engine's hot path: the whole running set's
-        verify runs execute in a *single* model invocation per engine step.
-        Like :meth:`decode_step_batch`, rows are computed per sequence and
-        per position, so outputs never depend on the batch composition.
+        Run lengths may differ per sequence (acceptance windows shrink with
+        budget and pool headroom).
         """
-        if len(token_lists) != len(caches):
-            raise ValueError(f"{len(token_lists)} token runs for {len(caches)} caches")
-        return [
-            self.decode_verify_step(token_ids, cache)
-            for token_ids, cache in zip(token_lists, caches)
-        ]
+        with profiling_span("verify"):
+            return self.forward_rows(token_lists, caches)
 
     def generate(
         self,

@@ -185,8 +185,7 @@ class PreparedSequence:
     session:
         The decode state machine the scheduler advances token by token.
     plan:
-        The method's quantization plan (``None`` only for backends that do
-        not quantize at all).
+        The method's quantization plan.
     n_prompt_tokens, n_context_tokens:
         Prompt layout, reported back on the result.
     cache:
@@ -200,26 +199,25 @@ class PreparedSequence:
         (``swap_out`` / ``swap_in``), the finished result's
         ``details["kv_bytes"]`` (``measured_bytes``), ``/v1/stats``
         (``working_set_bytes``) and page return (``release``).
+    prompt_ids:
+        Token IDs of the full prompt, kept for the speculative-decoding
+        draft proposer (prompt-lookup drafting matches n-grams over prompt
+        + generated history).
     cached_tokens, cache_hit_blocks, cached_bytes:
         Prefix-reuse outcome of this preparation: context tokens / pool
         pages adopted from the engine's prefix index and the measured bytes
         of those pages (prefill storage the request did not re-create).
-    prompt_ids:
-        Token IDs of the full prompt, kept for the speculative-decoding
-        draft proposer (prompt-lookup drafting matches n-grams over prompt
-        + generated history).  ``None`` when the backend does not surface
-        them.
     """
 
     session: DecodeSession
-    plan: KVQuantizationPlan | None
+    plan: KVQuantizationPlan
     n_prompt_tokens: int
     n_context_tokens: int
     cache: PagedKVCache = field(repr=False)
+    prompt_ids: tuple[int, ...]
     cached_tokens: int = 0
     cache_hit_blocks: int = 0
     cached_bytes: int = 0
-    prompt_ids: tuple[int, ...] | None = None
 
 
 class DecodeBackend(abc.ABC):

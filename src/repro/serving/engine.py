@@ -100,13 +100,10 @@ class ExecutionStats:
 
     #: Engine iterations (:meth:`InferenceEngine.step` calls).
     n_steps: int = 0
-    #: Model decode invocations (at most one per step).
+    #: Model decode invocations: the round's one ``decode_step_batch`` /
+    #: ``decode_verify_step_batch`` call (at most one per step).
     n_forward_calls: int = 0
-    #: Fused ``decode_step_batch`` / ``decode_verify_step_batch``
-    #: invocations — every decode forward is one, so this equals
-    #: ``n_forward_calls``.
-    n_fused_calls: int = 0
-    #: Summed batch sizes of the fused invocations.
+    #: Summed batch sizes of those invocations.
     n_fused_sequences: int = 0
     #: Tokens emitted to consumers by decode rounds.
     n_decode_tokens: int = 0
@@ -139,9 +136,9 @@ class ExecutionStats:
     @property
     def mean_batch_occupancy(self) -> float:
         """Mean sequences advanced per fused forward (0.0 before any fusion)."""
-        if not self.n_fused_calls:
+        if not self.n_forward_calls:
             return 0.0
-        return self.n_fused_sequences / self.n_fused_calls
+        return self.n_fused_sequences / self.n_forward_calls
 
     @property
     def acceptance_rate(self) -> float:
@@ -752,7 +749,6 @@ class EngineCore:
         batch_size = batch.commit()
         if batch_size:
             self.exec_stats.n_forward_calls += 1
-            self.exec_stats.n_fused_calls += 1
             self.exec_stats.n_fused_sequences += batch_size
         for (state, n_drafts), accepted in zip(spec_queue, batch.accepted_drafts):
             events.extend(self._absorb_verified(state, n_drafts, accepted))
@@ -786,7 +782,7 @@ class EngineCore:
             return [], None
         prepared = state.prepared
         session = prepared.session
-        if prepared.prompt_ids is None or session.finished:
+        if session.finished:
             return [], None
         if (
             spec.backends is not None

@@ -400,7 +400,6 @@ class ServerCore:
             "engine": {
                 "n_steps": exec_stats.n_steps,
                 "n_forward_calls": exec_stats.n_forward_calls,
-                "n_fused_calls": exec_stats.n_fused_calls,
                 "n_decode_tokens": exec_stats.n_decode_tokens,
                 "n_prefill_chunks": exec_stats.n_prefill_chunks,
                 "n_drafted_tokens": exec_stats.n_drafted_tokens,

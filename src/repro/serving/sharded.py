@@ -510,7 +510,6 @@ class ShardedEngine:
             stats = worker.engine.exec_stats
             merged.n_steps += stats.n_steps
             merged.n_forward_calls += stats.n_forward_calls
-            merged.n_fused_calls += stats.n_fused_calls
             merged.n_fused_sequences += stats.n_fused_sequences
             merged.n_decode_tokens += stats.n_decode_tokens
             merged.n_prefill_chunks += stats.n_prefill_chunks

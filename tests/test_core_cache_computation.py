@@ -171,7 +171,7 @@ class TestAlgorithmOneOnServedStorage:
                     None,
                     None,
                     positions,
-                    kv_mirrors=attention._mirrors(cache.layers[layer_index]),
+                    kv_mirrors=attention._head_major(cache.layers[layer_index]),
                 )[0]
                 query_rows = scratch.layers[layer_index]
                 context = chunk_level_decode_attention(

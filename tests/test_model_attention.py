@@ -77,8 +77,9 @@ class TestAttentionLayer:
         out_full = layer.forward_prefill(hidden, cache_full, np.arange(5))
         cache_inc = LayerKVCache(config.n_kv_heads, config.head_dim, 16)
         layer.forward_prefill(hidden[:4], cache_inc, np.arange(4))
-        out_last = layer.forward_decode(hidden[4:5], cache_inc, 4)
-        np.testing.assert_allclose(out_full[4:5], out_last, atol=1e-5)
+        padded = np.vstack([hidden[4:5], np.zeros_like(hidden[:1])])
+        out_last = layer.forward_rows(padded, [cache_inc], np.array([4, 0]), [(0, 1)])
+        np.testing.assert_allclose(out_full[4:5], out_last[:1], atol=1e-5)
         np.testing.assert_allclose(cache_full.keys(), cache_inc.keys(), atol=1e-6)
 
     def test_gqa_matches_mha_with_repeated_heads(self, rng):

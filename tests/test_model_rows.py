@@ -1,0 +1,186 @@
+"""The row forward's numerics: a row's bits never depend on its batch.
+
+Every decode and verify row goes through ``Transformer.forward_rows``,
+whose weight GEMMs run on 2-row tiles (``tiled_matmul``).  These tests pin
+the property that makes one forward per round safe: a row's output is the
+same for any batch size, slot, neighbours and BLAS thread count — first at
+the BLAS level for every decode GEMM shape, then through the model on
+dense and paged caches.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.kvpool import BlockPool
+from repro.model.attention import tiled_matmul
+from repro.model.config import SIM_MODEL_NAMES, ModelConfig, get_sim_config
+from repro.model.transformer import Transformer
+from repro.model.weights import build_random_weights
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Runs in a fresh interpreter so ``OPENBLAS_NUM_THREADS`` takes effect.
+#: For each shape, each of 64 random rows is multiplied alone (beside the
+#: zero pad row), then inside random batches of 1-64 rows, where it lands
+#: in every slot among random neighbours.  Prints the mismatches and a
+#: digest of the solo products as JSON.
+_TILE_PROBE = """
+import hashlib, json, sys
+import numpy as np
+from repro.model.attention import tiled_matmul
+
+rng = np.random.default_rng(0)
+failures, digests = [], []
+for k, n in json.loads(sys.argv[1]):
+    weight = rng.standard_normal((k, n), dtype=np.float32)
+    rows = rng.standard_normal((64, k), dtype=np.float32)
+    solo = np.stack([tiled_matmul(np.stack([r, np.zeros_like(r)]), weight)[0] for r in rows])
+    digests.append(hashlib.sha256(solo.tobytes()).hexdigest())
+    for batch in range(1, 65):
+        for _ in range(3):
+            pick = rng.permutation(64)[:batch]
+            stack = np.zeros((batch + batch % 2, k), dtype=np.float32)
+            stack[:batch] = rows[pick]
+            out = tiled_matmul(stack, weight)[:batch]
+            for slot in np.flatnonzero(np.any(out != solo[pick], axis=1)):
+                failures.append([k, n, batch, int(slot)])
+blas = {}
+if failures:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+print(json.dumps({
+    "failures": failures[:20], "n_failures": len(failures), "digests": digests, "blas": blas,
+}))
+"""
+
+
+def _decode_gemm_shapes(config: ModelConfig) -> list[tuple[int, int]]:
+    """``(K, N)`` of the tiled weights: ``[Wq|Wk|Wv]``, ``wo``, ``[W_gate|W_up]``, ``W_down``."""
+    d, hd = config.d_model, config.head_dim
+    return [
+        (d, (config.n_heads + 2 * config.n_kv_heads) * hd),
+        (config.n_heads * hd, d),
+        (d, 2 * config.d_ff),
+        (config.d_ff, d),
+    ]
+
+
+def _unit_config(n_kv_heads: int) -> ModelConfig:
+    """The unit-test models' geometry (RoPE, RMSNorm, optionally GQA)."""
+    return ModelConfig(
+        name="rows-unit", vocab_size=50, d_model=32, n_layers=2, n_heads=4,
+        n_kv_heads=n_kv_heads, d_ff=64, max_seq_len=64, positional="rope",
+        use_rmsnorm=True,
+    )
+
+
+def _all_decode_gemm_shapes() -> list[tuple[int, int]]:
+    configs = [get_sim_config(name, vocab_size=6155) for name in SIM_MODEL_NAMES]
+    configs += [_unit_config(2), _unit_config(4)]
+    return sorted({shape for config in configs for shape in _decode_gemm_shapes(config)})
+
+
+class TestTileInvariance:
+    def test_odd_stacks_are_refused(self):
+        with pytest.raises(ValueError, match="even row count"):
+            tiled_matmul(np.zeros((3, 4), dtype=np.float32), np.zeros((4, 2), dtype=np.float32))
+
+    def test_row_bits_ignore_batch_slot_neighbours_and_threads(self):
+        shapes = _all_decode_gemm_shapes()
+        digests = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [str(_SRC), os.environ.get("PYTHONPATH")])
+            )
+            probe = subprocess.run(
+                [sys.executable, "-c", _TILE_PROBE, json.dumps(shapes)],
+                env=env, capture_output=True, text=True, timeout=300, check=True,
+            )
+            report = json.loads(probe.stdout.strip().splitlines()[-1])
+            assert report["n_failures"] == 0, (
+                f"OPENBLAS_NUM_THREADS={threads}: {report['n_failures']} rows changed "
+                f"bits with their batch ([K, N, batch, slot]: {report['failures']}); "
+                f"BLAS: {report['blas']}"
+            )
+            digests[threads] = report["digests"]
+        changed = [s for s, a, b in zip(shapes, digests["1"], digests["2"]) if a != b]
+        assert not changed, (
+            f"tiles of shapes {changed} changed bits between 1 and 2 threads; "
+            f"BLAS: {np.show_config(mode='dicts')['Build Dependencies']['blas']}"
+        )
+
+
+@pytest.fixture(scope="module")
+def unit_model() -> Transformer:
+    config = _unit_config(2)
+    return Transformer(config, build_random_weights(config, seed=5, scale=0.2))
+
+
+@pytest.fixture(params=["retrieval", "unit"])
+def model(request, retrieval_model, unit_model) -> Transformer:
+    return retrieval_model if request.param == "retrieval" else unit_model
+
+
+def _caches(model: Transformer, kind: str, prompts: list[list[int]]):
+    """Two independently prefilled caches per prompt: (batched, reference)."""
+    config = model.config
+    pool = None
+    if kind == "paged":
+        pool = BlockPool(config.n_layers, config.n_kv_heads, config.head_dim, block_size=4)
+    pairs = []
+    for prompt in prompts:
+        pair = []
+        for _ in range(2):
+            cache = model.new_cache(capacity=64, pool=pool)
+            model.prefill(prompt, cache)
+            pair.append(cache)
+        pairs.append(pair)
+    return [p[0] for p in pairs], [p[1] for p in pairs]
+
+
+def _prompts(model: Transformer, rng: np.random.Generator, n: int) -> list[list[int]]:
+    vocab = model.config.vocab_size
+    return [rng.integers(0, vocab, size=3 + 2 * i).tolist() for i in range(n)]
+
+
+@pytest.mark.parametrize("kind", ["dense", "paged"])
+class TestRowForwardInvariance:
+    def test_batched_rows_equal_single_steps(self, model, kind, rng):
+        """Batch sizes 1-9, every slot: rows equal ``decode_step`` on a twin cache."""
+        vocab = model.config.vocab_size
+        for batch in range(1, 10):
+            batched, reference = _caches(model, kind, _prompts(model, rng, batch))
+            tokens = rng.integers(0, vocab, size=batch).tolist()
+            for step in range(2):
+                order = list(range(batch)) if step == 0 else list(reversed(range(batch)))
+                rows = model.decode_step_batch(
+                    [tokens[i] for i in order], [batched[i] for i in order]
+                )
+                for slot, i in enumerate(order):
+                    np.testing.assert_array_equal(
+                        rows[slot], model.decode_step(tokens[i], reference[i]),
+                        err_msg=f"batch {batch}, slot {slot}, step {step}",
+                    )
+                tokens = [int(np.argmax(rows[order.index(i)])) for i in range(batch)]
+
+    def test_mixed_verify_runs_equal_sequential_steps(self, model, kind, rng):
+        """Uneven verify runs (odd row total) in one forward, row by row."""
+        vocab = model.config.vocab_size
+        lengths = [1, 3, 2, 5, 1, 4, 1]
+        batched, reference = _caches(model, kind, _prompts(model, rng, len(lengths)))
+        runs = [rng.integers(0, vocab, size=n).tolist() for n in lengths]
+        blocks = model.decode_verify_step_batch(runs, batched)
+        assert [len(block) for block in blocks] == lengths
+        for run, block, cache in zip(runs, blocks, reference):
+            for token, row in zip(run, block):
+                np.testing.assert_array_equal(row, model.decode_step(token, cache))
+        for cache, twin in zip(batched, reference):
+            assert cache.length == twin.length

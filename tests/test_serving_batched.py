@@ -72,7 +72,7 @@ class TestOracleParity:
         assert [r.stats.n_prefill_chunks for r in results] == [1] * len(results)
         assert engine.exec_stats.n_prefill_chunks == len(results)
         assert engine.exec_stats.n_decode_tokens > 0
-        assert engine.exec_stats.n_fused_calls > 0
+        assert engine.exec_stats.n_forward_calls > 0
 
     def test_batchable_mix_halves_forward_invocations(
         self, vocab, tokenizer, retrieval_model, tiny_samples, oracle
@@ -88,7 +88,7 @@ class TestOracleParity:
         stats = engine.exec_stats
         assert stats.forwards_per_token <= 0.5
         assert stats.mean_batch_occupancy >= 2.0
-        assert stats.n_forward_calls == stats.n_fused_calls <= stats.n_steps
+        assert stats.n_forward_calls <= stats.n_steps
         assert_matches_oracle(engine, requests, results, oracle)
 
     def test_decode_batch_mix_matches_the_oracle(
@@ -101,7 +101,7 @@ class TestOracleParity:
             tiny_samples, ("cocktail", "blockwise", "fp16", "atom"), max_new_tokens=12
         )
         results = engine.run_batch(requests)
-        assert engine.exec_stats.n_fused_calls > 0
+        assert engine.exec_stats.n_forward_calls > 0
         assert_matches_oracle(engine, requests, results, oracle)
 
     def test_parity_under_mid_stream_preemption(
