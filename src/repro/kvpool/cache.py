@@ -25,8 +25,9 @@ The only per-sequence float copy is one pair of head-major *mirrors* per
 layer — ``(h, d, capacity)`` keys and ``(h, capacity, d)`` values, the
 operand layout of attention's per-head GEMMs.  A rebuild (first read,
 after packing, after a swap) decodes the pages straight into them and
-drops the decoded rows; a decode step copies only its appended
-full-precision rows; a speculative rollback shrinks the valid length.
+drops the decoded rows; an append writes its full-precision rows into
+the mirror beside their page; a speculative rollback shrinks the valid
+length.
 
 Preemption uses the pool's swap interface: :meth:`swap_out` detaches every
 *exclusively-owned* page to a host-side store (freeing pool capacity for
@@ -60,9 +61,9 @@ class _Mirror:
 
     ``k_t`` is ``(h, d, capacity)`` and ``v_t`` ``(h, capacity, d)``; the
     first ``valid`` token columns/rows equal the layer's pages (packed runs
-    decoded).  Columns past ``valid`` are scratch the next append or
-    rollback overwrites in place, so handed-out views are valid until the
-    cache's next write.
+    decoded), and ``valid`` is the layer's length.  Columns past ``valid``
+    are scratch the next append or rollback overwrites in place, so
+    handed-out views are valid until the cache's next write.
     """
 
     __slots__ = ("k_t", "v_t", "valid")
@@ -316,6 +317,13 @@ class PagedKVCache:
             )
             written += take
         self._layer_lengths[layer_index] = start + n
+        mirror = self._mirrors.get(layer_index)
+        if mirror is not None:  # synced: a mirror's valid rows are the layer's rows
+            if start + n > mirror.capacity:
+                mirror = self._mirrors[layer_index] = self._resized_mirror(mirror, start + n)
+            mirror.k_t[:, :, start : start + n] = k_new.transpose(1, 2, 0)
+            mirror.v_t[:, start : start + n, :] = v_new.transpose(1, 0, 2)
+            mirror.valid = start + n
 
     def truncate(self, n_tokens: int) -> None:
         """Roll the decode tail back to ``n_tokens`` rows (all layers).
@@ -428,10 +436,11 @@ class PagedKVCache:
         exact operand layout of attention's per-head GEMMs — as views into
         the layer's :class:`_Mirror`, the sequence's only float copy of its
         history.  The first read (and the first after packing or a swap)
-        decodes the pages straight into a fresh mirror; later reads copy
-        only the rows appended since, growing into a larger mirror (valid
-        prefix copied, nothing re-decoded) once the headroom is used up.
-        The views are read-only and valid until the cache's next write.
+        decodes the pages straight into a fresh mirror; from then on
+        :meth:`append_layer` writes each new row into the mirror as well as
+        its page (growing into a larger mirror, valid prefix copied, once
+        the headroom is used up), so later reads copy nothing.  The views
+        are read-only and valid until the cache's next write.
         """
         self._check_readable()
         length = self._layer_lengths[layer_index]
@@ -439,11 +448,6 @@ class PagedKVCache:
         if mirror is None:
             with profiling_span("gather"):
                 mirror = self._mirrors[layer_index] = self._build_mirror(layer_index, length)
-        elif mirror.valid < length:
-            with profiling_span("gather"):
-                if length > mirror.capacity:
-                    mirror = self._mirrors[layer_index] = self._resized_mirror(mirror, length)
-                self._fill_rows(mirror, layer_index, length)
         return mirror.k_t[:, :, :length], mirror.v_t[:, :length, :]
 
     def _mirror_capacity(self, length: int) -> int:
@@ -476,26 +480,6 @@ class PagedKVCache:
         resized.k_t[:, :, :valid] = mirror.k_t[:, :, :valid]
         resized.v_t[:, :valid, :] = mirror.v_t[:, :valid, :]
         return resized
-
-    def _fill_rows(self, mirror: _Mirror, layer_index: int, stop: int) -> None:
-        """Copy the layer's rows ``[mirror.valid, stop)`` from the pages.
-
-        Rows past the valid length were written by :meth:`append_layer`
-        since the mirror was last synced (packing and adoption drop the
-        mirror), so they are plain full-precision rows — no packed run to
-        decode.
-        """
-        bs = self.table.block_size
-        row = mirror.valid
-        while row < stop:
-            index, offset = self.table.locate(row)
-            take = min(stop - row, bs - offset)
-            block = self.pool.get(self.table.block_ids[index])
-            rows = slice(offset, offset + take)
-            mirror.k_t[:, :, row : row + take] = block.fp_k[layer_index, rows].transpose(1, 2, 0)
-            mirror.v_t[:, row : row + take, :] = block.fp_v[layer_index, rows].transpose(1, 0, 2)
-            row += take
-        mirror.valid = stop
 
     def working_set_bytes(self) -> int:
         """Host bytes of the sequence's float working copy (the mirrors)."""

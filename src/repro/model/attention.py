@@ -305,10 +305,11 @@ class AttentionLayer:
             logits = np.where(mask[None, :, :], np.float32(-1e9), logits)
         # In-place softmax: same subtract/exp/divide as `softmax` on a
         # buffer this method owns, minus the temporaries.
-        np.subtract(logits, logits.max(axis=-1, keepdims=True), out=logits)
+        # The reductions call the ufuncs ``ndarray.max``/``sum`` wrap.
+        np.subtract(logits, np.maximum.reduce(logits, axis=-1, keepdims=True), out=logits)
         np.exp(logits, out=logits)
         probs = logits
-        probs /= probs.sum(axis=-1, keepdims=True)
+        probs /= np.add.reduce(probs, axis=-1, keepdims=True)
         return probs @ v_heads
 
     def _attend_tiled(

@@ -93,21 +93,22 @@ class Transformer:
         token_ids = np.asarray(token_ids, dtype=np.int64)
         if token_ids.size and (token_ids.min() < 0 or token_ids.max() >= self.config.vocab_size):
             raise ValueError("token id out of range")
-        hidden = self.weights.embedding[token_ids].astype(np.float32)
+        hidden = self.weights.embedding[token_ids].astype(np.float32, copy=False)
         if self.config.positional == "table" and self.weights.pos_table is not None:
             positions = np.asarray(positions, dtype=np.int64)
             if positions.size and positions.max() >= self.weights.pos_table.shape[0]:
                 raise ValueError("position exceeds the positional table")
-            hidden = hidden + self.weights.pos_table[positions]
+            hidden += self.weights.pos_table[positions]
         return hidden
 
     def _logits(self, hidden: np.ndarray) -> list[np.ndarray]:
         """Next-token logits of each row of ``(n, d_model)`` hidden states.
 
         The unembedding stays one gemv per row: a 2-row sgemm over this
-        ``(d_model, vocab)`` weight costs about two gemvs, and most rounds
-        carry a single row.  A gemv's bits depend on the BLAS thread count,
-        so served logits do too (every tiled GEMM is thread-invariant).
+        ``(d_model, vocab)`` weight costs about two gemvs, so tiles would
+        save nothing on a multi-row round and double a lone row's cost.  A
+        gemv's bits depend on the BLAS thread count, so served logits do
+        too (every tiled GEMM is thread-invariant).
         """
         with profiling_span("logits"):
             normed = self.final_norm.forward(hidden)
