@@ -23,11 +23,15 @@ identical to the dense fake-quant cache (see :mod:`repro.kvpool.codecs`).
 
 The only per-sequence float copy is one pair of head-major *mirrors* per
 layer — ``(h, d, capacity)`` keys and ``(h, capacity, d)`` values, the
-operand layout of attention's per-head GEMMs.  A rebuild (first read,
-after packing, after a swap) decodes the pages straight into them and
-drops the decoded rows; an append writes its full-precision rows into
-the mirror beside their page; a speculative rollback shrinks the valid
-length.
+operand layout of attention's per-head GEMMs.  The serving backend builds
+them at admission from rows it already holds
+(:meth:`PagedKVCache.build_mirrors`: the prefill scratch's float rows,
+packed rows decoded from the encoder's in-memory codes), so a freshly
+prepared sequence's first decode step decodes nothing.  Otherwise a
+rebuild (first read, after packing, after a swap) decodes the pages
+straight into them and drops the decoded rows; an append writes its
+full-precision rows into the mirror beside their page; a speculative
+rollback shrinks the valid length.
 
 Preemption uses the pool's swap interface: :meth:`swap_out` detaches every
 *exclusively-owned* page to a host-side store (freeing pool capacity for
@@ -76,6 +80,35 @@ class _Mirror:
     @property
     def capacity(self) -> int:
         return self.k_t.shape[2]
+
+
+#: Token rows per block of a mirror write.  The key mirror's ``(rows, h, d)``
+#: → ``(h, d, rows)`` transpose runs about twice as fast in 32-row blocks,
+#: whose source rows stay cache-resident, as in one strided copy.
+_WRITE_BLOCK = 32
+
+
+def _write_rows(mirror: _Mirror, start: int, k: np.ndarray, v: np.ndarray) -> None:
+    """Write ``(n, h, d)`` K/V rows into a mirror's token slots ``[start, start + n)``."""
+    n = k.shape[0]
+    for lo in range(0, n, _WRITE_BLOCK):
+        hi = min(lo + _WRITE_BLOCK, n)
+        mirror.k_t[:, :, start + lo : start + hi] = k[lo:hi].transpose(1, 2, 0)
+    mirror.v_t[:, start : start + n, :] = v.transpose(1, 0, 2)
+
+
+def _decode_codes(rows: np.ndarray, enc: TensorEncoding, start: int) -> np.ndarray:
+    """``rows`` (an encoded tensor's float rows from ``start`` on) with every
+    packed row replaced by the decode of its in-memory code and meta rows."""
+    out = np.array(rows, dtype=np.float32)
+    token_bits = enc.token_bits[start:]
+    for bits, codec in enc.codecs.items():
+        selected = np.flatnonzero(token_bits == bits)
+        if selected.size:
+            with profiling_span("dequant"):
+                decoded = codec.decode(enc.codes[start + selected], enc.meta[start + selected])
+            out[selected] = decoded
+    return out
 
 
 class BlockTable:
@@ -176,9 +209,10 @@ class PagedKVCache:
         self._released = False
         #: Leading pages adopted from the prefix index (shared, pre-packed).
         self.n_adopted_blocks = 0
-        #: Per-layer head-major float working copy, built on first read and
-        #: dropped when packing changes row values or a swap frees the pages
-        #: — see :meth:`layer_mirrors`.
+        #: Per-layer head-major float working copy, built at admission
+        #: (:meth:`build_mirrors`) or on first read, and dropped when packing
+        #: changes row values or a swap frees the pages — see
+        #: :meth:`layer_mirrors`.
         self._mirrors: dict[int, _Mirror] = {}
 
     # -- geometry ------------------------------------------------------------
@@ -321,8 +355,7 @@ class PagedKVCache:
         if mirror is not None:  # synced: a mirror's valid rows are the layer's rows
             if start + n > mirror.capacity:
                 mirror = self._mirrors[layer_index] = self._resized_mirror(mirror, start + n)
-            mirror.k_t[:, :, start : start + n] = k_new.transpose(1, 2, 0)
-            mirror.v_t[:, start : start + n, :] = v_new.transpose(1, 0, 2)
+            _write_rows(mirror, start, k_new, v_new)
             mirror.valid = start + n
 
     def truncate(self, n_tokens: int) -> None:
@@ -435,8 +468,9 @@ class PagedKVCache:
         Returns ``(h, d, length)`` keys and ``(h, length, d)`` values — the
         exact operand layout of attention's per-head GEMMs — as views into
         the layer's :class:`_Mirror`, the sequence's only float copy of its
-        history.  The first read (and the first after packing or a swap)
-        decodes the pages straight into a fresh mirror; from then on
+        history.  The first read of a layer without one (never built at
+        admission, or dropped by packing or a swap) decodes the pages
+        straight into a fresh mirror; from then on
         :meth:`append_layer` writes each new row into the mirror as well as
         its page (growing into a larger mirror, valid prefix copied, once
         the headroom is used up), so later reads copy nothing.  The views
@@ -465,10 +499,46 @@ class PagedKVCache:
             layer_index, BlockTable.blocks_for_tokens(length, self.table.block_size)
         )
         mirror = _Mirror(self.n_kv_heads, self.head_dim, self._mirror_capacity(length))
-        mirror.k_t[:, :, :length] = k[:length].transpose(1, 2, 0)
-        mirror.v_t[:, :length, :] = v[:length].transpose(1, 0, 2)
+        _write_rows(mirror, 0, k[:length], v[:length])
         mirror.valid = length
         return mirror
+
+    def build_mirrors(
+        self,
+        rows: list[tuple[np.ndarray, np.ndarray]],
+        encodings: list[tuple[TensorEncoding, TensorEncoding]] | None,
+    ) -> None:
+        """Build every layer's mirror from rows the caller holds, not the pages.
+
+        ``rows[i]`` are layer ``i``'s float K/V rows past the adopted pages
+        (what :meth:`append_layer` was handed) and ``encodings`` what
+        :meth:`pack_context` packed, if anything.  Adopted pages decode
+        through the page decoder; every packed row decodes from the
+        encoding's in-memory codes and metadata, the ``codec.decode`` call a
+        rebuild makes after unpacking.  The mirrors are therefore the ones
+        :meth:`layer_mirrors` would rebuild from the pages, byte for byte,
+        and the first decode step reads no page.
+        """
+        self._check_readable()
+        lo = self.n_adopted_blocks * self.table.block_size
+        for layer_index, (k_rows, v_rows) in enumerate(rows):
+            length = self._layer_lengths[layer_index]
+            if lo + k_rows.shape[0] != length:
+                raise ValueError(
+                    f"layer {layer_index}: {k_rows.shape[0]} rows past {lo} adopted "
+                    f"rows, but the layer holds {length}"
+                )
+            with profiling_span("gather"):
+                k, v = self._decode_pages(layer_index, self.n_adopted_blocks)
+                if encodings is not None:
+                    k_enc, v_enc = encodings[layer_index]
+                    k_rows = _decode_codes(k_rows, k_enc, lo)
+                    v_rows = _decode_codes(v_rows, v_enc, lo)
+                mirror = _Mirror(self.n_kv_heads, self.head_dim, self._mirror_capacity(length))
+                _write_rows(mirror, 0, k, v)
+                _write_rows(mirror, lo, k_rows, v_rows)
+                mirror.valid = length
+            self._mirrors[layer_index] = mirror
 
     def _resized_mirror(self, mirror: _Mirror, length: int) -> _Mirror:
         """A mirror sized for ``length`` rows holding ``mirror``'s valid prefix.

@@ -46,6 +46,16 @@ contract is weaker than decode's: outputs within ``1e-5`` of the textbook
 masked softmax, and identical greedy tokens however the prompt is chunked
 (``tests/test_model_attention.py`` keeps the full-square formulation as
 the oracle).
+
+Only the last prompt row reaches the first token's logits, and the last
+block's K/V come from its input projection, so ``Transformer.prefill``
+runs that block's queries, ``wo`` and MLP on the chunk's final query tile
+alone (:func:`prefill_output_rows`); every row is still projected and
+appended.  The pruned call changes no bit: the tiles that still run are
+the same tiles, aligned to the chunk's first row, and the ``wo`` and MLP
+products keep at least :data:`MIN_GEMM_ROWS` rows, the sgemm class in
+which a row's result does not depend on the row count
+(``tests/test_model_rows.py`` pins both against a full-rows pass).
 """
 
 from __future__ import annotations
@@ -91,6 +101,27 @@ def tiled_matmul(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
 #: block of a few-thousand-token prompt stays cache-resident while the
 #: per-tile Python dispatch is still a small share of the GEMM time.
 PREFILL_TILE = 128
+
+#: Fewest rows a pruned prefill product may have.  From 8 rows up an
+#: OpenBLAS sgemm gives a row the same bits whatever the row count, so the
+#: last block's ``wo`` and MLP products over its kept rows equal those rows
+#: of the full products; below 8 it switches kernels.
+MIN_GEMM_ROWS = 8
+
+
+def prefill_output_rows(n_rows: int) -> int:
+    """Trailing rows of an ``n_rows`` prefill chunk the last block must output.
+
+    The rows of the chunk's final :data:`PREFILL_TILE` query tile, plus the
+    tile before it when that leaves fewer than :data:`MIN_GEMM_ROWS` rows.
+    The kept rows start on a tile boundary, so the attention tiles they run
+    are tiles the full chunk runs too.
+    """
+    start = (n_rows - 1) // PREFILL_TILE * PREFILL_TILE
+    if n_rows - start < MIN_GEMM_ROWS:
+        start = max(0, start - PREFILL_TILE)
+    return n_rows - start
+
 
 #: Causal mask of a full diagonal block (``col > row``: keys after the
 #: query); a shorter last tile uses its top-left corner.
@@ -354,14 +385,24 @@ class AttentionLayer:
         return context
 
     def forward_prefill(
-        self, hidden: np.ndarray, cache: LayerKVCache, positions: np.ndarray
+        self,
+        hidden: np.ndarray,
+        cache: LayerKVCache,
+        positions: np.ndarray,
+        n_out: int | None = None,
     ) -> np.ndarray:
         """Process a block of tokens, appending their K/V to ``cache``.
 
-        A block landing in an empty cache attends over its own just-projected
-        K/V — the cache would hand back the same float32 rows, after a gather.
+        Every row is projected and appended; only the last ``n_out`` rows
+        (all by default) are queried, so the result is ``(n_out, d_model)``.
+        ``n_out`` comes from :func:`prefill_output_rows`, which keeps the
+        query tiles aligned to the block's first row.  A block landing in
+        an empty cache attends over its own just-projected K/V — the cache
+        would hand back the same float32 rows, after a gather.
         """
         q, k, v = self.project_qkv(hidden, positions)
+        if n_out is not None:
+            q, positions = q[-n_out:], positions[-n_out:]
         was_empty = cache.length == 0
         cache.append(k, v)
         if was_empty:

@@ -40,6 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.model.sampling import greedy_sample
+from repro.profiling import span as profiling_span
 
 #: The three terminal states a decode session can report.
 STOP_REASONS: tuple[str, ...] = ("stop_token", "max_tokens", "cache_full")
@@ -264,11 +265,13 @@ class BatchedDecodeStep:
         allocations).
     verify_batch_fn:
         ``(token_lists, payloads) -> list_of_logits_blocks`` — the fused
-        *speculative verify* forward, where ``token_lists[i]`` is
-        ``[token, d_1, .., d_k]`` for sequence ``i`` and the returned block
-        holds one logits row per input token.  Required only when any
-        :meth:`add` carries drafts; a round without drafts always takes the
-        plain ``step_batch_fn`` path.
+        *speculative verify* forward (the engine passes
+        :meth:`~repro.model.transformer.Transformer.forward_rows`), where
+        ``token_lists[i]`` is ``[token, d_1, .., d_k]`` for sequence ``i``
+        and the returned block holds one logits row per input token; the
+        call runs inside the profiler's ``verify`` span.  Required only
+        when any :meth:`add` carries drafts; a round without drafts always
+        takes the plain ``step_batch_fn`` path.
     """
 
     def __init__(
@@ -339,7 +342,8 @@ class BatchedDecodeStep:
         payloads = [payload for _, _, payload, _ in pending]
         if any(drafts for _, _, _, drafts in pending):
             token_lists = [[token, *drafts] for _, token, _, drafts in pending]
-            logits_blocks = self._verify_batch_fn(token_lists, payloads)
+            with profiling_span("verify"):
+                logits_blocks = self._verify_batch_fn(token_lists, payloads)
             if len(logits_blocks) != len(pending):
                 raise RuntimeError(
                     f"fused verify returned {len(logits_blocks)} logits blocks "

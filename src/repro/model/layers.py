@@ -34,13 +34,22 @@ class TransformerBlock:
         self.norm_mlp = RMSNorm(weights.norm_mlp, enabled=config.use_rmsnorm)
 
     def forward_prefill(
-        self, hidden: np.ndarray, cache: LayerKVCache, positions: np.ndarray
+        self,
+        hidden: np.ndarray,
+        cache: LayerKVCache,
+        positions: np.ndarray,
+        n_out: int | None = None,
     ) -> np.ndarray:
-        """Process a block of tokens (appends K/V to ``cache``)."""
+        """Process a block of tokens (appends K/V to ``cache``).
+
+        Returns the last ``n_out`` rows (all by default): the residual is
+        sliced to them after attention, so ``wo`` and the MLP run on those
+        rows only (see :meth:`AttentionLayer.forward_prefill`).
+        """
         attn_out = self.attention.forward_prefill(
-            self.norm_attn.forward(hidden), cache, positions
+            self.norm_attn.forward(hidden), cache, positions, n_out
         )
-        hidden = hidden + attn_out
+        hidden = hidden[-attn_out.shape[0] :] + attn_out
         mlp_out = self.mlp.forward(self.norm_mlp.forward(hidden))
         return hidden + mlp_out
 

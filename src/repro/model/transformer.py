@@ -8,6 +8,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.kvpool.cache import PagedKVCache
+from repro.model.attention import prefill_output_rows
 from repro.model.config import ModelConfig
 from repro.model.decode import DecodeSession, check_max_new_tokens
 from repro.model.kv_cache import ModelKVCache
@@ -47,9 +48,9 @@ class Transformer:
     Prefill runs one sequence.  Every decode and verify row goes through
     :meth:`forward_rows`: the paper's accuracy experiments call it through
     :meth:`decode_step`, one sequence at a time, and the serving engine
-    through :meth:`decode_step_batch` (or its speculative twin
-    :meth:`decode_verify_step_batch`), one forward per round over the
-    whole running set.  A row's logits are the same bits either way.
+    through :meth:`decode_step_batch` (a speculative round calls
+    :meth:`forward_rows` itself), one forward per round over the whole
+    running set.  A row's logits are the same bits either way.
     """
 
     def __init__(self, config: ModelConfig, weights: ModelWeights):
@@ -120,7 +121,15 @@ class Transformer:
         """Run the prefill phase over ``token_ids``, filling ``cache``.
 
         Returns the logits of the *last* prompt position (the distribution of
-        the first output token).
+        the first output token).  Every block appends the K/V of every row,
+        but only the last row's hidden state is read after the last block,
+        so that block outputs just the chunk's final query tile
+        (:func:`~repro.model.attention.prefill_output_rows`): its queries,
+        ``wo`` and MLP skip the other rows.  The logits and every layer's
+        K/V are bit-identical to a full-row pass (see the
+        :mod:`~repro.model.attention` module notes); each call prunes its
+        own chunk, so one-shot, chunked and row-tier-seeded prefills all
+        do.
         """
         token_ids = list(token_ids)
         if not token_ids:
@@ -130,8 +139,11 @@ class Transformer:
             raise ValueError("prompt does not fit in the KV cache")
         positions = np.arange(start, start + len(token_ids))
         hidden = self.embed(token_ids, positions)
-        for block, layer_cache in zip(self.blocks, cache.layers):
+        *inner, last = self.blocks
+        for block, layer_cache in zip(inner, cache.layers):
             hidden = block.forward_prefill(hidden, layer_cache, positions)
+        n_out = prefill_output_rows(len(token_ids))
+        hidden = last.forward_prefill(hidden, cache.layers[-1], positions, n_out)
         return self._logits(hidden[-1:])[0]
 
     def forward_rows(
@@ -142,8 +154,11 @@ class Transformer:
         """The one decode/verify forward: append each run to its cache.
 
         ``runs[i]`` is ``[token]`` for a decode step or ``[token, *drafts]``
-        for a speculative verify.  Returns, per run, one next-token logits
-        row per input token.  The runs' rows are stacked and each weight
+        for a speculative verify, whose caller checks the drafts against
+        the logits and truncates the rejected tail's rows (see
+        :meth:`~repro.kvpool.cache.PagedKVCache.truncate`); run lengths may
+        differ per sequence.  Returns, per run, one next-token logits row
+        per input token.  The runs' rows are stacked and each weight
         GEMM runs once over 2-row tiles
         (:func:`~repro.model.attention.tiled_matmul`), so a row's bits
         depend neither on its batch nor on its run's length.  Attention
@@ -194,31 +209,6 @@ class Transformer:
         token in one :meth:`forward_rows` call.
         """
         return [rows[0] for rows in self.forward_rows([[t] for t in token_ids], caches)]
-
-    def decode_verify_step(
-        self, token_ids: Sequence[int], cache: ModelKVCache
-    ) -> list[np.ndarray]:
-        """Speculative verify of ``[next_token, *drafts]``: one logits row per token.
-
-        All rows are appended to ``cache``; the caller checks the drafts
-        against the logits and truncates the rejected tail's rows (see
-        :meth:`~repro.kvpool.cache.PagedKVCache.truncate`).
-        """
-        with profiling_span("verify"):
-            return self.forward_rows([token_ids], [cache])[0]
-
-    def decode_verify_step_batch(
-        self,
-        token_lists: Sequence[Sequence[int]],
-        caches: Sequence[ModelKVCache],
-    ) -> list[list[np.ndarray]]:
-        """The speculative round: every sequence's verify run in one forward.
-
-        Run lengths may differ per sequence (acceptance windows shrink with
-        budget and pool headroom).
-        """
-        with profiling_span("verify"):
-            return self.forward_rows(token_lists, caches)
 
     def generate(
         self,
@@ -313,8 +303,11 @@ class Transformer:
         stop_ids: Sequence[int] = (),
         sampler: Callable[[np.ndarray], int] = greedy_sample,
     ) -> DecodeSession:
-        """Build a step-at-a-time decode session over the dense cache.
+        """Build a step-at-a-time decode session over ``cache``.
 
+        ``cache`` is a dense :class:`~repro.model.kv_cache.ModelKVCache`
+        (the accuracy harness) or a pool-backed
+        :class:`~repro.kvpool.cache.PagedKVCache` (every serving engine).
         This is the primitive both :meth:`generate` / :meth:`generate_from_cache`
         and the serving engine drive: the former call :meth:`DecodeSession.run`,
         the engine splits each step across a

@@ -404,6 +404,12 @@ class QuantizedDenseBackend(DecodeBackend):
         unmatched rows are packed from the same deterministic encodings,
         so the decode phase reads the same pages whether the index held
         all, some or none of them (or does not exist).
+
+        The cache leaves with its decode mirrors built from what this call
+        holds (:meth:`~repro.kvpool.cache.PagedKVCache.build_mirrors`):
+        adopted pages decode into them, the unmatched rows come from the
+        scratch and the packed ones from the encodings' in-memory codes —
+        the floats a rebuild from the pages would yield.
         """
         prefix_cache = self.engine.prefix_cache
         pool = self.engine.pool
@@ -436,17 +442,18 @@ class QuantizedDenseBackend(DecodeBackend):
                 # No packed encoder: materialise the fake-quant floats in the
                 # scratch cache so the copied pages hold what decode reads.
                 self.quantizer.apply(scratch, plan)
-            for layer_index, layer in enumerate(scratch.layers):
-                cache.append_layer(
-                    layer_index,
-                    layer.keys()[matched_tokens:],
-                    layer.values()[matched_tokens:],
-                )
+            unmatched = [
+                (layer.keys()[matched_tokens:], layer.values()[matched_tokens:])
+                for layer in scratch.layers
+            ]
+            for layer_index, (k_rows, v_rows) in enumerate(unmatched):
+                cache.append_layer(layer_index, k_rows, v_rows)
             cache.mark_context(n_context)
             if encodings is not None:
                 cache.pack_context(
                     encodings, first_block=matched_tokens // pool.block_size
                 )
+            cache.build_mirrors(unmatched, encodings)
             if fingerprint is not None:
                 prefix_cache.insert(
                     fingerprint, hashes, cache.table.block_ids[: len(hashes)]

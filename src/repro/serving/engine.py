@@ -101,7 +101,7 @@ class ExecutionStats:
     #: Engine iterations (:meth:`InferenceEngine.step` calls).
     n_steps: int = 0
     #: Model decode invocations: the round's one ``decode_step_batch`` /
-    #: ``decode_verify_step_batch`` call (at most one per step).
+    #: verify ``forward_rows`` call (at most one per step).
     n_forward_calls: int = 0
     #: Summed batch sizes of those invocations.
     n_fused_sequences: int = 0
@@ -724,9 +724,7 @@ class EngineCore:
             self.model.decode_step_batch,
             reserve=reserve,
             verify_batch_fn=(
-                self.model.decode_verify_step_batch
-                if self.speculative is not None
-                else None
+                self.model.forward_rows if self.speculative is not None else None
             ),
         )
         try:

@@ -4,10 +4,10 @@ Prompt-lookup / n-gram speculative decoding attacks the one per-token cost
 the batched refactor left standing — the target-model forward count itself.
 Each engine step a :class:`DraftProposer` guesses up to ``k`` continuation
 tokens for every in-flight sequence; the engine then runs **one** fused
-multi-token verify forward (:meth:`~repro.model.transformer.Transformer.
-decode_verify_step_batch`) instead of one forward per token, greedily
-verifies the guesses against the target model's own logits and keeps the
-matching prefix.  Under greedy sampling this is provably output-identical
+multi-token verify forward over the ``[token, *drafts]`` runs
+(:meth:`~repro.model.transformer.Transformer.forward_rows`) instead of
+one forward per token, greedily verifies the guesses against the target
+model's own logits and keeps the matching prefix.  Under greedy sampling this is provably output-identical
 to plain decoding: every accepted token is *exactly* the token the target
 model would have produced, every rejected tail is rolled back
 (:meth:`~repro.kvpool.cache.PagedKVCache.truncate`), so speculation changes

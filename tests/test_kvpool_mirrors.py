@@ -11,7 +11,10 @@ besides its mirrors.  These tests pin the contract:
 * the physical-memory probes (``BlockPool.physical_bytes``,
   ``working_set_bytes``) count what is actually held;
 * the per-sequence float bytes of four long Cocktail sequences stay under
-  a fixed budget (a deterministic byte count, not RSS).
+  a fixed budget (a deterministic byte count, not RSS);
+* every backend's ``prepare`` leaves the mirrors built, byte-identical to
+  a rebuild from its pages, cold and warm, and a cold Cocktail admission's
+  first decode step decodes no page.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from repro.datasets.base import DatasetSpec
 from repro.datasets.generator import SampleGenerator
 from repro.kvpool import BlockPool, PagedKVCache, encode_per_token_groups
 from repro.quant.dtypes import BitWidth
+from repro.serving.backends import PrefillJob, backend_names
 from repro.serving.engine import InferenceEngine
 from repro.serving.request import GenerationRequest
 
@@ -264,7 +268,7 @@ def test_rollback_decodes_nothing_and_keeps_greedy_tokens(
         i = len(emitted)
         drafts = oracle_tokens[i + 1 : i + 1 + n_good]
         drafts += [(oracle_tokens[i + 1 + n_good] + 1) % config.vocab_size] * (4 - n_good)
-        rows = model.decode_verify_step([next_token, *drafts], speculative)
+        rows = model.forward_rows([[next_token, *drafts]], [speculative])[0]
         for j in range(n_good + 1):
             np.testing.assert_array_equal(rows[j], oracle_logits[i + j])
         accepted = 0
@@ -324,3 +328,81 @@ def test_four_long_cocktail_sequences_fit_the_float_budget(
     while engine.has_pending:
         engine.step()
     assert engine.kv_memory_stats()["working_set_bytes"] == 0
+
+
+def _mirror_bytes(cache) -> list[tuple[bytes, bytes]]:
+    """Every layer's valid mirror rows (read without building anything)."""
+    out = []
+    for mirror in cache._mirrors.values():
+        length, valid = cache.length, mirror.valid
+        assert valid == length
+        out.append((mirror.k_t[:, :, :valid].tobytes(), mirror.v_t[:, :valid].tobytes()))
+    return out
+
+
+class TestPreparedMirrors:
+    """``prepare`` builds the mirrors from the rows and codes it holds."""
+
+    @staticmethod
+    def _engine(model, tokenizer, vocab):
+        return InferenceEngine(
+            model, tokenizer, CocktailConfig(chunk_size=16), lexicon=vocab.lexicon
+        )
+
+    @staticmethod
+    def _prepare(engine, request):
+        job = PrefillJob(engine.model, engine.tokenizer, request)
+        job.advance(len(job.prompt))
+        return engine.get_backend(request.backend).prepare(request, job)
+
+    @pytest.mark.parametrize("backend", backend_names())
+    def test_prepared_mirrors_equal_a_rebuild_from_the_pages(
+        self, retrieval_model, tokenizer, vocab, tiny_samples, backend
+    ):
+        """Cold, an exact repeat (adopts every context page) and a longer
+        context over the same prefix (adopts pages, packs fresh rows)."""
+        engine = self._engine(retrieval_model, tokenizer, vocab)
+        sample = tiny_samples[1]
+        longer = list(sample.context_words) + vocab.all_words()[200:237]
+        requests = [
+            GenerationRequest(context, sample.query_words, backend=backend)
+            for context in (sample.context_words, sample.context_words, longer)
+        ]
+        prepared = [self._prepare(engine, request) for request in requests]
+        assert prepared[0].cached_tokens == 0
+        assert prepared[1].cached_tokens > 0  # warm: the first one's pages
+        n_layers = engine.model.config.n_layers
+        for sequence in prepared:
+            cache = sequence.cache
+            assert len(cache._mirrors) == n_layers
+            seeded, seeded_bytes = _mirror_bytes(cache), cache.working_set_bytes()
+            cache.swap_out()
+            cache.swap_in()
+            for layer in range(n_layers):
+                cache.layer_mirrors(layer)  # rebuilt from the pages
+            assert _mirror_bytes(cache) == seeded
+            assert cache.working_set_bytes() == seeded_bytes
+        for sequence in prepared:
+            sequence.cache.release()
+
+    def test_cold_cocktail_admission_decodes_no_page(
+        self, retrieval_model, tokenizer, vocab, tiny_samples, monkeypatch
+    ):
+        engine = self._engine(retrieval_model, tokenizer, vocab)
+        sample = tiny_samples[2]
+        request = GenerationRequest(sample.context_words, sample.query_words, backend="cocktail")
+        calls = []
+        real = cache_module.decode_runs
+        monkeypatch.setattr(
+            cache_module, "decode_runs", lambda runs: calls.append(runs) or real(runs)
+        )
+        prepared = self._prepare(engine, request)
+        cache = prepared.cache
+        assert prepared.cached_tokens == 0
+        kv_bytes = cache.measured_bytes()
+        assert kv_bytes["context_bytes"] < kv_bytes["context_fp16_bytes"]  # packed pages
+        length = cache.length
+        prepared.session.advance()  # the first decode step
+        assert cache.length == length + 1
+        assert calls == []
+        prepared.cache.release()

@@ -6,10 +6,16 @@ the property that makes one forward per round safe: a row's output is the
 same for any batch size, slot, neighbours and BLAS thread count — first at
 the BLAS level for every decode GEMM shape, then through the model on
 dense and paged caches.
+
+Prefill leans on the sibling property of plain GEMMs from 8 rows up: its
+last block outputs only the final query tile, and the first-token logits
+and every layer's K/V must equal a pass that runs every block over all
+rows, bit for bit, at 1 and 2 BLAS threads.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -61,6 +67,17 @@ print(json.dumps({
 """
 
 
+def _run_probe(script: str, argument: str, threads: str) -> dict:
+    """Run a probe in a fresh interpreter at ``threads`` BLAS threads; its last line's JSON."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))
+    probe = subprocess.run(
+        [sys.executable, "-c", script, argument],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    return json.loads(probe.stdout.strip().splitlines()[-1])
+
+
 def _decode_gemm_shapes(config: ModelConfig) -> list[tuple[int, int]]:
     """``(K, N)`` of the tiled weights: ``[Wq|Wk|Wv]``, ``wo``, ``[W_gate|W_up]``, ``W_down``."""
     d, hd = config.d_model, config.head_dim
@@ -72,11 +89,11 @@ def _decode_gemm_shapes(config: ModelConfig) -> list[tuple[int, int]]:
     ]
 
 
-def _unit_config(n_kv_heads: int) -> ModelConfig:
+def _unit_config(n_kv_heads: int, max_seq_len: int = 64) -> ModelConfig:
     """The unit-test models' geometry (RoPE, RMSNorm, optionally GQA)."""
     return ModelConfig(
         name="rows-unit", vocab_size=50, d_model=32, n_layers=2, n_heads=4,
-        n_kv_heads=n_kv_heads, d_ff=64, max_seq_len=64, positional="rope",
+        n_kv_heads=n_kv_heads, d_ff=64, max_seq_len=max_seq_len, positional="rope",
         use_rmsnorm=True,
     )
 
@@ -96,15 +113,7 @@ class TestTileInvariance:
         shapes = _all_decode_gemm_shapes()
         digests = {}
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(
-                filter(None, [str(_SRC), os.environ.get("PYTHONPATH")])
-            )
-            probe = subprocess.run(
-                [sys.executable, "-c", _TILE_PROBE, json.dumps(shapes)],
-                env=env, capture_output=True, text=True, timeout=300, check=True,
-            )
-            report = json.loads(probe.stdout.strip().splitlines()[-1])
+            report = _run_probe(_TILE_PROBE, json.dumps(shapes), threads)
             assert report["n_failures"] == 0, (
                 f"OPENBLAS_NUM_THREADS={threads}: {report['n_failures']} rows changed "
                 f"bits with their batch ([K, N, batch, slot]: {report['failures']}); "
@@ -115,6 +124,84 @@ class TestTileInvariance:
         assert not changed, (
             f"tiles of shapes {changed} changed bits between 1 and 2 threads; "
             f"BLAS: {np.show_config(mode='dicts')['Build Dependencies']['blas']}"
+        )
+
+
+#: Runs in a fresh interpreter: for each geometry, prompt length and mode,
+#: prefill one cache with ``Transformer.prefill`` (the last block pruned to
+#: the final query tile) and a twin with every block over all rows, then
+#: compare the first-token logits and every layer's K/V bit for bit.
+#: Modes: one shot, three chunks, and a chunk continuing a cache that
+#: already holds 37 rows.
+_PREFILL_PROBE = """
+import json, sys
+import numpy as np
+from repro.model.config import ModelConfig, get_sim_config
+from repro.model.transformer import Transformer
+from repro.model.weights import build_random_weights, build_retrieval_weights
+
+def full_rows_prefill(model, tokens, cache):
+    positions = np.arange(cache.length, cache.length + len(tokens))
+    hidden = model.embed(tokens, positions)
+    for block, layer_cache in zip(model.blocks, cache.layers):
+        hidden = block.forward_prefill(hidden, layer_cache, positions)
+    return model._logits(hidden[-1:])[0]
+
+spec = json.loads(sys.argv[1])
+e2e = get_sim_config("llama2-7b", 6155)
+unit = ModelConfig(**spec["unit"])
+models = {
+    "e2e": Transformer(e2e, build_retrieval_weights(e2e)),
+    "unit": Transformer(unit, build_random_weights(unit, seed=5, scale=0.2)),
+}
+rng = np.random.default_rng(0)
+failures, checked = [], 0
+for name, model in models.items():
+    vocab = model.config.vocab_size
+    for n in spec["lengths"]:
+        tokens = rng.integers(0, vocab, size=n).tolist()
+        for mode in ("one-shot", "three-chunk", "continue"):
+            pruned, full = model.new_cache(), model.new_cache()
+            if mode == "continue":
+                head = rng.integers(0, vocab, size=37).tolist()
+                model.prefill(head, pruned)
+                full_rows_prefill(model, head, full)
+            cuts = [0, n // 3, 2 * n // 3, n] if mode == "three-chunk" else [0, n]
+            for lo, hi in zip(cuts, cuts[1:]):
+                if lo < hi:
+                    logits = model.prefill(tokens[lo:hi], pruned)
+                    reference = full_rows_prefill(model, tokens[lo:hi], full)
+            same = np.array_equal(logits, reference) and all(
+                np.array_equal(a.keys(), b.keys()) and np.array_equal(a.values(), b.values())
+                for a, b in zip(pruned.layers, full.layers)
+            )
+            checked += 1
+            if not same:
+                failures.append([name, n, mode])
+blas = {}
+if failures:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+print(json.dumps({"failures": failures, "checked": checked, "blas": blas}))
+"""
+
+#: Tile edges (127-129, 255-257), the fewest kept rows around 8 (7-9,
+#: 135/136, 263/264), a ``long_cold``-sized prompt (586) and a long one.
+PRUNING_LENGTHS = [1, 7, 8, 9, 127, 128, 129, 135, 136, 255, 256, 257, 263, 264, 586, 2000]
+
+
+class TestPrunedPrefill:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_logits_and_kv_equal_a_full_rows_pass(self, threads):
+        unit = _unit_config(2, max_seq_len=2048)
+        spec = {
+            "lengths": PRUNING_LENGTHS,
+            "unit": dataclasses.asdict(unit),
+        }
+        report = _run_probe(_PREFILL_PROBE, json.dumps(spec), threads)
+        assert report["checked"] == 2 * 3 * len(PRUNING_LENGTHS)
+        assert not report["failures"], (
+            f"OPENBLAS_NUM_THREADS={threads}: pruned prefill changed bits for "
+            f"[model, length, mode] {report['failures']}; BLAS: {report['blas']}"
         )
 
 
@@ -177,7 +264,7 @@ class TestRowForwardInvariance:
         lengths = [1, 3, 2, 5, 1, 4, 1]
         batched, reference = _caches(model, kind, _prompts(model, rng, len(lengths)))
         runs = [rng.integers(0, vocab, size=n).tolist() for n in lengths]
-        blocks = model.decode_verify_step_batch(runs, batched)
+        blocks = model.forward_rows(runs, batched)
         assert [len(block) for block in blocks] == lengths
         for run, block, cache in zip(runs, blocks, reference):
             for token, row in zip(run, block):

@@ -17,6 +17,7 @@ import pytest
 from repro.core.config import CocktailConfig
 from repro.kvpool import BlockPool
 from repro.model.decode import BatchedDecodeStep, DecodeSession
+from repro.profiling import StepProfiler
 from repro.serving import backends as backends_module
 from repro.serving.engine import InferenceEngine
 from repro.serving.request import GenerationRequest, SamplingParams
@@ -330,6 +331,19 @@ class TestCompleteVerifyUnit:
         assert sessions[1].generated == [3]
         assert sessions[1].next_token == 4  # corrected
 
+    def test_verify_forward_runs_in_the_verify_span(self):
+        """The coordinator, not the model, charges a verify forward to ``verify``."""
+        session = self.make_session(first=3)
+
+        def verify(token_lists, payloads):
+            return [[self.logits_for(4), self.logits_for(5)]]
+
+        batch = BatchedDecodeStep(lambda tokens, payloads: [], verify_batch_fn=verify)
+        batch.add(session, drafts=(4,))
+        with StepProfiler() as profiler:
+            batch.commit()
+        assert profiler.phase_counts == {"verify": 1}
+
 
 class TestTruncate:
     def make_pool_cache(self, retrieval_model, block_size=8):
@@ -354,7 +368,7 @@ class TestTruncate:
         length = cache.length
         blocks_before = pool.n_allocated
         # A verify run appends rows for drafts that will all be rejected.
-        rejected = model.decode_verify_step([3, 5, 7, 9, 11, 2, 4, 6], cache)
+        rejected = model.forward_rows([[3, 5, 7, 9, 11, 2, 4, 6]], [cache])[0]
         assert len(rejected) == 8
         assert pool.n_allocated > blocks_before
         cache.truncate(length)
@@ -403,7 +417,7 @@ class TestTruncate:
         model.prefill(prompt, reference)
         cache.mark_context(10)
         length = cache.length
-        model.decode_verify_step([3, 5, 7], cache)
+        model.forward_rows([[3, 5, 7]], [cache])
         cache.truncate(length)
         assert cache.length == length
         np.testing.assert_array_equal(
@@ -425,7 +439,7 @@ class TestVerifyStepModel:
         model.prefill(prompt, verify_cache)
         model.prefill(prompt, sequential_cache)
         tokens = [3, 5, 7, 9]
-        fused = model.decode_verify_step(tokens, verify_cache)
+        fused = model.forward_rows([tokens], [verify_cache])[0]
         for token, row in zip(tokens, fused):
             np.testing.assert_array_equal(
                 row, model.decode_step(token, sequential_cache)
@@ -437,11 +451,11 @@ class TestVerifyStepModel:
         cache = model.new_cache(capacity=24)
         model.prefill(tokenizer.encode(["the"] * 20 + ["<sep>", "the"]), cache)
         with pytest.raises(ValueError, match="at least one token"):
-            model.decode_verify_step([], cache)
+            model.forward_rows([[]], [cache])
         with pytest.raises(ValueError, match="does not fit"):
-            model.decode_verify_step([1, 2, 3], cache)
+            model.forward_rows([[1, 2, 3]], [cache])
         with pytest.raises(ValueError, match="caches"):
-            model.decode_verify_step_batch([[1], [2]], [cache])
+            model.forward_rows([[1], [2]], [cache])
 
 
 class TestSpeculativeParity:
