@@ -91,10 +91,7 @@ def _merged_trace(generator: WorkloadGenerator) -> WorkloadTrace:
         scenario="poisson+shared_prefix",
         seed=SEED,
         requests=requests,
-        metadata={
-            "engine_hints": {},
-            "parents": [poisson.scenario, shared.scenario],
-        },
+        metadata={"parents": [poisson.scenario, shared.scenario]},
     )
     floors = stamp_hit_floors(trace, block_size=BLOCK_SIZE)
     trace.metadata["hit_floor_total"] = sum(floors.values())

@@ -44,7 +44,7 @@ from repro.core.config import CocktailConfig
 from repro.datasets.longbench import build_dataset, build_vocabulary
 from repro.evaluation.setup import build_model, build_tokenizer
 from repro.serving import InferenceEngine, SpeculativeConfig
-from repro.serving.adaptive import PrefillBudgetController, SloPolicy
+from repro.serving.adaptive import SloPolicy
 from repro.serving.server import ServerCore, ServingServer
 from repro.workloads import (
     SCENARIOS,
@@ -73,9 +73,9 @@ HTTP_SCENARIOS = ("poisson", "shared_prefix", "cancel_storm")
 TRAJECTORY = "BENCH_workloads.json"
 
 
-def _fresh_engine(model, tokenizer, vocab, **hints) -> InferenceEngine:
+def _fresh_engine(model, tokenizer, vocab, **kwargs) -> InferenceEngine:
     return InferenceEngine(
-        model, tokenizer, CocktailConfig(), lexicon=vocab.lexicon, **hints
+        model, tokenizer, CocktailConfig(), lexicon=vocab.lexicon, **kwargs
     )
 
 
@@ -97,8 +97,7 @@ def test_bench_workloads(results_dir):
     for name, trace in traces.items():
         clock = VirtualClock()
         engine = _fresh_engine(
-            model, tokenizer, vocab,
-            max_running=4, clock=clock, **trace.engine_hints,
+            model, tokenizer, vocab, max_running=4, clock=clock
         )
         run = EngineDriver(engine, clock=clock).run(trace)
         check_oracles(run)
@@ -197,30 +196,20 @@ AB_OVERRIDES = {
 
 #: Cost-aware virtual clock shared by both arms: a step is charged for the
 #: prompt tokens it prefilled and the forward rows it computed, so a
-#: controller that shapes that work moves the measured latencies.  Token
+#: control loop that shapes that work moves the measured latencies.  Token
 #: outputs never depend on the clock — oracles stay bit-identical.
 AB_COST_MODEL = StepCostModel(
     base=1.0, prefill_token_cost=0.08, forward_row_cost=0.02
 )
 
-#: The adaptive arm's prefill controller aims each step at this cost.
-AB_TPOT_TARGET = 6.0
 
-
-def _ab_engine(model, tokenizer, vocab, clock, hints, *, adaptive):
+def _ab_engine(model, tokenizer, vocab, clock, *, adaptive):
     kwargs = dict(
         max_running=4,
         clock=clock,
         speculative=SpeculativeConfig(k=4, adaptive=adaptive),
     )
-    kwargs.update(hints)
     if adaptive:
-        kwargs["prefill_controller"] = PrefillBudgetController(
-            target=AB_TPOT_TARGET,
-            min_budget=8,
-            max_budget=96,
-            start_budget=hints.get("max_prefill_tokens_per_step"),
-        )
         kwargs["slo_policy"] = SloPolicy()
     return _fresh_engine(model, tokenizer, vocab, **kwargs)
 
@@ -230,8 +219,8 @@ def test_bench_workloads_adaptive_ab(results_dir):
 
     Both arms replay identical traces under the same cost-aware virtual
     clock with speculation at ``k=4``; the *on* arm additionally runs the
-    adaptive draft windows, the TPOT-targeted prefill controller and the
-    SLO-aware scheduler.  The measured bar (ROADMAP item 3): per-scenario
+    two loops this gate judges: the adaptive draft windows and the
+    SLO-aware scheduler (``SloPolicy``).  The measured bar (ROADMAP item 3): per-scenario
     goodput must not regress on either scenario and must strictly improve
     on at least one, with every oracle still bit-identical.
     """
@@ -252,10 +241,7 @@ def test_bench_workloads_adaptive_ab(results_dir):
         arms = {}
         for arm, adaptive in (("off", False), ("on", True)):
             clock = VirtualClock()
-            engine = _ab_engine(
-                model, tokenizer, vocab, clock, trace.engine_hints,
-                adaptive=adaptive,
-            )
+            engine = _ab_engine(model, tokenizer, vocab, clock, adaptive=adaptive)
             run = EngineDriver(
                 engine, clock=clock, cost_model=AB_COST_MODEL
             ).run(trace)

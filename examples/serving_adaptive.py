@@ -1,25 +1,22 @@
 #!/usr/bin/env python
-"""Adaptive control loops: draft windows, prefill budget, SLO scheduling.
+"""Adaptive control loops: draft windows and SLO scheduling.
 
 A mixed-class batch — interactive chat turns arriving alongside batch and
-background summarization jobs — is served by an engine running all three
-adaptive controllers from :mod:`repro.serving.adaptive`:
+background summarization jobs — is served under a cost-aware virtual clock
+by an engine running both adaptive loops from :mod:`repro.serving.adaptive`:
 
 * every sequence's **draft window** adapts to its observed speculation
   acceptance (EWMA): predictable text earns deeper windows, adversarial
   text degrades to plain decoding with periodic one-token probes;
-* the **chunked-prefill budget** chases a per-step latency target under a
-  cost-aware virtual clock (long prompt chunks make a step expensive, so
-  the controller shrinks the budget the moment a step overshoots);
 * the **SLO policy** admits interactive work past queued batch jobs and
   picks preemption victims by class and deadline slack.
 
-The step loop prints the live trace of both controllers — per-request
-draft windows with their smoothed acceptance, and the prefill budget with
-the last measured step cost — so you can watch the windows widen, the
-budget settle into its deadband, and the interactive request jump the
-queue.  Outputs stay bit-identical to a static engine: the example
-asserts it by replaying the same requests without any controller.
+The step loop prints the live trace — each step's virtual cost, the
+per-class waiting/running counts and the per-request draft windows with
+their smoothed acceptance — so you can watch the windows widen and the
+interactive request jump the queue.  Outputs stay bit-identical to a
+static engine: the example asserts it by replaying the same requests
+without any controller.
 
 Run with:  PYTHONPATH=src python examples/serving_adaptive.py
 """
@@ -32,14 +29,10 @@ from repro.evaluation.setup import build_model, build_tokenizer
 from repro.serving import (
     GenerationRequest,
     InferenceEngine,
-    PrefillBudgetController,
     SloPolicy,
     SpeculativeConfig,
 )
 from repro.workloads import StepCostModel, VirtualClock
-
-#: Per-step latency target the prefill controller chases (virtual units).
-TPOT_TARGET = 4.0
 
 #: The virtual clock charges each step for the work it actually did.
 COST_MODEL = StepCostModel(base=1.0, prefill_token_cost=0.05, forward_row_cost=0.02)
@@ -52,9 +45,6 @@ def build_engine(model, tokenizer, vocab, *, adaptive, clock) -> InferenceEngine
         speculative=SpeculativeConfig(k=6, adaptive=adaptive),
     )
     if adaptive:
-        kwargs["prefill_controller"] = PrefillBudgetController(
-            target=TPOT_TARGET, min_budget=16, max_budget=256
-        )
         kwargs["slo_policy"] = SloPolicy()
     return InferenceEngine(
         model, tokenizer, CocktailConfig(), lexicon=vocab.lexicon, **kwargs
@@ -96,7 +86,7 @@ def main() -> None:
     by_rid = {rid: request.slo_class for rid, request in zip(rids, requests)}
     print(f"submitted {len(rids)} requests: "
           + ", ".join(f"{rid}={cls}" for rid, cls in by_rid.items()))
-    print(f"prefill target {TPOT_TARGET} virtual units/step, cost model {COST_MODEL}\n")
+    print(f"cost model {COST_MODEL}\n")
 
     step = 0
     while engine.has_pending:
@@ -104,25 +94,25 @@ def main() -> None:
         prefill_before, rows_before = work_snapshot(engine)
         events = engine.step()
         prefill_after, rows_after = work_snapshot(engine)
-        clock.advance(
-            COST_MODEL.cost(
-                prefill_tokens=prefill_after - prefill_before,
-                forward_rows=rows_after - rows_before,
-            )
+        cost = COST_MODEL.cost(
+            prefill_tokens=prefill_after - prefill_before,
+            forward_rows=rows_after - rows_before,
         )
+        clock.advance(cost)
         adaptive = engine.adaptive_stats()
-        prefill = adaptive["prefill"]
+        classes = " ".join(
+            f"{cls}:{counts['waiting']}/{counts['running']}"
+            for cls, counts in sorted(adaptive["slo"].items())
+        )
         windows = " ".join(
             f"{rid}:{reading['window']}"
             + (f"({reading['ewma']:.2f})" if reading["ewma"] is not None else "")
             for rid, reading in sorted(adaptive["draft_windows"].items())
         )
-        cost = prefill["last_step_cost"]
-        cost_text = f"{cost:5.1f}" if cost is not None else "    -"
         done = [e.request_id for e in events if e.is_last]
         print(
-            f"step {step:>3} | t={clock.now:7.1f} "
-            f"| budget {prefill['budget']:>3} (cost {cost_text}) "
+            f"step {step:>3} | t={clock.now:7.1f} (cost {cost:5.1f}) "
+            f"| waiting/running [{classes}] "
             f"| windows [{windows}]"
             + (f" | done: {', '.join(done)}" if done else "")
         )

@@ -6,9 +6,8 @@ one :class:`repro.serving.InferenceEngine`.  The batched round is the
 default: every running sequence advances through **one**
 ``decode_step_batch`` model invocation per step (dense / cocktail /
 blockwise / the baselines / the ablation variants all share it, even mixed
-in the same batch).  A ``max_prefill_tokens_per_step`` budget
-additionally meters long prompts across steps (chunked prefill) so
-admissions never stall the in-flight decodes.
+in the same batch).  Each admitted prompt is prefilled and prepared in one
+pass within the step that admits it, and decodes from the next round on.
 
 The step loop below prints the per-step fused batch occupancy; at the end
 the measured execution profile shows what the fusion buys: at most one
@@ -53,7 +52,6 @@ def main() -> None:
         CocktailConfig(),
         lexicon=vocab.lexicon,
         max_running=4,
-        max_prefill_tokens_per_step=512,  # chunked prefill: long prompts meter in
     )
     rids = [engine.submit(request) for request in make_requests(samples)]
     print(f"submitted {len(rids)} requests over backends {BACKENDS}")
@@ -73,7 +71,7 @@ def main() -> None:
         done = [e.request_id for e in events if e.is_last]
         print(
             f"step {step:>3} | running {engine.n_running} "
-            f"prefilling {engine.n_prefilling} waiting {engine.n_waiting} "
+            f"waiting {engine.n_waiting} "
             f"| fused {n_fused} call(s) x {occupancy} seqs -> {tokens} tokens"
             + (f" | done: {', '.join(done)}" if done else "")
         )
@@ -84,7 +82,7 @@ def main() -> None:
         f"  {stats.forwards_per_token:.3f} forwards/token, "
         f"mean batch occupancy {stats.mean_batch_occupancy:.2f}, "
         f"{stats.n_forward_calls} forwards over {stats.n_steps} steps, "
-        f"{stats.n_prefill_chunks} chunked-prefill passes"
+        f"{stats.n_prefill_tokens} prompt tokens prefilled"
     )
     assert stats.forwards_per_token <= 0.5, "the fused round must halve forwards"
 

@@ -57,10 +57,7 @@ def main() -> None:
 
         # Concurrent replay under a virtual clock (1 unit == 1 engine step).
         clock = VirtualClock()
-        engine = fresh_engine(
-            model, tokenizer, vocab, max_running=4, clock=clock,
-            **trace.engine_hints,
-        )
+        engine = fresh_engine(model, tokenizer, vocab, max_running=4, clock=clock)
         run = EngineDriver(engine, clock=clock).run(trace)
         check_oracles(run)  # bit-identical tokens + hit floors, or raise
         print(f"replayed in {run.n_steps} engine steps: "

@@ -289,7 +289,6 @@ def serving_stats_table(
     seed: int = 0,
     repeats: int = 1,
     prefix_caching: bool = True,
-    max_prefill_tokens_per_step: int | None = None,
     speculative: "SpeculativeConfig | int | None" = None,
 ) -> ResultTable:
     """Measured serving stats from the real continuous-batching engine.
@@ -311,12 +310,11 @@ def serving_stats_table(
     requests never re-created.  ``prefix_caching`` is forwarded to the
     engine.
 
-    ``max_prefill_tokens_per_step`` is forwarded to the engine too; the
-    ``fwd/tok`` and ``batch occ`` columns report the engine-wide measured
-    execution profile — model forwards per generated token and mean
-    fused-batch occupancy.  Execution is fused
-    *across* methods (one forward advances a mixed batch of every method),
-    so these two columns carry the same engine-wide value on every row.
+    The ``fwd/tok`` and ``batch occ`` columns report the engine-wide
+    measured execution profile — model forwards per generated token and
+    mean fused-batch occupancy.  Execution is fused *across* methods (one
+    forward advances a mixed batch of every method), so these two columns
+    carry the same engine-wide value on every row.
 
     ``speculative`` (a :class:`~repro.serving.spec.SpeculativeConfig` or an
     int ``k``) turns on n-gram speculative decoding; the ``drafted`` /
@@ -339,7 +337,6 @@ def serving_stats_table(
         seed=seed,
         max_running=max_running,
         prefix_caching=prefix_caching,
-        max_prefill_tokens_per_step=max_prefill_tokens_per_step,
         speculative=speculative,
     )
     samples = SampleGenerator(vocab, SERVING_SAMPLE_SPEC, seed=seed).generate_many(

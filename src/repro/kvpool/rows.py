@@ -9,7 +9,8 @@ computed once per document.  :class:`ContextRowCache` keeps them, keyed by
 the same chained block hashes (one constant fingerprint, uniform FP16 bits:
 the chain covers token ids alone), and a
 :class:`~repro.serving.backends.PrefillJob` starts from the longest stored
-run instead of running the prefill forward over it.
+run instead of running the prefill forward over it; its one prefill call
+covers the rest of the prompt, and it then publishes the context rows.
 
 The two tiers side by side: *rows* save the forward, *pages* save encode,
 pack and pool bytes.  A request may hit either, both or neither.

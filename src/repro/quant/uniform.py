@@ -126,8 +126,17 @@ def quantize_uniform(
 
 
 def dequantize(qt: QuantizedTensor) -> np.ndarray:
-    """Reconstruct the float32 tensor encoded by ``qt``."""
-    return ((qt.codes.astype(np.float32) - qt.zero_point) * qt.scale).astype(np.float32)
+    """Reconstruct the float32 tensor encoded by ``qt``.
+
+    One float32 buffer, shifted and scaled in place.  Every producer stores
+    ``scale`` and ``zero_point`` as float32 (:func:`quantize_uniform`, the
+    codecs' metadata rows), so each in-place step rounds exactly as the
+    out-of-place ``(codes - zero_point) * scale`` would.
+    """
+    out = qt.codes.astype(np.float32)
+    out -= qt.zero_point
+    out *= qt.scale
+    return out
 
 
 def quantization_step(x: np.ndarray, bits: BitWidth | int, *, axis: int | None = None) -> np.ndarray:

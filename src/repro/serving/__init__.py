@@ -11,18 +11,17 @@
   decode over in-flight sequences and capacity-aware swap preemption.
 * :mod:`repro.serving.engine` — :class:`InferenceEngine` with ``submit()`` /
   ``step()`` / ``stream()`` / ``run()`` / ``run_batch()``: every request is
-  admitted through one scratch-prefill path and served out of a shared
-  paged :class:`~repro.kvpool.BlockPool` with actually-packed quantized
-  context storage.
+  admitted through one scratch prefill, in the step that admits it, and
+  served out of a shared paged :class:`~repro.kvpool.BlockPool` with
+  actually-packed quantized context storage.
 * :mod:`repro.serving.spec` — speculative decoding: the
   :class:`DraftProposer` registry (n-gram prompt lookup by default) and
   :class:`SpeculativeConfig`, driving multi-token verify forwards through
   the batched decode path with greedy (output-identical) verification.
 * :mod:`repro.serving.adaptive` — feedback control loops over the static
   knobs: :class:`DraftWindowController` (per-sequence speculation depth
-  from observed acceptance), :class:`PrefillBudgetController`
-  (TPOT-targeted chunked-prefill budget) and :class:`SloPolicy`
-  (priority-class admission and deadline-aware preemption).  All opt-in.
+  from observed acceptance) and :class:`SloPolicy` (priority-class
+  admission and deadline-aware preemption).  Both opt-in.
 * :mod:`repro.serving.sharded` — data-parallel execution:
   :class:`ShardedEngine` fronts N private engine workers behind the
   single-core protocol, with a :class:`ShardRouter` placing each request
@@ -36,11 +35,7 @@
   (imported on demand; nothing here depends on it).
 """
 
-from repro.serving.adaptive import (
-    DraftWindowController,
-    PrefillBudgetController,
-    SloPolicy,
-)
+from repro.serving.adaptive import DraftWindowController, SloPolicy
 from repro.serving.backends import (
     DecodeBackend,
     PrefillJob,
@@ -114,7 +109,6 @@ __all__ = [
     "proposer_names",
     "create_proposer",
     "DraftWindowController",
-    "PrefillBudgetController",
     "SloPolicy",
     "SLO_CLASSES",
 ]

@@ -1,12 +1,10 @@
 """Feedback-driven control loops over the engine's static serving knobs.
 
-Every performance lever the engine grew through PRs 1–9 started life as a
-static knob: the speculation depth ``k``, the chunked-prefill budget
-``max_prefill_tokens_per_step``, LIFO preemption, FIFO admission.  This
-module closes the loops (ROADMAP item 3) with three small, deterministic
-controllers — no threads, no wall-clock reads of their own; each one is
-ticked by the engine at well-defined points and observes only signals the
-engine already measures:
+Several of the engine's performance levers started life as static knobs:
+the speculation depth ``k``, LIFO preemption, FIFO admission.  This module
+closes those loops with two small, deterministic controllers — no threads,
+no wall-clock reads of their own; each one is ticked by the engine at
+well-defined points and observes only signals the engine already measures:
 
 :class:`DraftWindowController`
     Per-sequence speculation depth from the observed acceptance rate (the
@@ -19,15 +17,6 @@ engine already measures:
     verification is *exact*, the window size can never change which
     tokens are produced — only how many model forwards they cost.
 
-:class:`PrefillBudgetController`
-    The chunked-prefill budget tuned to a per-step latency (TPOT) target.
-    It observes start-to-start deltas of the engine's own clock — the
-    measured cost of the previous step — and applies damped AIMD: shrink
-    multiplicatively the moment a step overshoots the target (a long
-    prompt chunk blew the round), grow only after ``patience``
-    consecutive under-target steps, and hold inside a deadband so the
-    budget cannot oscillate between two values on a flat workload.
-
 :class:`SloPolicy`
     Priority classes and deadline budgets for SLO-aware scheduling.  The
     scheduler uses it to (a) admit the best *(class rank, FIFO order)*
@@ -37,7 +26,7 @@ engine already measures:
     sequence is never preempted and a nearly-finished one is never rolled
     back.
 
-All three are opt-in: an engine built without them behaves bit-for-bit
+Both are opt-in: an engine built without them behaves bit-for-bit
 like before.  The measured effect on per-scenario goodput is recorded by
 the ``adaptive_ab`` pass of ``benchmarks/bench_workloads.py``.
 """
@@ -151,110 +140,6 @@ class DraftWindowController:
             self.window = min(self.k, self.window + 1)
         elif self.ewma <= self.shrink_threshold:
             self.window = max(self.min_window, self.window // 2)
-
-
-@dataclass
-class PrefillBudgetController:
-    """Tunes the chunked-prefill budget toward a per-step latency target.
-
-    The engine calls :meth:`observe` with its clock reading at the *start*
-    of every step; the delta between consecutive starts is the measured
-    cost of the previous step (real latency on a wall clock, modeled cost
-    under the workload harness's virtual clock).  Damped AIMD then moves
-    the budget:
-
-    * a step **over** ``target * (1 + tolerance)`` halves the budget
-      immediately (``shrink_factor``) — prefill work is the only
-      engine-controlled per-step cost, so an overshoot means last round's
-      prompt chunks were too large;
-    * ``patience`` consecutive steps **under** ``target * (1 - tolerance)``
-      grow it multiplicatively (``grow_factor``) — cautious, so one idle
-      step cannot open the floodgates;
-    * anything inside the deadband holds, which is what damps oscillation:
-      a budget that lands the step cost near the target stays put instead
-      of bouncing between shrink and grow forever.
-
-    Deltas larger than ``spike_clamp * target`` are clamped before use —
-    an idle gap between two bursts (or a host scheduling hiccup on a wall
-    clock) is not evidence that prefill chunks were too big.
-    """
-
-    #: Desired per-step latency, in engine clock units.
-    target: float
-    #: Budget bounds; the controller never requests outside them.
-    min_budget: int = 8
-    max_budget: int = 1024
-    #: Initial budget (defaults to ``max_budget`` — optimistic start).
-    start_budget: int | None = None
-    shrink_factor: float = 0.5
-    grow_factor: float = 1.5
-    #: Consecutive under-target steps required before growing.
-    patience: int = 2
-    #: Deadband half-width as a fraction of ``target``.
-    tolerance: float = 0.25
-    #: Observation clamp, in multiples of ``target``.
-    spike_clamp: float = 20.0
-    budget: int = field(init=False)
-    #: Clamped cost of the most recent completed step (for introspection).
-    last_step_cost: float | None = field(default=None, init=False)
-    _last_start: float | None = field(default=None, init=False)
-    _under_streak: int = field(default=0, init=False)
-
-    def __post_init__(self) -> None:
-        if self.target <= 0:
-            raise ValueError(f"target must be > 0, got {self.target}")
-        if self.min_budget < 1:
-            raise ValueError(f"min_budget must be >= 1, got {self.min_budget}")
-        if self.max_budget < self.min_budget:
-            raise ValueError(
-                f"max_budget ({self.max_budget}) must be >= min_budget "
-                f"({self.min_budget})"
-            )
-        if not (0.0 < self.shrink_factor < 1.0):
-            raise ValueError(
-                f"shrink_factor must be in (0, 1), got {self.shrink_factor}"
-            )
-        if self.grow_factor <= 1.0:
-            raise ValueError(f"grow_factor must be > 1, got {self.grow_factor}")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if not (0.0 <= self.tolerance < 1.0):
-            raise ValueError(f"tolerance must be in [0, 1), got {self.tolerance}")
-        if self.spike_clamp <= 1.0:
-            raise ValueError(f"spike_clamp must be > 1, got {self.spike_clamp}")
-        start = self.max_budget if self.start_budget is None else self.start_budget
-        if not (self.min_budget <= start <= self.max_budget):
-            raise ValueError(
-                f"start_budget must be in [{self.min_budget}, "
-                f"{self.max_budget}], got {start}"
-            )
-        self.budget = int(start)
-
-    def observe(self, now: float) -> int:
-        """Fold one step-start clock reading in; returns the new budget."""
-        last = self._last_start
-        self._last_start = now
-        if last is None:
-            return self.budget
-        dt = now - last
-        if dt <= 0:
-            return self.budget
-        dt = min(dt, self.spike_clamp * self.target)
-        self.last_step_cost = dt
-        if dt > self.target * (1.0 + self.tolerance):
-            self._under_streak = 0
-            self.budget = max(
-                self.min_budget, int(self.budget * self.shrink_factor)
-            )
-        elif dt < self.target * (1.0 - self.tolerance):
-            self._under_streak += 1
-            if self._under_streak >= self.patience:
-                self._under_streak = 0
-                grown = max(self.budget + 1, int(self.budget * self.grow_factor))
-                self.budget = min(self.max_budget, grown)
-        else:
-            self._under_streak = 0
-        return self.budget
 
 
 @dataclass

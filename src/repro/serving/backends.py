@@ -2,11 +2,10 @@
 
 Every request is admitted the same way: the engine prefills the prompt at
 full precision into a private dense scratch cache (a :class:`PrefillJob`,
-one ``advance`` or several under a prefill budget) and hands the finished
-job to the request's :class:`DecodeBackend`, which owns everything
-method-specific from there — quantization planning, building the stored
-cache out of the scratch rows, and the per-token decode step.  What it
-hands back is a :class:`PreparedSequence`: a
+one ``run`` call) and hands the prefilled job to the request's
+:class:`DecodeBackend`, which owns everything method-specific from there —
+quantization planning, building the stored cache out of the scratch rows,
+and the per-token decode step.  What it hands back is a :class:`PreparedSequence`: a
 :class:`~repro.model.decode.DecodeSession` over the sequence's
 :class:`~repro.kvpool.cache.PagedKVCache` in the engine's
 :class:`~repro.kvpool.BlockPool`, so the engine drives every method —
@@ -90,29 +89,24 @@ def prompt_token_ids(
 class PrefillJob:
     """Full-precision prefill of one admitted request.
 
-    Every admission runs through a job: each call to :meth:`advance` runs
-    the model's prefill forward over the *next chunk only*, so under an
-    engine ``max_prefill_tokens_per_step`` budget one long-context arrival
-    stops stalling every in-flight decode for a whole round (without a
-    budget the engine simply advances the whole prompt at once).  The rows
-    land in a private dense scratch cache — prefill attends over the
-    full-precision K/V of the whole prompt, which no quantized page could
-    serve — so a job holds no pool pages, and dropping it frees everything
-    it pinned.  When the job is :attr:`done`, :meth:`DecodeBackend.prepare`
-    consumes it, so chunking changes *when* prefill compute happens, never
-    what the backend builds from it.
+    Every admission runs through a job, in one :meth:`run` call inside the
+    engine step that admits it.  The rows land in a private dense scratch
+    cache — prefill attends over the full-precision K/V of the whole
+    prompt, which no quantized page could serve — so a job holds no pool
+    pages, and dropping it frees everything it pinned.
+    :meth:`DecodeBackend.prepare` consumes the prefilled job.
 
     With ``context_rows`` (the engine's
     :class:`~repro.kvpool.rows.ContextRowCache`) the job starts from the
     longest run of the context's blocks the tier holds: the rows are copied
-    into the scratch and ``n_done`` begins past them, so :meth:`advance`
+    into the scratch at construction (``n_reused`` of them), so :meth:`run`
     prefills only the unmatched context tail, the separator and the query —
-    the chunked-prefill continuation it performs anyway, under the same
-    contract (identical greedy tokens, first-token logits within ``1e-5``).
-    A cold and a warm job differ in ``n_done`` at construction and nothing
-    else.  A finished job publishes its context rows back to the tier.
-    ``plan`` carries a quantization plan made ahead of the prefill (the
-    admission probe's) to ``prepare``.
+    a prefill continuing a cache that already holds rows, under the same
+    contract as one over the whole prompt (identical greedy tokens,
+    first-token logits within ``1e-5``).  A cold and a warm job differ in
+    ``n_reused`` and nothing else.  :meth:`run` publishes the context rows
+    back to the tier.  ``plan`` carries a quantization plan made ahead of
+    the prefill (the admission probe's) to ``prepare``.
     """
 
     def __init__(
@@ -142,38 +136,16 @@ class PrefillJob:
             self.n_reused = context_rows.seed(
                 self.cache, self._row_hashes, len(self.prompt)
             )
-        self.n_done = self.n_reused
 
-    @property
-    def n_remaining(self) -> int:
-        """Prompt tokens still to prefill."""
-        return len(self.prompt) - self.n_done
-
-    @property
-    def done(self) -> bool:
-        """Whether the whole prompt has been prefilled."""
-        return self.n_done >= len(self.prompt)
-
-    def live_tokens(self) -> int:
-        """KV rows the partial prefill currently pins."""
-        return self.cache.live_tokens()
-
-    def advance(self, max_tokens: int) -> int:
-        """Prefill up to ``max_tokens`` more prompt tokens; returns how many ran."""
-        if self.done:
-            raise RuntimeError("prefill is already complete")
-        if max_tokens < 1:
-            raise ValueError(f"max_tokens must be >= 1, got {max_tokens}")
-        chunk = self.prompt[self.n_done : self.n_done + max_tokens]
-        logits = self.model.prefill(chunk, self.cache)
-        self.n_done += len(chunk)
-        if self.done:
-            self.first_logits = logits
-            if self._context_rows is not None:
-                # Before ``prepare``: ``quantizer.apply`` may overwrite the
-                # scratch's context rows with fake-quant floats.
-                self._context_rows.publish(self.cache, self._row_hashes)
-        return len(chunk)
+    def run(self) -> int:
+        """Prefill the prompt past the seeded rows; returns how many tokens ran."""
+        rest = self.prompt[self.n_reused :]
+        self.first_logits = self.model.prefill(rest, self.cache)
+        if self._context_rows is not None:
+            # Before ``prepare``: ``quantizer.apply`` may overwrite the
+            # scratch's context rows with fake-quant floats.
+            self._context_rows.publish(self.cache, self._row_hashes)
+        return len(rest)
 
 
 @dataclass
@@ -259,9 +231,9 @@ class DecodeBackend(abc.ABC):
 
     @staticmethod
     def _scratch(request: "GenerationRequest", prefill: PrefillJob) -> ModelKVCache:
-        """The finished job's full-precision cache, context region marked."""
-        if not prefill.done:
-            raise RuntimeError("prepare() needs a finished prefill job")
+        """The prefilled job's full-precision cache, context region marked."""
+        if prefill.first_logits is None:
+            raise RuntimeError("prepare() needs a prefilled job")
         prefill.cache.mark_context(len(request.context_words))
         return prefill.cache
 
@@ -269,9 +241,9 @@ class DecodeBackend(abc.ABC):
     def prepare(
         self, request: "GenerationRequest", prefill: PrefillJob
     ) -> PreparedSequence:
-        """Plan/apply quantization over a finished prefill; return the decode session.
+        """Plan/apply quantization over a prefilled job; return the decode session.
 
-        ``prefill`` is the *finished* :class:`PrefillJob` the engine ran for
+        ``prefill`` is the *prefilled* :class:`PrefillJob` the engine ran for
         this request: its dense scratch cache holds the whole prompt's
         full-precision K/V and ``first_logits`` the first-token
         distribution.  The backend builds the sequence's stored cache from

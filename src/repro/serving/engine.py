@@ -18,13 +18,12 @@ backends), the shared :class:`~repro.kvpool.BlockPool` and a
 by step, one decode token per in-flight sequence per :meth:`step`.
 
 There is one way to run a request: it is admitted as a
-:class:`~repro.serving.backends.PrefillJob` (full-precision prefill into a
-private scratch cache, whole or metered by
-``max_prefill_tokens_per_step``, starting past whatever context rows the
-row tier already holds), its backend's ``prepare`` turns the
-finished scratch into pool-resident storage, it decodes out of the pool,
-and under pressure it is preempted by swapping its pages to the host
-store and back.
+:class:`~repro.serving.backends.PrefillJob` (one full-precision prefill
+into a private scratch cache, starting past whatever context rows the row
+tier already holds), its backend's ``prepare`` turns the prefilled
+scratch into pool-resident storage — both within the step that admits it
+— it decodes out of the pool, and under pressure it is preempted by
+swapping its pages to the host store and back.
 
 Typical use::
 
@@ -42,7 +41,6 @@ Typical use::
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
@@ -79,7 +77,7 @@ from repro.serving.scheduler import (
 from repro.serving.spec import DraftProposer, SpeculativeConfig, create_proposer
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.serving.adaptive import PrefillBudgetController, SloPolicy
+    from repro.serving.adaptive import SloPolicy
 
 
 #: Prefix-index retention cap applied when the pool is *unbounded*: without
@@ -107,11 +105,7 @@ class ExecutionStats:
     n_fused_sequences: int = 0
     #: Tokens emitted to consumers by decode rounds.
     n_decode_tokens: int = 0
-    #: Prefill passes executed: one per admission without a prefill budget,
-    #: one per metered chunk with one — always the sum of the requests'
-    #: ``RequestStats.n_prefill_chunks``.
-    n_prefill_chunks: int = 0
-    #: Prompt tokens pushed through those passes — computed tokens only
+    #: Prompt tokens prefilled by admissions — computed tokens only
     #: (swap-ins restore pages without prefilling and are not counted).
     n_prefill_tokens: int = 0
     #: Context tokens whose rows prefill jobs copied from the row tier
@@ -213,13 +207,6 @@ class EngineCore:
         mainly bounds an *unbounded* pool's growth — which is why unbounded
         pools default to :data:`DEFAULT_PREFIX_CACHE_BLOCKS` instead of
         ``None`` (pass an explicit value to change it).
-    max_prefill_tokens_per_step:
-        Chunked-prefill budget: at most this many prompt tokens are
-        prefilled per engine step, so a long-context arrival prefills
-        across several steps (into its private scratch cache; no pool page
-        is touched before ``prepare``) while every in-flight sequence
-        keeps decoding, instead of stalling the whole round.  ``None``
-        (default) prefills each admitted prompt in one pass.
     speculative:
         Speculative-decoding knobs (:class:`~repro.serving.spec.SpeculativeConfig`,
         or a plain ``int`` shorthand for ``SpeculativeConfig(k=...)``).
@@ -238,13 +225,6 @@ class EngineCore:
         the batched round, so speculation never claims capacity a plain
         decode round would not have been granted.  ``None`` (default)
         disables.
-    prefill_controller:
-        Optional :class:`~repro.serving.adaptive.PrefillBudgetController`.
-        When set, each :meth:`step` begins by folding the engine clock into
-        the controller and adopting its budget as
-        ``max_prefill_tokens_per_step`` — chunked prefill becomes
-        TPOT-targeted instead of a constant.  ``None`` (default) keeps the
-        static budget.
     slo_policy:
         Optional :class:`~repro.serving.adaptive.SloPolicy`.  When set,
         :meth:`submit` stamps each request's class deadline, admission
@@ -271,9 +251,7 @@ class EngineCore:
         max_live_blocks: int | None = None,
         prefix_caching: bool = True,
         prefix_cache_blocks: int | None = None,
-        max_prefill_tokens_per_step: int | None = None,
         speculative: SpeculativeConfig | int | None = None,
-        prefill_controller: "PrefillBudgetController | None" = None,
         slo_policy: "SloPolicy | None" = None,
         clock: Callable[[], float] = time.perf_counter,
     ):
@@ -321,18 +299,6 @@ class EngineCore:
             max_live_blocks=max_live_blocks,
             slo_policy=slo_policy,
         )
-        if max_prefill_tokens_per_step is not None and max_prefill_tokens_per_step < 1:
-            raise ValueError(
-                "max_prefill_tokens_per_step must be >= 1, got "
-                f"{max_prefill_tokens_per_step}"
-            )
-        self.prefill_controller = prefill_controller
-        if prefill_controller is not None:
-            # The controller owns the budget from the first step on; start
-            # from its current budget so admission before the first observe
-            # already obeys it.
-            max_prefill_tokens_per_step = prefill_controller.budget
-        self.max_prefill_tokens_per_step = max_prefill_tokens_per_step
         if isinstance(speculative, bool):
             raise ValueError(
                 "speculative takes a SpeculativeConfig or an int k, not a bool"
@@ -447,11 +413,6 @@ class EngineCore:
         """Number of requests queued for admission."""
         return len(self.scheduler.waiting)
 
-    @property
-    def n_prefilling(self) -> int:
-        """Number of admitted requests still prefilling chunk by chunk."""
-        return len(self.scheduler.prefilling)
-
     def assert_consistent(self) -> None:
         """Walk the pool, prefix-index and row-tier invariants (tests/replay).
 
@@ -500,14 +461,12 @@ class EngineCore:
         """One engine iteration: admit, decode one round, rebalance.
 
         Admission moves FIFO-queue heads into the running set while slots
-        and token headroom last; prompts prefill here — in one pass by
-        default, or metered across steps under
-        ``max_prefill_tokens_per_step`` (chunked prefill, so a long prompt
-        never stalls the in-flight decodes for a whole round).  The decode
-        round then advances every running sequence by exactly one token —
-        through **one fused forward** for the whole running set; this is
-        the continuous batching: new arrivals join mid-flight and short
-        requests drain without waiting for long ones.  Finally, if
+        and token headroom last; each admitted prompt is prefilled and
+        prepared here, in one pass.  The decode round then advances every
+        running sequence by exactly one token — through **one fused
+        forward** for the whole running set; this is the continuous
+        batching: new arrivals join mid-flight and short requests drain
+        without waiting for long ones.  Finally, if
         accumulated decode tokens pushed the KV footprint over budget, the
         most recently admitted sequences are preempted: their pages swap
         out to the host store and swap back in on re-admission.
@@ -516,13 +475,6 @@ class EngineCore:
         round-robin order.
         """
         with profiling_span("step"):
-            if self.prefill_controller is not None:
-                # Start-to-start clock deltas are the measured cost of the
-                # previous step; the controller's AIMD answer becomes this
-                # step's chunked-prefill budget.
-                self.max_prefill_tokens_per_step = self.prefill_controller.observe(
-                    self._clock()
-                )
             with profiling_span("schedule"):
                 self._admission_phase()
                 # Rebalance before decoding too: every running sequence may
@@ -541,105 +493,62 @@ class EngineCore:
             self.exec_stats.n_steps += 1
             return events
 
-    # -- admission (incl. chunked prefill) ------------------------------------
+    # -- admission -------------------------------------------------------------
 
     def _admission_phase(self) -> None:
-        """Resume in-flight prefills, then admit FIFO-queue heads.
+        """Admit queue heads while slots and headroom last.
 
-        Every admission is a :class:`~repro.serving.backends.PrefillJob`
-        metered by ``max_prefill_tokens_per_step``: in-flight jobs
-        (admitted in earlier steps, FIFO among themselves) consume the
-        budget first, then new heads are admitted while budget, slots and
-        headroom last.  With no budget configured each job runs its whole
-        prompt in one advance, so a head is prefilled, prepared and decoding
-        within the step that admitted it.
+        A swapped-out head swaps its pages back in; any other head is
+        admitted by :meth:`_admit`.  Admission stops at the first head the
+        pool cannot hold right now.
         """
-        budget = self.max_prefill_tokens_per_step
-        remaining = math.inf if budget is None else budget
-        rolled_back: list[SequenceState] = []
-        for state in list(self.scheduler.prefilling):
-            if remaining < 1:
-                break
-            consumed, aborted = self._advance_prefill(state, remaining)
-            remaining -= consumed
-            if aborted:
-                rolled_back.append(state)
-        # Requeue newest-first: the resume loop visits jobs in admission
-        # order, so reversing before the appendleft rollbacks leaves the
-        # oldest request at the queue front — FIFO order survives even when
-        # several starved prefills abort in the same phase.
-        for state in reversed(rolled_back):
-            self.scheduler.prefill_to_waiting(state)
-        while remaining >= 1 and (state := self.scheduler.next_to_admit()) is not None:
-            if state in rolled_back:
-                # Just rolled back for pool pressure; restarting its prefill
-                # in the same step could only fail (or livelock) again.
-                break
+        while (state := self.scheduler.next_to_admit()) is not None:
             if state.swapped:
-                # Swap-ins restore pages without recompute; they consume no
-                # prefill budget.
+                # Swap-ins restore pages without recompute.
                 if not self._swap_in(state):
                     break
-                continue
-            job = state.prefill = PrefillJob(
-                self.model,
-                self.tokenizer,
-                state.request,
-                plan=state.plan,
-                context_rows=self.context_rows,
-            )
-            state.stats.prefill_reused_tokens = job.n_reused
-            self.exec_stats.n_prefill_reused_tokens += job.n_reused
-            self.scheduler.mark_prefilling(state)
-            consumed, aborted = self._advance_prefill(state, remaining)
-            remaining -= consumed
-            if aborted:
-                # The pool has no room for this head right now; put it
-                # back and stop admitting (preemption or completions
-                # will free pages for a later step).
-                self.scheduler.prefill_to_waiting(state)
+            elif not self._admit(state):
                 break
 
-    def _advance_prefill(self, state: SequenceState, budget: float) -> tuple[int, bool]:
-        """Run one chunk of a prefilling request.
+    def _admit(self, state: SequenceState) -> bool:
+        """Prefill and prepare a queue head, then move it to the decode set.
 
-        Returns ``(tokens consumed, aborted)``.  When the chunk completes
-        the prompt, the backend's ``prepare`` consumes the job (planning,
-        page adoption, quantization and packing) and the request joins the
-        decode set.  The prefill itself only fills the job's private
-        scratch; ``prepare`` is where pool pages are claimed, so a
-        pool-exhausted prepare drops the job and reports ``aborted=True``
-        — the caller rolls the request back to the waiting queue for a
-        fresh attempt — unless it is the only admitted work, in which case
-        it could never be served and the error propagates (with the request
-        back at the queue head, so a caller that keeps serving other
-        traffic can still cancel it).
+        The head's :class:`~repro.serving.backends.PrefillJob` prefills its
+        whole remaining prompt in one call, and the backend's ``prepare``
+        consumes it (planning, page adoption, quantization and packing).
+        The prefill only fills the job's private scratch; ``prepare`` is
+        where pool pages are claimed, so a pool-exhausted prepare drops the
+        job, leaves the head where it waits — first in line — for a fresh
+        attempt and returns ``False``, unless nothing is running, in which
+        case it could never be served and the error propagates (with the
+        request still queued, so a caller that keeps serving other traffic
+        can still cancel it).
         """
-        job = state.prefill
-        consumed = job.advance(int(min(budget, job.n_remaining)))
-        state.stats.n_prefill_chunks += 1
-        self.exec_stats.n_prefill_chunks += 1
-        self.exec_stats.n_prefill_tokens += consumed
-        if not job.done:
-            return consumed, False
+        job = PrefillJob(
+            self.model,
+            self.tokenizer,
+            state.request,
+            plan=state.plan,
+            context_rows=self.context_rows,
+        )
+        state.stats.prefill_reused_tokens = job.n_reused
+        self.exec_stats.n_prefill_reused_tokens += job.n_reused
+        self.exec_stats.n_prefill_tokens += job.run()
         backend = self.get_backend(state.request.backend)
         try:
             prepared = backend.prepare(state.request, job)
         except PoolExhausted:
-            state.prefill = None
-            if not self.scheduler.running and len(self.scheduler.prefilling) <= 1:
-                self.scheduler.prefill_to_waiting(state)
+            if not self.scheduler.running:
                 raise
             state.stats.n_preemptions += 1
-            return consumed, True
-        state.prefill = None
+            return False
         state.prepared = prepared
         state.stats.cached_tokens = prepared.cached_tokens
         state.stats.cache_hit_blocks = prepared.cache_hit_blocks
         state.stats.cached_bytes = prepared.cached_bytes
         state.stats.scheduled_at = self._clock()
-        self.scheduler.promote_prefilled(state)
-        return consumed, False
+        self.scheduler.mark_running(state)
+        return True
 
     def _rebalance(self) -> None:
         """Preempt best-eligible sequences until budgets are respected.
@@ -666,7 +575,7 @@ class EngineCore:
         try:
             state.prepared.cache.swap_in()
         except PoolExhausted:
-            if not self.scheduler.running and not self.scheduler.prefilling:
+            if not self.scheduler.running:
                 raise
             return False
         state.swapped = False
@@ -903,13 +812,13 @@ class EngineCore:
     # -- cancellation ----------------------------------------------------------
 
     def cancel(self, request_id: str) -> TokenEvent:
-        """Abort a waiting, prefilling or running request.
+        """Abort a waiting or running request.
 
         Every resource the request holds is returned immediately: pool
-        pages and refcounts of its prepared (or swapped-out) cache, the
-        scratch cache of an in-flight prefill, and its scheduler slot.  The stored :class:`GenerationResult` carries the tokens
-        streamed so far with ``stopped_by="cancelled"``, and the returned
-        terminal :class:`TokenEvent` closes the stream the same way.
+        pages and refcounts of its prepared (or swapped-out) cache, and its
+        scheduler slot.  The stored :class:`GenerationResult` carries the
+        tokens streamed so far with ``stopped_by="cancelled"``, and the
+        returned terminal :class:`TokenEvent` closes the stream the same way.
 
         Cancelling an unknown request raises :class:`KeyError`; a request
         that already finished raises :class:`ValueError` (its result is
@@ -920,7 +829,6 @@ class EngineCore:
         state = self._states.get(request_id)
         if state is None:
             raise KeyError(f"unknown request_id {request_id!r}")
-        state.prefill = None
         if state.prepared is not None:
             state.prepared.cache.release()
             state.prepared = None
@@ -949,8 +857,7 @@ class EngineCore:
         """Hold a request out of scheduling until :meth:`resume`.
 
         A running request is preempted first (its pages move to the host
-        store and restore without recompute), an in-flight prefill drops
-        its scratch cache and restarts on resume, a waiting request simply
+        store and restore without recompute), a waiting request simply
         leaves the queue.  Either way the request keeps its identity, its streamed
         tokens and its FIFO priority, but consumes no decode slot, no pool
         pages and no admission headroom while held.  This is the engine
@@ -971,9 +878,6 @@ class EngineCore:
         if state in self.scheduler.running:
             self.scheduler.running.remove(state)
             self._preempt(state)  # swap out + requeue_front, like rebalance
-        elif state in self.scheduler.prefilling:
-            state.prefill = None
-            self.scheduler.prefill_to_waiting(state)
         state.stats.n_pauses += 1
         self.scheduler.hold(state)
 
@@ -1033,18 +937,11 @@ class EngineCore:
 
         Empty when no controller is configured (so hosts can omit the
         section entirely); otherwise one sub-dict per active loop:
-        ``prefill`` (current budget and last clamped step cost),
         ``draft_windows`` (per-sequence window/EWMA of live adaptive
         speculation controllers), and ``slo`` (per-class counts of the
         waiting and running sets).
         """
         payload: dict = {}
-        if self.prefill_controller is not None:
-            payload["prefill"] = {
-                "budget": self.prefill_controller.budget,
-                "target": self.prefill_controller.target,
-                "last_step_cost": self.prefill_controller.last_step_cost,
-            }
         if self.speculative is not None and self.speculative.adaptive:
             windows = {
                 state.request_id: {

@@ -161,11 +161,6 @@ class RequestStats:
     n_generated: int = 0
     n_decode_steps: int = 0
     n_queue_steps: int = 0
-    #: Prefill passes run for this request: 1 without a prefill budget,
-    #: several for a prompt a budget metered across engine steps (plus the
-    #: passes of any admission that was rolled back under pool pressure).
-    #: ``ExecutionStats.n_prefill_chunks`` is the sum over requests.
-    n_prefill_chunks: int = 0
     n_preemptions: int = 0
     #: Host-initiated pauses (slow-reader backpressure): the request was
     #: held out of scheduling until its consumer drained and resumed it.

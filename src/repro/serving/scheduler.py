@@ -3,11 +3,10 @@
 Policy, in one paragraph: requests are admitted FIFO from a waiting queue
 whenever a slot (``max_running``), KV-token headroom (``max_live_tokens``)
 and free pool pages (when the engine runs on a bounded
-:class:`~repro.kvpool.BlockPool`) are available; an admitted prompt sits in
-a *prefilling* set while its prefill runs — for several steps under a
-chunked-prefill budget — holding a slot and its private scratch rows but
-no pool page.  Each engine step then performs one round-robin pass over the
-running set, advancing every in-flight sequence by exactly one decode step
+:class:`~repro.kvpool.BlockPool`) are available; the engine prefills and
+prepares an admitted prompt within the step that admits it, and only then
+moves it from the queue to the running set.  Each engine step then performs
+one round-robin pass over the running set, advancing every in-flight sequence by exactly one decode step
 (through one fused forward for the batchable subset), so short and long
 requests interleave instead of head-of-line blocking.  If the live KV footprint
 outgrows the budget (decode tokens accumulate after admission), the most
@@ -26,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.kvpool.cache import BlockTable
-from repro.serving.backends import PrefillJob, PreparedSequence
+from repro.serving.backends import PreparedSequence
 from repro.serving.request import GenerationRequest, RequestStats, TokenEvent
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -42,10 +41,6 @@ class SequenceState:
     request: GenerationRequest
     stats: RequestStats = field(default_factory=RequestStats)
     prepared: PreparedSequence | None = None
-    #: In-flight prefill: the request has left the waiting queue but is
-    #: not decoding yet; its scratch cache stays pinned between engine
-    #: steps when a prefill budget meters it.
-    prefill: PrefillJob | None = None
     #: Tokens already streamed to consumers (survives preemption).
     n_emitted: int = 0
     #: The streamed token ids themselves — what a cancelled request
@@ -87,8 +82,6 @@ class SequenceState:
 
     def live_tokens(self) -> int:
         """KV rows currently held (0 while waiting or swapped out)."""
-        if self.prefill is not None:
-            return self.prefill.live_tokens()
         if self.prepared is None or self.swapped:
             return 0
         return self.prepared.cache.live_tokens()
@@ -168,10 +161,6 @@ class ContinuousBatchingScheduler:
         self.slo_policy = slo_policy
         self.waiting: deque[SequenceState] = deque()
         self.running: list[SequenceState] = []  # admission order
-        #: Admitted requests whose prompts are still prefilling (across
-        #: steps under a prefill budget); they hold a slot and pin scratch
-        #: rows but do not decode yet.  Admission order, like ``running``.
-        self.prefilling: list[SequenceState] = []
         #: Requests a host explicitly paused (slow-reader backpressure):
         #: alive but excluded from admission until resumed.
         self.held: list[SequenceState] = []
@@ -180,18 +169,16 @@ class ContinuousBatchingScheduler:
 
     @property
     def has_work(self) -> bool:
-        return bool(self.waiting or self.running or self.prefilling or self.held)
+        return bool(self.waiting or self.running or self.held)
 
     @property
     def has_runnable(self) -> bool:
         """Whether a step could make progress (held requests cannot)."""
-        return bool(self.waiting or self.running or self.prefilling)
+        return bool(self.waiting or self.running)
 
     def live_tokens(self) -> int:
-        """Summed KV rows of all running and prefilling sequences."""
-        return sum(
-            state.live_tokens() for state in (*self.running, *self.prefilling)
-        )
+        """Summed KV rows of all running sequences."""
+        return sum(state.live_tokens() for state in self.running)
 
     def _blocks_for(self, n_tokens: int) -> int:
         return BlockTable.blocks_for_tokens(n_tokens, self.pool.block_size)
@@ -248,11 +235,10 @@ class ContinuousBatchingScheduler:
         A sequence whose prompt alone exceeds the token budget is still
         admitted when nothing is running, otherwise it could never start.
         """
-        n_admitted = len(self.running) + len(self.prefilling)
-        if not self.waiting or n_admitted >= self.max_running:
+        if not self.waiting or len(self.running) >= self.max_running:
             return None
         head = self._admission_candidate()
-        if not n_admitted:
+        if not self.running:
             return head
         if self.max_live_tokens is not None:
             if self.live_tokens() + head.admission_tokens() > self.max_live_tokens:
@@ -293,28 +279,13 @@ class ContinuousBatchingScheduler:
         self._dequeue_admitted(state)
         self.running.append(state)
 
-    def mark_prefilling(self, state: SequenceState) -> None:
-        """Move a waiting request into the chunked-prefill set."""
-        self._dequeue_admitted(state)
-        self.prefilling.append(state)
-
-    def promote_prefilled(self, state: SequenceState) -> None:
-        """Move a finished chunked prefill into the running (decode) set."""
-        self.prefilling.remove(state)
-        self.running.append(state)
-
-    def prefill_to_waiting(self, state: SequenceState) -> None:
-        """Roll an aborted chunked prefill back to the front of the queue."""
-        self.prefilling.remove(state)
-        self.waiting.appendleft(state)
-
     def remove(self, state: SequenceState) -> None:
         """Drop a finished sequence from the running set."""
         self.running.remove(state)
 
     def hold(self, state: SequenceState) -> None:
         """Move a *waiting* request into the held set (must be waiting:
-        the engine first rolls a running/prefilling request back)."""
+        the engine first rolls a running request back)."""
         self.waiting.remove(state)
         self.held.append(state)
 
@@ -332,8 +303,6 @@ class ContinuousBatchingScheduler:
         """Drop a cancelled request from whichever set currently holds it."""
         if state in self.running:
             self.running.remove(state)
-        elif state in self.prefilling:
-            self.prefilling.remove(state)
         elif state in self.held:
             self.held.remove(state)
         else:

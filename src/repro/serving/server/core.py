@@ -401,7 +401,6 @@ class ServerCore:
                 "n_steps": exec_stats.n_steps,
                 "n_forward_calls": exec_stats.n_forward_calls,
                 "n_decode_tokens": exec_stats.n_decode_tokens,
-                "n_prefill_chunks": exec_stats.n_prefill_chunks,
                 "n_drafted_tokens": exec_stats.n_drafted_tokens,
                 "n_accepted_tokens": exec_stats.n_accepted_tokens,
                 "n_spec_skipped_sampled": exec_stats.n_spec_skipped_sampled,
@@ -410,7 +409,6 @@ class ServerCore:
                 "mean_batch_occupancy": exec_stats.mean_batch_occupancy,
                 "n_running": engine.n_running,
                 "n_waiting": engine.n_waiting,
-                "n_prefilling": engine.n_prefilling,
             },
             "tenants": self.tenants.snapshot(),
         }

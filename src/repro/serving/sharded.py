@@ -231,7 +231,7 @@ class ShardWorker:
 
     @property
     def in_flight(self) -> int:
-        return self.engine.n_running + self.engine.n_prefilling
+        return self.engine.n_running
 
     @property
     def queue_depth(self) -> int:
@@ -499,10 +499,6 @@ class ShardedEngine:
         return sum(w.engine.n_waiting for w in self._alive_workers())
 
     @property
-    def n_prefilling(self) -> int:
-        return sum(w.engine.n_prefilling for w in self._alive_workers())
-
-    @property
     def exec_stats(self) -> ExecutionStats:
         """Pool-wide execution counters, summed across every worker."""
         merged = ExecutionStats()
@@ -512,7 +508,6 @@ class ShardedEngine:
             merged.n_forward_calls += stats.n_forward_calls
             merged.n_fused_sequences += stats.n_fused_sequences
             merged.n_decode_tokens += stats.n_decode_tokens
-            merged.n_prefill_chunks += stats.n_prefill_chunks
             merged.n_prefill_tokens += stats.n_prefill_tokens
             merged.n_prefill_reused_tokens += stats.n_prefill_reused_tokens
             merged.n_drafted_tokens += stats.n_drafted_tokens
@@ -675,7 +670,7 @@ class ShardedEngine:
           re-routed through the router (excluding the victim) and will
           complete elsewhere with identical output: placement never
           changes what a request decodes.
-        * **In-flight** requests (running, prefilling, backpressure-held,
+        * **In-flight** requests (running, backpressure-held,
           or preempted with swapped/partial state) are cancelled: their
           pages are released through the normal cancel path — the
           victim's pool drains down to its published prefix pages — and
@@ -702,7 +697,6 @@ class ShardedEngine:
         for state in list(scheduler.waiting) + list(scheduler.held):
             untouched = (
                 state.prepared is None
-                and state.prefill is None
                 and not state.swapped
                 and state.n_emitted == 0
             )
@@ -710,7 +704,7 @@ class ShardedEngine:
                 queued.append(state.request)
             else:
                 in_flight.append(state.request_id)
-        for state in list(scheduler.running) + list(scheduler.prefilling):
+        for state in scheduler.running:
             in_flight.append(state.request_id)
         cancelled: list[TokenEvent] = []
         for rid in in_flight:

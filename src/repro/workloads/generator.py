@@ -75,7 +75,6 @@ class WorkloadGenerator:
         rng = derive_rng(seed, "workload", scenario)
         requests, metadata = builder(self.samples, rng, **overrides)
         metadata = dict(metadata)
-        metadata.setdefault("engine_hints", {})
         metadata["overrides"] = {k: repr(v) for k, v in sorted(overrides.items())}
         trace = WorkloadTrace(
             scenario=scenario, seed=seed, requests=requests, metadata=metadata

@@ -19,10 +19,8 @@ shapes cover the load patterns the paper's serving experiments care about:
     queries — the classic shared-system-prompt workload; every follower
     carries a structural hit floor of ``len(context) // block_size``.
 ``long_prefill``
-    A burst of long-document prefills in the ``batch`` SLO class;
-    designed to be run with a chunked-prefill budget (see
-    ``engine_hints``) so decode latency of concurrent short requests
-    stays bounded.
+    A burst of long-document prefills in the ``batch`` SLO class: every
+    admission prefills its whole prompt within one engine step.
 ``mixed``
     Short interactive chat interleaved with long batch documents and a
     sprinkle of seeded top-k sampling — the messy realistic blend.
@@ -220,11 +218,7 @@ def build_long_prefill(
     max_new_tokens: int = 4,
     jitter: float = 1.0,
 ) -> tuple[list[WorkloadRequest], dict]:
-    """A volley of long-document prefills in the batch SLO class.
-
-    Meant to run with a chunked-prefill budget (``engine_hints``) so the
-    monolithic prefills cannot starve concurrent decodes.
-    """
+    """A volley of long-document prefills in the batch SLO class."""
     arrivals = burst_arrival_times(rng, 1, n_requests, 1.0, jitter=jitter)
     requests = []
     for i, arrival in enumerate(arrivals):
@@ -238,8 +232,7 @@ def build_long_prefill(
             backend="dense",
             slo_class="batch",
         ))
-    hints = {"max_prefill_tokens_per_step": 64}
-    return requests, {"n_requests": n_requests, "engine_hints": hints}
+    return requests, {"n_requests": n_requests}
 
 
 def build_mixed(

@@ -184,9 +184,7 @@ class WorkloadTrace:
 
     ``requests`` are ordered by submission precedence: ascending arrival
     time, with every ``depends_on`` target preceding its dependents.
-    ``metadata`` records the generator knobs that produced the trace and
-    optional ``engine_hints`` (e.g. a chunked-prefill budget the scenario
-    is designed to exercise).
+    ``metadata`` records the generator knobs that produced the trace.
     """
 
     scenario: str
@@ -221,11 +219,6 @@ class WorkloadTrace:
     @property
     def has_oracles(self) -> bool:
         return all(request.oracle is not None for request in self.requests)
-
-    @property
-    def engine_hints(self) -> dict:
-        """Engine-construction hints the scenario was designed around."""
-        return dict(self.metadata.get("engine_hints", {}))
 
     def to_payload(self) -> dict:
         return {

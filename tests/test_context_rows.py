@@ -3,7 +3,8 @@
 Three layers of checks: :class:`ContextRowCache` on its own (admission,
 eviction, a hypothesis walk over random request/evict sequences), a
 :class:`PrefillJob` started from stored rows against a cold one (the
-chunked-prefill contract: logits within 1e-5), and the engine end to end —
+contract of a prefill continuing a cache: logits within 1e-5), and the
+engine end to end —
 all 7 backends token-identical to the ``oracle`` fixture and to a
 ``prefix_caching=False`` engine on first, second and third sightings, plus
 the counters that make the reuse visible.
@@ -238,18 +239,24 @@ def test_random_request_and_evict_sequences_keep_the_tier_sound(ops, n_slots):
 
 
 class TestSeededPrefillJob:
-    def run_job(self, model, tokenizer, request, tier, budget=None):
+    def run_job(self, model, tokenizer, request, tier, chunk=None):
         job = PrefillJob(model, tokenizer, request, context_rows=tier)
-        while not job.done:
-            job.advance(budget or job.n_remaining)
+        if chunk is None:
+            job.run()
+            return job
+        # The seeded scratch continued by several ``Transformer.prefill``
+        # calls of ``chunk`` tokens each.
+        rest = job.prompt[job.n_reused :]
+        for start in range(0, len(rest), chunk):
+            job.first_logits = model.prefill(rest[start : start + chunk], job.cache)
         return job
 
     def test_warm_jobs_meet_the_chunked_prefill_contract(
         self, retrieval_model, tokenizer, documents
     ):
-        """Cold, hit, hit with a longer query, partial hit, hit under a budget
-        of 48: first-token logits within 1e-5 of a tier-less job's, context
-        rows within 1e-5 of its rows."""
+        """Cold, hit, hit with a longer query, partial hit, hit continued in
+        48-token prefill calls: first-token logits within 1e-5 of a tier-less
+        job's, context rows within 1e-5 of its rows."""
         model, config = retrieval_model, retrieval_model.config
         tier = ContextRowCache(config.n_layers, config.n_kv_heads, config.head_dim, BLOCK)
         cases = [
@@ -258,12 +265,12 @@ class TestSeededPrefillJob:
             ("hit", documents["a"], documents["query"], None, 6 * BLOCK),
             ("longer query", documents["a"], documents["longer_query"], None, 6 * BLOCK),
             ("partial", documents["b"], documents["query"], None, 4 * BLOCK),
-            ("budget", documents["a"], documents["query"], 48, 6 * BLOCK),
+            ("chunked", documents["a"], documents["query"], 48, 6 * BLOCK),
         ]
-        for label, context, query, budget, n_reused in cases:
+        for label, context, query, chunk, n_reused in cases:
             request = request_for(context, query)
             cold = self.run_job(model, tokenizer, request, None)
-            warm = self.run_job(model, tokenizer, request, tier, budget)
+            warm = self.run_job(model, tokenizer, request, tier, chunk)
             assert warm.n_reused == n_reused, label
             assert warm.prompt == cold.prompt
             np.testing.assert_allclose(
@@ -314,9 +321,6 @@ class TestEngineParity:
         self, vocab, tokenizer, retrieval_model, documents, oracle, backend
     ):
         engine = make_engine(vocab, tokenizer, retrieval_model)
-        budgeted = make_engine(
-            vocab, tokenizer, retrieval_model, max_prefill_tokens_per_step=48
-        )
         cacheless = make_engine(vocab, tokenizer, retrieval_model, prefix_caching=False)
         assert cacheless.context_rows is None
         for label, context, query, n_reused in sightings(documents):
@@ -324,19 +328,13 @@ class TestEngineParity:
             plain = cacheless.run(request_for(context, query, backend))
             assert (plain.token_ids, plain.stopped_by) == expected, label
             assert plain.stats.prefill_reused_tokens == 0
-            for warm in (engine, budgeted):
-                served = warm.run(request_for(context, query, backend))
-                assert (served.token_ids, served.stopped_by) == expected, label
-                assert served.stats.prefill_reused_tokens == n_reused, label
-                warm.assert_consistent()
-        # A hit under the budget runs one chunk: separator + query.
-        hit = budgeted.run(request_for(documents["a"], documents["query"], backend))
-        assert hit.stats.prefill_reused_tokens == 6 * BLOCK
-        assert hit.stats.n_prefill_chunks == 1
-        for warm in (engine, budgeted):
-            tier = warm.context_rows.stats
-            assert warm.exec_stats.n_prefill_reused_tokens == tier.hit_blocks * BLOCK
-            assert tier.admitted_blocks == 6  # b's tail was sighted once only
+            served = engine.run(request_for(context, query, backend))
+            assert (served.token_ids, served.stopped_by) == expected, label
+            assert served.stats.prefill_reused_tokens == n_reused, label
+            engine.assert_consistent()
+        tier = engine.context_rows.stats
+        assert engine.exec_stats.n_prefill_reused_tokens == tier.hit_blocks * BLOCK
+        assert tier.admitted_blocks == 6  # b's tail was sighted once only
 
     def test_apply_on_a_seeded_scratch_leaves_the_stored_rows_alone(
         self, vocab, tokenizer, retrieval_model, documents, oracle
@@ -368,8 +366,8 @@ class TestEngineParity:
 
 
 class TestSeededJobLifecycle:
-    """Cancel, pause and a pool-exhausted ``prepare`` on a job that started
-    from stored rows: tier and pool end drained and consistent."""
+    """A pool-exhausted ``prepare`` on a job that started from stored rows:
+    tier and pool end drained and consistent."""
 
     def warm(self, engine, documents):
         reference = engine.run(request_for(documents["a"], documents["query"]))
@@ -377,42 +375,10 @@ class TestSeededJobLifecycle:
         assert engine.context_rows.n_blocks == 6
         return reference
 
-    def start_seeded(self, engine, documents):
-        rid = engine.submit(request_for(documents["a"], documents["query"]))
-        engine.step()
-        assert engine.n_prefilling == 1
-        state = engine._states[rid]
-        assert state.prefill.n_reused == 6 * BLOCK
-        assert state.live_tokens() == 6 * BLOCK + 4
-        return rid
-
     def assert_drained(self, engine):
         assert engine.pool.n_allocated == engine.prefix_cache.n_blocks
         assert engine.context_rows.n_blocks == 6
         engine.assert_consistent()
-
-    def test_cancel(self, vocab, tokenizer, retrieval_model, documents):
-        engine = make_engine(vocab, tokenizer, retrieval_model, max_prefill_tokens_per_step=4)
-        self.warm(engine, documents)
-        rid = self.start_seeded(engine, documents)
-        assert engine.cancel(rid).stopped_by == "cancelled"
-        assert not engine.has_pending
-        self.assert_drained(engine)
-
-    def test_pause_and_resume(self, vocab, tokenizer, retrieval_model, documents):
-        engine = make_engine(vocab, tokenizer, retrieval_model, max_prefill_tokens_per_step=4)
-        reference = self.warm(engine, documents)
-        rid = self.start_seeded(engine, documents)
-        engine.pause(rid)
-        assert engine.scheduler.live_tokens() == 0
-        self.assert_drained(engine)
-        engine.resume(rid)
-        while engine.has_pending:
-            engine.step()
-        result = engine.result(rid)
-        assert result.token_ids == reference.token_ids
-        assert result.stats.prefill_reused_tokens == 6 * BLOCK
-        self.assert_drained(engine)
 
     def test_pool_exhausted_at_prepare(self, vocab, tokenizer, retrieval_model, documents):
         config = retrieval_model.config
@@ -505,7 +471,7 @@ class TestReuseIsVisible:
 
     def test_no_new_constructor_parameter(self):
         parameters = inspect.signature(EngineCore.__init__).parameters.values()
-        assert sum(p.kind is p.KEYWORD_ONLY for p in parameters) == 14
+        assert sum(p.kind is p.KEYWORD_ONLY for p in parameters) == 12
 
 
 # -- routing keys and the carried plan ---------------------------------------------

@@ -151,7 +151,7 @@ class TestAlgorithmOneOnServedStorage:
             sample.context_words, sample.query_words, backend="blockwise"
         )
         job = PrefillJob(retrieval_model, tokenizer, request)
-        job.advance(len(job.prompt))
+        job.run()
         prepared = engine.get_backend("blockwise").prepare(request, job)
         try:
             cache, scratch, plan = prepared.cache, job.cache, prepared.plan

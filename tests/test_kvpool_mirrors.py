@@ -352,7 +352,7 @@ class TestPreparedMirrors:
     @staticmethod
     def _prepare(engine, request):
         job = PrefillJob(engine.model, engine.tokenizer, request)
-        job.advance(len(job.prompt))
+        job.run()
         return engine.get_backend(request.backend).prepare(request, job)
 
     @pytest.mark.parametrize("backend", backend_names())

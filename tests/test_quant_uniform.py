@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import repro.quant.uniform as uniform
+from repro.kvpool.codecs import PerChannelCodec, PerTokenCodec, PerTokenGroupCodec
 from repro.quant.dtypes import BitWidth
 from repro.quant.uniform import (
     dequantize,
@@ -76,6 +78,51 @@ class TestQuantizeUniform:
         step = quantization_step(x, BitWidth.INT4, axis=-1)
         qt = quantize_uniform(x, BitWidth.INT4, axis=-1)
         np.testing.assert_allclose(step, qt.scale, rtol=1e-5)
+
+
+def _out_of_place_dequantize(qt):
+    """The expression ``dequantize`` computed before it worked in place."""
+    return ((qt.codes.astype(np.float32) - qt.zero_point) * qt.scale).astype(np.float32)
+
+
+class TestDequantizeInPlace:
+    """The in-place dequantization is bit-identical to the out-of-place one
+    on every path that reaches it: each codec's ``decode`` and
+    ``fake_quantize``."""
+
+    @staticmethod
+    def both(monkeypatch, fn):
+        fresh = fn()
+        with monkeypatch.context() as patch:
+            patch.setattr(uniform, "dequantize", _out_of_place_dequantize)
+            reference = fn()
+        assert fresh.dtype == reference.dtype == np.float32
+        assert fresh.shape == reference.shape
+        assert fresh.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("bits", [BitWidth.INT2, BitWidth.INT4, BitWidth.INT8])
+    def test_codec_decodes_are_bit_identical(self, rng, monkeypatch, bits):
+        x = rng.normal(0, 2, (250, 4, 64)).astype(np.float32)
+        codecs = [
+            PerTokenGroupCodec(bits, 4, 64, 64),
+            PerTokenGroupCodec(bits, 4, 64, 24),  # padded groups
+            PerTokenCodec(bits, 4, 64),
+        ]
+        for codec in codecs:
+            codes, meta = codec.encode(x)
+            self.both(monkeypatch, lambda: codec.decode(codes, meta))
+        channel = PerChannelCodec(x, bits)
+        self.both(monkeypatch, lambda: channel.decode(channel.take_codes(), None))
+
+    @pytest.mark.parametrize("axis", [None, -1, 0])
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_fake_quantize_is_bit_identical(self, rng, monkeypatch, axis, symmetric):
+        x = rng.normal(0, 3, (33, 17)).astype(np.float32)
+        for bits in (BitWidth.INT2, BitWidth.INT4, BitWidth.INT8):
+            self.both(
+                monkeypatch,
+                lambda: fake_quantize(x, bits, axis=axis, symmetric=symmetric),
+            )
 
 
 @settings(max_examples=40, deadline=None)

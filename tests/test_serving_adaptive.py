@@ -6,11 +6,7 @@ import pytest
 
 from repro.core.config import CocktailConfig
 from repro.serving import InferenceEngine
-from repro.serving.adaptive import (
-    DraftWindowController,
-    PrefillBudgetController,
-    SloPolicy,
-)
+from repro.serving.adaptive import DraftWindowController, SloPolicy
 from repro.serving.request import (
     GenerationRequest,
     WireFormatError,
@@ -114,96 +110,6 @@ class TestDraftWindowController:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             DraftWindowController(**kwargs)
-
-
-class TestPrefillBudgetController:
-    def test_starts_at_max_budget_by_default(self):
-        controller = PrefillBudgetController(target=2.0, max_budget=128)
-        assert controller.budget == 128
-
-    def test_first_observation_sets_baseline_only(self):
-        controller = PrefillBudgetController(target=2.0, max_budget=64)
-        assert controller.observe(0.0) == 64
-        assert controller.last_step_cost is None
-
-    def test_shrinks_immediately_on_overshoot(self):
-        controller = PrefillBudgetController(target=2.0, max_budget=64)
-        controller.observe(0.0)
-        assert controller.observe(10.0) == 32  # dt 10 > 2.5 -> halve
-        assert controller.last_step_cost == 10.0
-
-    def test_grows_only_after_patience(self):
-        controller = PrefillBudgetController(
-            target=2.0, min_budget=4, max_budget=64, start_budget=8, patience=2
-        )
-        controller.observe(0.0)
-        assert controller.observe(1.0) == 8  # one under-target step: hold
-        assert controller.observe(2.0) == 12  # second: grow x1.5
-        assert controller.observe(3.0) == 12  # streak reset: hold again
-
-    def test_deadband_damps_oscillation(self):
-        """A budget whose step cost lands near the target stays put."""
-        controller = PrefillBudgetController(
-            target=2.0, min_budget=4, max_budget=64, start_budget=16,
-            tolerance=0.25,
-        )
-        now = 0.0
-        controller.observe(now)
-        # 40 consecutive steps inside the deadband: the budget must hold
-        # exactly — no shrink/grow bouncing between two values.
-        for dt in (1.8, 2.2, 2.0, 2.4, 1.6) * 8:
-            now += dt
-            assert controller.observe(now) == 16
-
-    def test_spike_clamp_bounds_idle_gaps(self):
-        controller = PrefillBudgetController(
-            target=2.0, min_budget=4, max_budget=64, start_budget=32,
-            spike_clamp=5.0,
-        )
-        controller.observe(0.0)
-        controller.observe(1000.0)  # idle gap, clamped to 10.0
-        assert controller.last_step_cost == 10.0
-        assert controller.budget == 16  # one shrink, not a collapse
-
-    def test_budget_bounds(self):
-        controller = PrefillBudgetController(
-            target=2.0, min_budget=8, max_budget=16, start_budget=8,
-            patience=1,
-        )
-        now = 0.0
-        controller.observe(now)
-        for _ in range(6):  # grow to the cap, never past it
-            now += 1.0
-            controller.observe(now)
-        assert controller.budget == 16
-        for _ in range(6):  # shrink to the floor, never past it
-            now += 100.0
-            controller.observe(now)
-        assert controller.budget == 8
-
-    def test_non_monotonic_clock_is_ignored(self):
-        controller = PrefillBudgetController(target=2.0, max_budget=64)
-        controller.observe(5.0)
-        assert controller.observe(5.0) == 64  # dt == 0: no evidence
-        assert controller.last_step_cost is None
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(target=0.0),
-            dict(target=2.0, min_budget=0),
-            dict(target=2.0, min_budget=8, max_budget=4),
-            dict(target=2.0, shrink_factor=1.0),
-            dict(target=2.0, grow_factor=1.0),
-            dict(target=2.0, patience=0),
-            dict(target=2.0, tolerance=1.0),
-            dict(target=2.0, spike_clamp=1.0),
-            dict(target=2.0, max_budget=64, start_budget=128),
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            PrefillBudgetController(**kwargs)
 
 
 class TestSloPolicy:
@@ -333,35 +239,6 @@ class TestAdaptiveEngine:
             == static.exec_stats.n_accepted_tokens
         )
 
-    def test_prefill_controller_owns_the_budget(
-        self, vocab, tokenizer, retrieval_model, tiny_samples
-    ):
-        """The engine adopts the controller's budget each step."""
-        clock = _FakeClock()
-        controller = PrefillBudgetController(
-            target=1.0, min_budget=8, max_budget=64, start_budget=64
-        )
-        engine = make_engine(
-            vocab, tokenizer, retrieval_model,
-            prefill_controller=controller,
-            clock=clock,
-        )
-        assert engine.max_prefill_tokens_per_step == 64
-        sample = tiny_samples[0]
-        engine.submit(
-            GenerationRequest(
-                sample.context_words[:80], sample.query_words,
-                max_new_tokens=4, backend="dense",
-            )
-        )
-        while engine.has_pending:
-            engine.step()
-            clock.now += 10.0  # every step reads as a big overshoot
-        # Repeated overshoots must have driven the budget to the floor,
-        # and the engine's knob must track the controller's budget.
-        assert controller.budget == 8
-        assert engine.max_prefill_tokens_per_step == controller.budget
-
     def test_slo_admission_prefers_higher_class(
         self, vocab, tokenizer, retrieval_model, tiny_samples
     ):
@@ -403,21 +280,11 @@ class TestAdaptiveEngine:
         assert bare.adaptive_stats() == {}
         wired = make_engine(
             vocab, tokenizer, retrieval_model,
-            prefill_controller=PrefillBudgetController(target=2.0),
             slo_policy=SloPolicy(),
             speculative=SpeculativeConfig(k=4, adaptive=True),
         )
         payload = wired.adaptive_stats()
-        assert set(payload) == {"prefill", "draft_windows", "slo"}
-        assert payload["prefill"]["budget"] == wired.max_prefill_tokens_per_step
-
-
-class _FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
+        assert set(payload) == {"draft_windows", "slo"}
 
 
 class TestSloWireFormat:

@@ -1,10 +1,10 @@
-"""Batched decode execution: oracle parity, chunked prefill, cancel, retention.
+"""Batched decode execution: oracle parity, admission, cancel, retention.
 
 The acceptance bar of the fused decode round: every backend decodes to the
 per-request ``oracle``'s tokens — under plain concurrency, under mid-stream
-preemption and under chunked-prefill admission — while the engine runs at
-most one model forward per round, so it issues at most half a forward per
-generated token at batch size 4.
+preemption and under pool-exhausted admission rollback — while the engine
+runs at most one model forward per round, so it issues at most half a
+forward per generated token at batch size 4.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import pytest
 
 from repro.core.config import CocktailConfig
 from repro.kvpool import BlockPool
+from repro.kvpool.cache import BlockTable
 from repro.kvpool.codecs import encode_per_token_groups
-from repro.model.attention import PREFILL_TILE
 from repro.model.decode import BatchedDecodeStep, DecodeSession
 from repro.serving.engine import InferenceEngine
 from repro.serving.request import GenerationRequest
@@ -67,10 +67,11 @@ class TestOracleParity:
         requests = make_requests(tiny_samples, ALL_BACKENDS)
         results = engine.run_batch(requests)
         assert_matches_oracle(engine, requests, results, oracle)
-        # Unmetered: one prefill pass per request, and the engine total
-        # (``/v1/stats`` ``n_prefill_chunks``) counts every one of them.
-        assert [r.stats.n_prefill_chunks for r in results] == [1] * len(results)
-        assert engine.exec_stats.n_prefill_chunks == len(results)
+        # Every prompt token was either prefilled or copied from the row tier.
+        stats = engine.exec_stats
+        assert stats.n_prefill_tokens + stats.n_prefill_reused_tokens == sum(
+            r.n_prompt_tokens for r in results
+        )
         assert engine.exec_stats.n_decode_tokens > 0
         assert engine.exec_stats.n_forward_calls > 0
 
@@ -124,32 +125,6 @@ class TestOracleParity:
         engine.prefix_cache.clear()
         assert engine.pool.n_allocated == 0
         engine.pool.assert_consistent()
-
-    def test_parity_under_chunked_prefill(
-        self, vocab, tokenizer, retrieval_model, tiny_samples, oracle
-    ):
-        """Chunked admission (prompts metered over several steps): the
-        oracle's tokens, and the chunking itself is visible in the
-        per-request stats."""
-        engine = make_engine(
-            vocab,
-            tokenizer,
-            retrieval_model,
-            max_running=8,
-            max_prefill_tokens_per_step=48,
-        )
-        requests = make_requests(tiny_samples, ALL_BACKENDS)
-        results = engine.run_batch(requests)
-        assert_matches_oracle(engine, requests, results, oracle)
-        assert min(r.stats.n_prefill_chunks for r in results) > 1
-        # One increment site: the engine total is the per-request sum.
-        assert engine.exec_stats.n_prefill_chunks == sum(
-            r.stats.n_prefill_chunks for r in results
-        )
-        assert engine.exec_stats.n_prefill_tokens == sum(
-            r.n_prompt_tokens for r in results
-        )
-
 
 class TestBatchedDecodeStepUnit:
     """Coordinator semantics over toy step functions (no model involved)."""
@@ -397,29 +372,6 @@ class TestCancel:
         assert engine.pool.allocated_bytes() == 0
         engine.pool.assert_consistent()
 
-    @pytest.mark.parametrize("backend", ("dense", "blockwise"))
-    def test_cancel_prefilling_request(
-        self, vocab, tokenizer, retrieval_model, tiny_samples, backend
-    ):
-        engine = make_engine(
-            vocab,
-            tokenizer,
-            retrieval_model,
-            max_running=2,
-            max_prefill_tokens_per_step=16,
-            prefix_caching=False,
-        )
-        (rid,) = self.submit_all(engine, tiny_samples[:1], (backend,))
-        engine.step()
-        assert engine.n_prefilling == 1
-        assert engine._states[rid].live_tokens() == 16  # scratch rows pinned
-        assert engine.pool.n_allocated == 0  # ...none of them in the pool
-        event = engine.cancel(rid)
-        assert event.stopped_by == "cancelled"
-        assert engine.pool.n_allocated == 0
-        assert engine.pool.allocated_bytes() == 0
-        assert not engine.has_pending
-
     def test_cancel_swapped_out_request(
         self, vocab, tokenizer, retrieval_model, tiny_samples
     ):
@@ -488,145 +440,13 @@ class TestResultRetention:
             engine.result(rids[0])
 
 
-class TestChunkedPrefill:
-    def test_long_prompt_prefills_across_steps_while_others_decode(
+class TestOneShotAdmission:
+    def test_pool_exhausted_at_prepare_leaves_pool_drained(
         self, vocab, tokenizer, retrieval_model, tiny_samples
     ):
-        """The satellite claim: a long arrival no longer stalls the round."""
-        engine = make_engine(
-            vocab,
-            tokenizer,
-            retrieval_model,
-            max_running=4,
-            max_prefill_tokens_per_step=32,
-        )
-        short = GenerationRequest(
-            tiny_samples[0].context_words[:16],
-            tiny_samples[0].query_words,
-            max_new_tokens=24,
-            backend="dense",
-        )
-        short_rid = engine.submit(short)
-        engine.step()  # short admits (prompt <= budget) and decodes
-        long_rid = engine.submit(
-            GenerationRequest(
-                tiny_samples[1].context_words,
-                tiny_samples[1].query_words,
-                max_new_tokens=4,
-                backend="dense",
-            )
-        )
-        interleaved = 0
-        while not engine.is_finished(long_rid):
-            events = engine.step()
-            if engine.n_prefilling and any(
-                e.request_id == short_rid and e.token_id is not None for e in events
-            ):
-                interleaved += 1
-        assert interleaved >= 2, "short request must keep decoding during the prefill"
-        while engine.has_pending:
-            engine.step()
-        long_result = engine.result(long_rid)
-        assert long_result.stats.n_prefill_chunks > 1
-        # The metered prefill produced the exact same answer a one-shot does.
-        reference = make_engine(vocab, tokenizer, retrieval_model).run(
-            GenerationRequest(
-                tiny_samples[1].context_words,
-                tiny_samples[1].query_words,
-                max_new_tokens=4,
-                backend="dense",
-            )
-        )
-        assert long_result.token_ids == reference.token_ids
-
-    @pytest.mark.parametrize("budget", [48, PREFILL_TILE, 200])
-    def test_every_chunking_emits_the_one_shot_tokens(
-        self, vocab, tokenizer, retrieval_model, tiny_samples, budget
-    ):
-        """The tiled prefill kernel reorders float32 sums with the chunk
-        boundaries (under, at and over one tile here), so outputs
-        may differ in the last bits — the emitted tokens may not."""
-        backends = ("cocktail", "dense", "fp16", "kivi")
-        requests = make_requests(tiny_samples, backends, max_new_tokens=8)
-        one_shot = make_engine(vocab, tokenizer, retrieval_model).run_batch(requests)
-        chunked = make_engine(
-            vocab, tokenizer, retrieval_model, max_prefill_tokens_per_step=budget
-        ).run_batch(make_requests(tiny_samples, backends, max_new_tokens=8))
-        assert min(r.n_prompt_tokens for r in chunked) > 2 * PREFILL_TILE
-        assert min(r.stats.n_prefill_chunks for r in chunked) > 1
-        assert [r.token_ids for r in chunked] == [r.token_ids for r in one_shot]
-
-    @pytest.mark.parametrize("backend", ("cocktail", "kvquant", "blockwise"))
-    def test_prefill_claims_no_pool_page_before_prepare(
-        self, vocab, tokenizer, retrieval_model, tiny_samples, backend
-    ):
-        """A metered admission lives in its scratch cache: the pool does not
-        move until the step whose ``prepare`` builds the stored cache."""
-        engine = make_engine(
-            vocab,
-            tokenizer,
-            retrieval_model,
-            max_prefill_tokens_per_step=64,
-            prefix_caching=False,
-        )
-        (request,) = make_requests(tiny_samples[:1], (backend,))
-        rid = engine.submit(request)
-        engine.step()
-        n_waiting_steps = 0
-        while engine.n_prefilling:
-            assert engine.pool.n_allocated == 0
-            assert engine.pool.peak_allocated_blocks == 0
-            assert engine.scheduler.live_tokens() == 64 * (n_waiting_steps + 1)
-            n_waiting_steps += 1
-            engine.step()
-        assert n_waiting_steps > 1
-        assert engine.pool.n_allocated > 0  # prepared: now it holds pages
-        while engine.has_pending:
-            engine.step()
-        assert engine.result(rid).token_ids
-        assert engine.pool.n_allocated == 0
-
-    def test_pause_mid_prefill_drops_the_scratch_and_restarts(
-        self, vocab, tokenizer, retrieval_model, tiny_samples, backend="blockwise"
-    ):
-        engine = make_engine(
-            vocab,
-            tokenizer,
-            retrieval_model,
-            max_prefill_tokens_per_step=64,
-            prefix_caching=False,
-        )
-        (request,) = make_requests(tiny_samples[:1], (backend,))
-        rid = engine.submit(request)
-        engine.step()
-        engine.step()
-        assert engine.n_prefilling == 1
-        engine.pause(rid)
-        assert engine.pool.n_allocated == 0
-        assert engine.scheduler.live_tokens() == 0
-        assert not engine.has_runnable
-        engine.resume(rid)
-        while engine.has_pending:
-            engine.step()
-        (reference,) = make_engine(vocab, tokenizer, retrieval_model).run_batch(
-            make_requests(tiny_samples[:1], (backend,))
-        )
-        assert engine.result(rid).token_ids == reference.token_ids
-        assert engine.pool.n_allocated == 0
-
-    def test_budget_validation(self, vocab, tokenizer, retrieval_model):
-        with pytest.raises(ValueError, match="max_prefill_tokens_per_step"):
-            make_engine(
-                vocab, tokenizer, retrieval_model, max_prefill_tokens_per_step=0
-            )
-
-    @pytest.mark.parametrize("budget", [16, None])
-    def test_pool_exhausted_at_prepare_leaves_pool_drained(
-        self, vocab, tokenizer, retrieval_model, tiny_samples, budget
-    ):
         """A lone request whose prompt cannot fit the pool is a hard error —
-        raised by ``prepare`` once the prefill (metered or not) is done, with
-        every page it had claimed released before it propagates."""
+        raised by ``prepare`` after the prefill, with every page it had
+        claimed released before it propagates."""
         from repro.kvpool.pool import PoolExhausted
 
         config = retrieval_model.config
@@ -638,12 +458,7 @@ class TestChunkedPrefill:
             capacity_blocks=2,  # the prompt needs several pages more
         )
         engine = make_engine(
-            vocab,
-            tokenizer,
-            retrieval_model,
-            pool=pool,
-            max_prefill_tokens_per_step=budget,
-            prefix_caching=False,
+            vocab, tokenizer, retrieval_model, pool=pool, prefix_caching=False
         )
         rid = engine.submit(
             GenerationRequest(
@@ -664,17 +479,83 @@ class TestChunkedPrefill:
         engine.cancel(rid)
         assert not engine.has_pending
 
-    def test_warm_prefix_chunked_prefill_still_adopts_pages(
+    def test_pool_exhausted_second_head_returns_to_the_queue_front(
+        self, vocab, tokenizer, retrieval_model, tiny_samples, oracle
+    ):
+        """A head whose ``prepare`` runs out of pages while another sequence
+        decodes rolls back: its pages are released, it waits at the queue
+        front ahead of the head behind it, and it is served later."""
+        config = retrieval_model.config
+        block_size = 16
+
+        def request(sample, n_context, max_new_tokens):
+            return GenerationRequest(
+                sample.context_words[:n_context],
+                sample.query_words,
+                max_new_tokens=max_new_tokens,
+                backend="dense",
+            )
+
+        long = request(tiny_samples[0], None, 2)
+        long_pages = BlockTable.blocks_for_tokens(
+            long.n_prompt_tokens + long.max_new_tokens, block_size
+        )
+        # Room for the long request alone, not beside a decoding one.
+        pool = BlockPool(
+            config.n_layers,
+            config.n_kv_heads,
+            config.head_dim,
+            block_size=block_size,
+            capacity_blocks=long_pages + 1,
+        )
+        engine = make_engine(vocab, tokenizer, retrieval_model, pool=pool)
+        # A cold run leaves the long context's pages in the prefix index, so
+        # the repeat's admission probe counts them as adoptable.
+        engine.run(request(tiny_samples[0], None, 2))
+        decoding = engine.submit(request(tiny_samples[1], 16, 24))
+        engine.step()
+        assert engine.n_running == 1
+        rolled_back = engine.submit(long)
+        behind = engine.submit(request(tiny_samples[2], 16, 2))
+        hint = engine._states[rolled_back].cached_blocks_hint
+        assert hint == len(long.context_words) // block_size
+        # The index loses those pages before admission: the probe's hint is
+        # now stale and only ``prepare`` finds out that the pages are gone.
+        engine.prefix_cache.clear()
+        assert pool.n_free_blocks < BlockTable.blocks_for_tokens(
+            long.n_prompt_tokens, block_size
+        )
+        held = engine._states[decoding].prepared.cache.n_blocks
+        engine.step()
+        assert [s.request_id for s in engine.scheduler.waiting] == [
+            rolled_back,
+            behind,
+        ]
+        assert engine.request_stats(rolled_back).n_preemptions == 1
+        assert engine.request_stats(rolled_back).n_swap_outs == 0
+        assert engine._states[rolled_back].prepared is None
+        assert engine.n_running == 1
+        # Only the decoding sequence holds pages (plus what the index kept).
+        assert pool.n_allocated == (
+            engine._states[decoding].prepared.cache.n_blocks
+            + engine.prefix_cache.n_blocks
+        )
+        assert engine._states[decoding].prepared.cache.n_blocks >= held
+        engine.assert_consistent()
+        while engine.has_pending:
+            engine.step()
+        served = engine.result(rolled_back)
+        token_ids, stopped_by, _ = oracle(engine, long)
+        assert (served.token_ids, served.stopped_by) == (token_ids, stopped_by)
+        assert served.stats.scheduled_at <= engine.result(behind).stats.scheduled_at
+        engine.assert_consistent()
+
+    def test_warm_prefix_admission_adopts_pages(
         self, vocab, tokenizer, retrieval_model, tiny_samples
     ):
-        """Chunked admission through the scratch path: the warm repeat both
-        meters its prefill and adopts the cold request's packed pages."""
-        engine = make_engine(
-            vocab,
-            tokenizer,
-            retrieval_model,
-            max_prefill_tokens_per_step=48,
-        )
+        """Admission through the scratch path: the warm repeat adopts the
+        cold request's packed pages and decodes the same tokens."""
+        engine = make_engine(vocab, tokenizer, retrieval_model)
         sample = tiny_samples[2]
 
         def run_once():
@@ -690,4 +571,3 @@ class TestChunkedPrefill:
         cold, warm = run_once(), run_once()
         assert warm.token_ids == cold.token_ids
         assert warm.stats.cache_hit_blocks > 0
-        assert warm.stats.n_prefill_chunks > 1

@@ -372,7 +372,7 @@ class TestOracleMatrix:
         clock = VirtualClock()
         factory = make_factory(
             retrieval_model, tokenizer, vocab,
-            max_running=4, clock=clock, **trace.engine_hints,
+            max_running=4, clock=clock,
         )
         engine = ShardedEngine(factory, n_workers=2)
         run = EngineDriver(engine, clock=clock).run(trace)
@@ -397,7 +397,7 @@ class TestThreadedParity:
             clock = VirtualClock()
             factory = make_factory(
                 retrieval_model, tokenizer, vocab,
-                max_running=4, clock=clock, **trace.engine_hints,
+                max_running=4, clock=clock,
             )
             engine = ShardedEngine(factory, n_workers=2, threaded=threaded)
             try:

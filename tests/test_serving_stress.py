@@ -339,7 +339,7 @@ class TestScenarioMatrix:
         clock = VirtualClock()
         engine = make_engine(
             retrieval_model, tokenizer, vocab,
-            max_running=4, clock=clock, **trace.engine_hints,
+            max_running=4, clock=clock,
         )
         run = EngineDriver(engine, clock=clock).run(trace)
         check_oracles(run)

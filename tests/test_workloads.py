@@ -447,10 +447,10 @@ class TestStatsGoldenShape:
     }
     ENGINE_KEYS = {
         "n_steps", "n_forward_calls", "n_decode_tokens",
-        "n_prefill_chunks", "n_drafted_tokens", "n_accepted_tokens",
+        "n_drafted_tokens", "n_accepted_tokens",
         "n_spec_skipped_sampled", "acceptance_rate", "forwards_per_token",
         "mean_batch_occupancy",
-        "n_running", "n_waiting", "n_prefilling",
+        "n_running", "n_waiting",
     }
     POOL_KEYS = {
         "n_allocated", "allocated_bytes", "peak_allocated_blocks",
