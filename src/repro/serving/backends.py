@@ -5,12 +5,12 @@ full precision into a private dense scratch cache (a :class:`PrefillJob`,
 one ``run`` call) and hands the prefilled job to the request's
 :class:`DecodeBackend`, which owns everything method-specific from there —
 quantization planning, building the stored cache out of the scratch rows,
-and the per-token decode step.  What it hands back is a :class:`PreparedSequence`: a
-:class:`~repro.model.decode.DecodeSession` over the sequence's
-:class:`~repro.kvpool.cache.PagedKVCache` in the engine's
-:class:`~repro.kvpool.BlockPool`, so the engine drives every method —
-Cocktail and all the paper's baselines — through the same fused decode
-round.
+and the per-token decode step.  What it hands back is a
+:class:`PreparedSequence`: a :class:`~repro.model.decode.DecodeSession`
+over the sequence's :class:`~repro.kvpool.cache.PagedKVCache` in the
+engine's :class:`~repro.kvpool.BlockPool`, so the engine drives every
+method — Cocktail and all the paper's baselines — through the same fused
+decode round.
 
 Backends resolve by name through a registry: ``"dense"``, ``"cocktail"``
 and ``"blockwise"`` (three names for Cocktail over the engine's quantizer),

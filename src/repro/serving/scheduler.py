@@ -6,16 +6,17 @@ and free pool pages (when the engine runs on a bounded
 :class:`~repro.kvpool.BlockPool`) are available; the engine prefills and
 prepares an admitted prompt within the step that admits it, and only then
 moves it from the queue to the running set.  Each engine step then performs
-one round-robin pass over the running set, advancing every in-flight sequence by exactly one decode step
-(through one fused forward for the batchable subset), so short and long
-requests interleave instead of head-of-line blocking.  If the live KV footprint
-outgrows the budget (decode tokens accumulate after admission), the most
-recently admitted *eligible* sequence is preempted — a sequence one token
-from finishing is never picked, which breaks the preempt-thrash loop where
-an almost-done victim is rolled back again and again.  The engine swaps
-the victim's pages to a host-side store (the decode session survives
-intact and resumes without recompute) and the request returns to the
-*front* of the waiting queue.
+one round-robin pass over the running set, advancing every in-flight
+sequence by exactly one decode step (through one fused forward for the
+batchable subset), so short and long requests interleave instead of
+head-of-line blocking.  If the live KV footprint outgrows the budget
+(decode tokens accumulate after admission), the most recently admitted
+*eligible* sequence is preempted — a sequence one token from finishing is
+never picked, which breaks the preempt-thrash loop where an almost-done
+victim is rolled back again and again.  The engine swaps the victim's pages
+to a host-side store (the decode session survives intact and resumes
+without recompute) and the request returns to the *front* of the waiting
+queue.
 """
 
 from __future__ import annotations
