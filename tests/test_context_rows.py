@@ -366,8 +366,8 @@ class TestEngineParity:
 
 
 class TestSeededJobLifecycle:
-    """A pool-exhausted ``prepare`` on a job that started from stored rows:
-    tier and pool end drained and consistent."""
+    """Cancel, pause and a pool-exhausted ``prepare`` on a sequence whose
+    job started from stored rows: tier and pool end drained and consistent."""
 
     def warm(self, engine, documents):
         reference = engine.run(request_for(documents["a"], documents["query"]))
@@ -375,10 +375,50 @@ class TestSeededJobLifecycle:
         assert engine.context_rows.n_blocks == 6
         return reference
 
+    def start_seeded(self, engine, documents):
+        """Admit a warm repeat: one step seeds, prefills the rest and runs it."""
+        request = request_for(documents["a"], documents["query"])
+        before = engine.exec_stats.n_prefill_tokens
+        rid = engine.submit(request)
+        engine.step()
+        assert engine.n_running == 1
+        assert engine.request_stats(rid).prefill_reused_tokens == 6 * BLOCK
+        assert engine.exec_stats.n_prefill_tokens - before == (
+            request.n_prompt_tokens - 6 * BLOCK
+        )
+        return rid
+
     def assert_drained(self, engine):
         assert engine.pool.n_allocated == engine.prefix_cache.n_blocks
         assert engine.context_rows.n_blocks == 6
         engine.assert_consistent()
+
+    def test_cancel(self, vocab, tokenizer, retrieval_model, documents):
+        engine = make_engine(vocab, tokenizer, retrieval_model)
+        self.warm(engine, documents)
+        rid = self.start_seeded(engine, documents)
+        assert engine.cancel(rid).stopped_by == "cancelled"
+        assert not engine.has_pending
+        self.assert_drained(engine)
+
+    def test_pause_and_resume(self, vocab, tokenizer, retrieval_model, documents):
+        engine = make_engine(vocab, tokenizer, retrieval_model)
+        reference = self.warm(engine, documents)
+        rid = self.start_seeded(engine, documents)
+        prefilled = engine.exec_stats.n_prefill_tokens
+        engine.pause(rid)
+        assert engine.scheduler.live_tokens() == 0
+        self.assert_drained(engine)
+        engine.resume(rid)
+        while engine.has_pending:
+            engine.step()
+        result = engine.result(rid)
+        assert result.token_ids == reference.token_ids
+        assert result.stats.prefill_reused_tokens == 6 * BLOCK
+        # The swap-in restored the pages: nothing was prefilled again.
+        assert result.stats.n_swap_ins == 1
+        assert engine.exec_stats.n_prefill_tokens == prefilled
+        self.assert_drained(engine)
 
     def test_pool_exhausted_at_prepare(self, vocab, tokenizer, retrieval_model, documents):
         config = retrieval_model.config

@@ -25,6 +25,10 @@ CHUNK_SIZE = 16
 #: Every globally registered backend (the 7-backend parity matrix).
 ALL_BACKENDS = ("dense", "cocktail", "blockwise", "fp16", "atom", "kivi", "kvquant")
 
+#: The backends whose pages admission can probe ahead of prefill (KVQuant's
+#: planner reads the prefilled cache, so its requests carry no page hint).
+PROBED_BACKENDS = tuple(b for b in ALL_BACKENDS if b != "kvquant")
+
 #: A four-backend mix for the fused-forward acceptance bar.
 BATCHABLE = ("dense", "cocktail", "fp16", "atom")
 
@@ -441,8 +445,47 @@ class TestResultRetention:
 
 
 class TestOneShotAdmission:
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_prefill_claims_no_pool_page_before_prepare(
+        self, vocab, tokenizer, retrieval_model, tiny_samples, oracle, backend
+    ):
+        """Admission lives in the job's scratch cache until ``prepare``: the
+        whole prompt is prefilled in the admitting step, and the pool does
+        not move before the backend builds the stored cache."""
+        engine = make_engine(vocab, tokenizer, retrieval_model, prefix_caching=False)
+        (request,) = make_requests(tiny_samples[:1], (backend,))
+        seen = []
+        backend_impl = engine.get_backend(backend)
+        prepare = backend_impl.prepare
+
+        def watched_prepare(req, job):
+            seen.append(
+                (
+                    job.cache.length,
+                    engine.pool.n_allocated,
+                    engine.pool.peak_allocated_blocks,
+                )
+            )
+            return prepare(req, job)
+
+        backend_impl.prepare = watched_prepare
+        rid = engine.submit(request)
+        engine.step()
+        assert seen == [(request.n_prompt_tokens, 0, 0)]
+        assert engine.n_running == 1
+        assert engine.pool.n_allocated > 0  # prepared: now it holds pages
+        while engine.has_pending:
+            engine.step()
+        assert len(seen) == 1
+        result = engine.result(rid)
+        token_ids, stopped_by, _ = oracle(engine, request)
+        assert (result.token_ids, result.stopped_by) == (token_ids, stopped_by)
+        assert engine.pool.n_allocated == 0
+        engine.pool.assert_consistent()
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_pool_exhausted_at_prepare_leaves_pool_drained(
-        self, vocab, tokenizer, retrieval_model, tiny_samples
+        self, vocab, tokenizer, retrieval_model, tiny_samples, backend
     ):
         """A lone request whose prompt cannot fit the pool is a hard error —
         raised by ``prepare`` after the prefill, with every page it had
@@ -465,7 +508,7 @@ class TestOneShotAdmission:
                 tiny_samples[0].context_words,
                 tiny_samples[0].query_words,
                 max_new_tokens=2,
-                backend="dense",
+                backend=backend,
             )
         )
         with pytest.raises(PoolExhausted):
@@ -479,8 +522,9 @@ class TestOneShotAdmission:
         engine.cancel(rid)
         assert not engine.has_pending
 
+    @pytest.mark.parametrize("backend", PROBED_BACKENDS)
     def test_pool_exhausted_second_head_returns_to_the_queue_front(
-        self, vocab, tokenizer, retrieval_model, tiny_samples, oracle
+        self, vocab, tokenizer, retrieval_model, tiny_samples, oracle, backend
     ):
         """A head whose ``prepare`` runs out of pages while another sequence
         decodes rolls back: its pages are released, it waits at the queue
@@ -493,7 +537,7 @@ class TestOneShotAdmission:
                 sample.context_words[:n_context],
                 sample.query_words,
                 max_new_tokens=max_new_tokens,
-                backend="dense",
+                backend=backend,
             )
 
         long = request(tiny_samples[0], None, 2)
@@ -509,6 +553,7 @@ class TestOneShotAdmission:
             capacity_blocks=long_pages + 1,
         )
         engine = make_engine(vocab, tokenizer, retrieval_model, pool=pool)
+        assert not engine.get_backend(backend).quantizer.plan_reads_cache
         # A cold run leaves the long context's pages in the prefix index, so
         # the repeat's admission probe counts them as adoptable.
         engine.run(request(tiny_samples[0], None, 2))
@@ -550,8 +595,9 @@ class TestOneShotAdmission:
         assert served.stats.scheduled_at <= engine.result(behind).stats.scheduled_at
         engine.assert_consistent()
 
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_warm_prefix_admission_adopts_pages(
-        self, vocab, tokenizer, retrieval_model, tiny_samples
+        self, vocab, tokenizer, retrieval_model, tiny_samples, backend
     ):
         """Admission through the scratch path: the warm repeat adopts the
         cold request's packed pages and decodes the same tokens."""
@@ -564,7 +610,7 @@ class TestOneShotAdmission:
                     sample.context_words,
                     sample.query_words,
                     max_new_tokens=4,
-                    backend="dense",
+                    backend=backend,
                 )
             )
 
