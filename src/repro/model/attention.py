@@ -17,8 +17,9 @@ and ``wo`` projections run through :func:`tiled_matmul`, one NumPy call
 whose every BLAS call multiplies exactly two rows: a row's bits are then
 those of the 2-row-tile class, fixed whatever the batch size, the row's
 slot and its neighbours, and the BLAS thread count (a plain stacked GEMM
-switches kernels with the row count).  Attention itself stays per
-sequence and per row:
+switches kernels with the row count).  The unembedding joins the class
+through :func:`tiled_block_matmul`, against L2-sized column blocks of its
+weight.  Attention itself stays per sequence and per row:
 
 - each query row scores the keys up to its own position, so the
   strictly-causal case skips masking entirely;
@@ -95,6 +96,57 @@ def tiled_matmul(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
     if n % 2:
         raise ValueError(f"2-row tiles need an even row count, got {n}")
     return (x.reshape(n // 2, 2, k) @ weight).reshape(n, weight.shape[1])
+
+
+#: Columns per block of a column-blocked weight (the unembedding).  A 2-row
+#: sgemm packs its whole right-hand side, so over the e2e model's
+#: ``(256, 6155)`` unembedding it costs two gemvs; against contiguous
+#: 640-column blocks each packed block stays in L2 and a tile costs about
+#: one gemv.  ``Transformer._logits`` on that model, one row / four rows,
+#: 2-core Xeon VM (2 MiB L2 per core), one OpenBLAS thread, best of
+#: 5 x 200 calls: a gemv per row 208 / 821 µs; blocks of 512 columns
+#: 276 / 459, 640 columns 235 / 332, 768 columns 279 / 439, 1024 columns
+#: 273 / 397, 2048 columns 783 / 1465.
+COLUMN_BLOCK = 640
+
+
+def column_blocks(weight: np.ndarray) -> np.ndarray:
+    """A ``(K, N)`` weight as ``(ceil(N / COLUMN_BLOCK), K, COLUMN_BLOCK)`` blocks.
+
+    Block ``j`` holds columns ``[j * COLUMN_BLOCK, (j + 1) * COLUMN_BLOCK)``;
+    the last block is padded with zero columns, which
+    :func:`tiled_block_matmul` callers slice off.
+    """
+    k, n = weight.shape
+    blocks = np.zeros((-(-n // COLUMN_BLOCK), k, COLUMN_BLOCK), dtype=np.float32)
+    for j, block in enumerate(blocks):
+        part = weight[:, j * COLUMN_BLOCK : (j + 1) * COLUMN_BLOCK]
+        block[:, : part.shape[1]] = part
+    return blocks
+
+
+def tiled_block_matmul(x: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """``x @ weight`` over 2-row tiles against :func:`column_blocks` of it.
+
+    ``x`` is ``(n, K)`` with ``n`` even and ``blocks`` is
+    ``(n_blocks, K, width)``; returns ``(n, n_blocks * width)``, padding
+    columns included.  One NumPy call whose every BLAS call multiplies
+    rows ``2i, 2i + 1`` by one block, blocks in the outer loop, so a row's
+    bits are those of :func:`tiled_matmul`'s class (fixed whatever ``n``,
+    slot, neighbours and BLAS threads) while each block is packed from
+    L2.  A single tile is written straight into its rows; more tiles come
+    out block-major and take one transposing copy.
+    """
+    n, k = x.shape
+    n_blocks, _, width = blocks.shape
+    if n == 2:
+        out = np.empty((2, n_blocks * width), dtype=np.float32)
+        np.matmul(x, blocks, out=out.reshape(2, n_blocks, width).transpose(1, 0, 2))
+        return out
+    if n % 2:
+        raise ValueError(f"2-row tiles need an even row count, got {n}")
+    tiles = x.reshape(n // 2, 2, k) @ blocks[:, None]
+    return tiles.transpose(1, 2, 0, 3).reshape(n, n_blocks * width)
 
 
 #: Query rows per prefill tile.  At 128 the ``(heads, tile, n_kv)`` score

@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.kvpool.cache import PagedKVCache
-from repro.model.attention import prefill_output_rows
+from repro.model.attention import prefill_output_rows, tiled_block_matmul
 from repro.model.config import ModelConfig
 from repro.model.decode import DecodeSession, check_max_new_tokens
 from repro.model.kv_cache import ModelKVCache
@@ -58,10 +58,16 @@ class Transformer:
             raise ValueError(
                 f"embedding shape {weights.embedding.shape} does not match config"
             )
+        n_blocks, d_model, width = weights.unembedding.shape
+        if d_model != config.d_model or not 0 <= n_blocks * width - config.vocab_size < width:
+            raise ValueError(
+                f"unembedding blocks {weights.unembedding.shape} do not match config"
+            )
         self.config = config
         self.weights = weights
         self.blocks = [TransformerBlock(bw, config) for bw in weights.blocks]
         self.final_norm = RMSNorm(weights.final_norm, enabled=config.use_rmsnorm)
+        self._pad_row = np.zeros((1, config.d_model), dtype=np.float32)
 
     # -- infrastructure ----------------------------------------------------
 
@@ -102,18 +108,23 @@ class Transformer:
             hidden += self.weights.pos_table[positions]
         return hidden
 
-    def _logits(self, hidden: np.ndarray) -> list[np.ndarray]:
-        """Next-token logits of each row of ``(n, d_model)`` hidden states.
+    def _logits(self, hidden: np.ndarray) -> np.ndarray:
+        """Next-token logits ``(n, vocab)`` of ``(n, d_model)`` hidden states.
 
-        The unembedding stays one gemv per row: a 2-row sgemm over this
-        ``(d_model, vocab)`` weight costs about two gemvs, so tiles would
-        save nothing on a multi-row round and double a lone row's cost.  A
-        gemv's bits depend on the BLAS thread count, so served logits do
-        too (every tiled GEMM is thread-invariant).
+        The unembedding is one NumPy call over 2-row tiles against its
+        L2-sized column blocks (:func:`~repro.model.attention.tiled_block_matmul`),
+        the class of every other decode GEMM: a row's logits do not depend
+        on the batch size, its slot, its neighbours or the BLAS thread
+        count.  An odd stack gets one zero row; the row forward passes its
+        stack already padded.
         """
         with profiling_span("logits"):
+            n = hidden.shape[0]
+            if n % 2:
+                hidden = np.concatenate([hidden, self._pad_row])
             normed = self.final_norm.forward(hidden)
-            return [row @ self.weights.unembedding for row in normed]
+            logits = tiled_block_matmul(normed, self.weights.unembedding)
+            return logits[:n, : self.config.vocab_size]
 
     # -- phases --------------------------------------------------------------
 
@@ -150,19 +161,20 @@ class Transformer:
         self,
         runs: Sequence[Sequence[int]],
         caches: Sequence[ModelKVCache],
-    ) -> list[list[np.ndarray]]:
+    ) -> list[np.ndarray]:
         """The one decode/verify forward: append each run to its cache.
 
         ``runs[i]`` is ``[token]`` for a decode step or ``[token, *drafts]``
         for a speculative verify, whose caller checks the drafts against
         the logits and truncates the rejected tail's rows (see
         :meth:`~repro.kvpool.cache.PagedKVCache.truncate`); run lengths may
-        differ per sequence.  Returns, per run, one next-token logits row
-        per input token.  The runs' rows are stacked and each weight
-        GEMM runs once over 2-row tiles
-        (:func:`~repro.model.attention.tiled_matmul`), so a row's bits
-        depend neither on its batch nor on its run's length.  Attention
-        stays per sequence, the unembedding per row (see :meth:`_logits`).
+        differ per sequence.  Returns, per run, a ``(len(run), vocab)``
+        array: one next-token logits row per input token.  The runs' rows
+        are stacked and each weight GEMM, the unembedding included, runs
+        once over 2-row tiles (:func:`~repro.model.attention.tiled_matmul`,
+        :meth:`_logits`), so a row's bits depend neither on its batch nor
+        on its run's length nor on the BLAS thread count.  Attention stays
+        per sequence.
         """
         if len(runs) != len(caches):
             raise ValueError(f"{len(runs)} token runs for {len(caches)} caches")
@@ -191,7 +203,7 @@ class Transformer:
         for index, block in enumerate(self.blocks):
             layer_caches = [cache.layers[index] for cache in caches]
             hidden = block.forward_rows(hidden, layer_caches, positions, spans)
-        logits = self._logits(hidden[:n_rows])
+        logits = self._logits(hidden)
         return [logits[start:stop] for start, stop in spans]
 
     def decode_step(self, token_id: int, cache: ModelKVCache) -> np.ndarray:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.model.attention import AttentionWeights
+from repro.model.attention import AttentionWeights, column_blocks
 from repro.model.config import ModelConfig, RetrievalLayout
 from repro.model.layers import BlockWeights
 from repro.model.mlp import MLPWeights
@@ -48,7 +48,10 @@ class ModelWeights:
 
     embedding: np.ndarray  # (vocab_size, d_model)
     pos_table: np.ndarray | None  # (max_seq_len, d_model) or None
-    unembedding: np.ndarray  # (d_model, vocab_size)
+    #: The ``(d_model, vocab_size)`` unembedding as ``column_blocks``:
+    #: ``(n_blocks, d_model, COLUMN_BLOCK)``, the last block zero-padded.
+    #: The model holds no other copy.
+    unembedding: np.ndarray
     blocks: list[BlockWeights]
     final_norm: np.ndarray  # (d_model,)
 
@@ -89,7 +92,9 @@ def build_random_weights(config: ModelConfig, seed: int = 0, *, scale: float = 0
             )
         )
     embedding = rng.normal(0.0, 1.0, (config.vocab_size, config.d_model)).astype(np.float32)
-    unembedding = rng.normal(0.0, scale, (config.d_model, config.vocab_size)).astype(np.float32)
+    unembedding = column_blocks(
+        rng.normal(0.0, scale, (config.d_model, config.vocab_size)).astype(np.float32)
+    )
     pos_table = None
     if config.positional == "table":
         pos_table = rng.normal(0.0, 0.02, (config.max_seq_len, config.d_model)).astype(np.float32)
@@ -214,8 +219,12 @@ def build_retrieval_weights(
 
     # Unembedding reads the output subspace against the token identities only
     # (the register direction is orthogonal to every identity by construction).
-    unembedding = np.zeros((config.d_model, config.vocab_size), dtype=np.float32)
-    unembedding[layout.out_slice, :] = identities.T
+    # Written straight into its column blocks; every other row is zero.
+    identity_blocks = column_blocks(identities.T)
+    unembedding = np.zeros(
+        (identity_blocks.shape[0], config.d_model, identity_blocks.shape[2]), dtype=np.float32
+    )
+    unembedding[:, layout.out_slice] = identity_blocks
 
     eye_tok = np.eye(d_tok, dtype=np.float32)
     eye_pos = np.eye(d_pos, dtype=np.float32)

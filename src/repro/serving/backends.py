@@ -258,24 +258,26 @@ class DecodeBackend(abc.ABC):
 
     def probe_cached_blocks(
         self, request: "GenerationRequest"
-    ) -> tuple[int, KVQuantizationPlan | None]:
+    ) -> tuple[int, KVQuantizationPlan | None, tuple[str | None, list[str]]]:
         """Estimate how many pool pages a request would adopt from the
         prefix index: a peek over the request's routing keys, no state
-        touched.  Returns ``(pages, the plan the keys were made from)``.
+        touched.  Returns ``(pages, the plan the keys were made from, the
+        keys)``.
 
         The scheduler subtracts the estimate from the page demand it charges
         at admission, so a warm repeated-context request is not blocked on
         capacity it will never allocate.  The estimate is optimistic by
-        design — entries may be evicted before ``prepare`` runs — and the
-        engine's preemption machinery corrects any overshoot.  The plan rides
-        along to ``prepare`` (on the request's :class:`PrefillJob`), so a
-        request is planned once; it is ``None`` when nothing was planned.
+        design — entries may be evicted before ``prepare`` runs — so the
+        engine re-peeks the kept keys after a pool-exhausted ``prepare``.
+        The plan rides along to ``prepare`` (on the request's
+        :class:`PrefillJob`), so a request is planned once; it is ``None``
+        (and the keys ``(None, [])``) when nothing was planned.
         """
         prefix_cache = self.engine.prefix_cache
         if prefix_cache is None or prefix_cache.n_blocks == 0:
-            return 0, None  # nothing can match; skip the planning work
+            return 0, None, (None, [])  # nothing can match; skip the planning work
         fingerprint, hashes, plan = self._route(request)
-        return prefix_cache.peek(fingerprint, hashes), plan
+        return prefix_cache.peek(fingerprint, hashes), plan, (fingerprint, hashes)
 
     def prefix_route_keys(
         self, request: "GenerationRequest"

@@ -384,7 +384,9 @@ class EngineCore:
             )
         # Admission hint: pages the index would serve — the scheduler
         # charges only the blocks this request will actually allocate.
-        state.cached_blocks_hint, state.plan = backend.probe_cached_blocks(request)
+        state.cached_blocks_hint, state.plan, state.route_keys = backend.probe_cached_blocks(
+            request
+        )
         self._states[rid] = state
         self.scheduler.enqueue(state)
         return rid
@@ -522,7 +524,10 @@ class EngineCore:
         attempt and returns ``False``, unless nothing is running, in which
         case it could never be served and the error propagates (with the
         request still queued, so a caller that keeps serving other traffic
-        can still cancel it).
+        can still cancel it).  The rolled-back head's page hint is re-peeked
+        with its submit-time routing keys: pages the index evicted since are
+        charged again, so the head waits until they fit instead of being
+        prefilled and rolled back on every step.
         """
         job = PrefillJob(
             self.model,
@@ -541,6 +546,9 @@ class EngineCore:
             if not self.scheduler.running:
                 raise
             state.stats.n_preemptions += 1
+            fingerprint, hashes = state.route_keys
+            if fingerprint is not None:
+                state.cached_blocks_hint = self.prefix_cache.peek(fingerprint, hashes)
             return False
         state.prepared = prepared
         state.stats.cached_tokens = prepared.cached_tokens

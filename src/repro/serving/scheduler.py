@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from repro.kvpool.cache import BlockTable
 from repro.serving.backends import PreparedSequence
@@ -52,9 +52,14 @@ class SequenceState:
     swapped: bool = False
     finished: bool = False
     #: Pool pages the prefix index expects to serve for this request
-    #: (admission hint set at submit time; the scheduler charges only the
-    #: *new* pages a request will actually allocate).
+    #: (admission hint set at submit time and re-peeked after a
+    #: pool-exhausted ``prepare``; the scheduler charges only the *new*
+    #: pages a request will actually allocate).
     cached_blocks_hint: int = 0
+    #: The ``(fingerprint, block hashes)`` the submit-time probe peeked the
+    #: prefix index with (a ``None`` fingerprint when it had nothing to
+    #: peek), kept so the hint can be refreshed without planning again.
+    route_keys: tuple[str | None, Sequence[str]] = (None, ())
     #: The quantization plan the admission probe made (cache-free planners
     #: only), carried to ``prepare`` so the request is planned once.
     plan: "KVQuantizationPlan | None" = None

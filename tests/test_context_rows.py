@@ -559,11 +559,12 @@ class TestPlanOnceAndRouteKeys:
             assert fingerprint is not None and len(keys) == 6
         assert keys == [] or keys == log.hashes
         # The admission probe agrees with the keys, on a non-empty index too.
-        pages, plan = engine.get_backend(backend).probe_cached_blocks(
+        pages, plan, route_keys = engine.get_backend(backend).probe_cached_blocks(
             request_for(documents["a"], documents["query"], backend)
         )
         assert pages == len(keys)
         assert (plan is None) == (not keys)
+        assert route_keys == (fingerprint, keys)
 
     def test_kvquant_publishes_pages_it_cannot_be_routed_by(
         self, vocab, tokenizer, retrieval_model, documents

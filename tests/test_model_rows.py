@@ -1,11 +1,13 @@
 """The row forward's numerics: a row's bits never depend on its batch.
 
 Every decode and verify row goes through ``Transformer.forward_rows``,
-whose weight GEMMs run on 2-row tiles (``tiled_matmul``).  These tests pin
-the property that makes one forward per round safe: a row's output is the
-same for any batch size, slot, neighbours and BLAS thread count — first at
-the BLAS level for every decode GEMM shape, then through the model on
-dense and paged caches.
+whose weight GEMMs run on 2-row tiles (``tiled_matmul``, and
+``tiled_block_matmul`` over the unembedding's column blocks).  These tests
+pin the property that makes one forward per round safe: a row's output is
+the same for any batch size, slot, neighbours and BLAS thread count —
+first at the BLAS level for every decode GEMM shape, then through the
+model on dense and paged caches, and for served logits (prefill's first
+token and decode rows) across BLAS thread counts.
 
 Prefill leans on the sibling property of plain GEMMs from 8 rows up: its
 last block outputs only the final query tile, and the first-token logits
@@ -26,7 +28,12 @@ import numpy as np
 import pytest
 
 from repro.kvpool import BlockPool
-from repro.model.attention import tiled_matmul
+from repro.model.attention import (
+    COLUMN_BLOCK,
+    column_blocks,
+    tiled_block_matmul,
+    tiled_matmul,
+)
 from repro.model.config import SIM_MODEL_NAMES, ModelConfig, get_sim_config
 from repro.model.transformer import Transformer
 from repro.model.weights import build_random_weights
@@ -34,30 +41,36 @@ from repro.model.weights import build_random_weights
 _SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Runs in a fresh interpreter so ``OPENBLAS_NUM_THREADS`` takes effect.
-#: For each shape, each of 64 random rows is multiplied alone (beside the
-#: zero pad row), then inside random batches of 1-64 rows, where it lands
-#: in every slot among random neighbours.  Prints the mismatches and a
-#: digest of the solo products as JSON.
+#: For each kernel and shape, each of 64 random rows is multiplied alone
+#: (beside the zero pad row), then inside random batches of 1-64 rows,
+#: where it lands in every slot among random neighbours.  Prints the
+#: mismatches and a digest of the solo products as JSON.
 _TILE_PROBE = """
 import hashlib, json, sys
 import numpy as np
-from repro.model.attention import tiled_matmul
+from repro.model.attention import column_blocks, tiled_block_matmul, tiled_matmul
+
+def kernel(name, weight):
+    if name == "tiled":
+        return lambda stack: tiled_matmul(stack, weight)
+    blocks = column_blocks(weight)
+    return lambda stack: tiled_block_matmul(stack, blocks)[:, : weight.shape[1]]
 
 rng = np.random.default_rng(0)
 failures, digests = [], []
-for k, n in json.loads(sys.argv[1]):
-    weight = rng.standard_normal((k, n), dtype=np.float32)
+for name, k, n in json.loads(sys.argv[1]):
+    multiply = kernel(name, rng.standard_normal((k, n), dtype=np.float32))
     rows = rng.standard_normal((64, k), dtype=np.float32)
-    solo = np.stack([tiled_matmul(np.stack([r, np.zeros_like(r)]), weight)[0] for r in rows])
+    solo = np.stack([multiply(np.stack([r, np.zeros_like(r)]))[0] for r in rows])
     digests.append(hashlib.sha256(solo.tobytes()).hexdigest())
     for batch in range(1, 65):
         for _ in range(3):
             pick = rng.permutation(64)[:batch]
             stack = np.zeros((batch + batch % 2, k), dtype=np.float32)
             stack[:batch] = rows[pick]
-            out = tiled_matmul(stack, weight)[:batch]
+            out = multiply(stack)[:batch]
             for slot in np.flatnonzero(np.any(out != solo[pick], axis=1)):
-                failures.append([k, n, batch, int(slot)])
+                failures.append([name, k, n, batch, int(slot)])
 blas = {}
 if failures:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -98,26 +111,57 @@ def _unit_config(n_kv_heads: int, max_seq_len: int = 64) -> ModelConfig:
     )
 
 
-def _all_decode_gemm_shapes() -> list[tuple[int, int]]:
+def _all_decode_gemm_shapes() -> list[tuple[str, int, int]]:
+    """``(kernel, K, N)``: every tiled weight, and every ``(d_model, vocab)``
+    unembedding through its column blocks."""
     configs = [get_sim_config(name, vocab_size=6155) for name in SIM_MODEL_NAMES]
     configs += [_unit_config(2), _unit_config(4)]
-    return sorted({shape for config in configs for shape in _decode_gemm_shapes(config)})
+    tiled = {shape for config in configs for shape in _decode_gemm_shapes(config)}
+    blocked = {(config.d_model, config.vocab_size) for config in configs}
+    return sorted(("tiled", *shape) for shape in tiled) + sorted(
+        ("blocked", *shape) for shape in blocked
+    )
 
 
 class TestTileInvariance:
     def test_odd_stacks_are_refused(self):
         with pytest.raises(ValueError, match="even row count"):
             tiled_matmul(np.zeros((3, 4), dtype=np.float32), np.zeros((4, 2), dtype=np.float32))
+        with pytest.raises(ValueError, match="even row count"):
+            tiled_block_matmul(
+                np.zeros((3, 4), dtype=np.float32), np.zeros((2, 4, 8), dtype=np.float32)
+            )
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 639, 640, 641, 6155])
+    def test_column_blocks_hold_the_weight_and_zero_padding(self, rng, n):
+        weight = rng.standard_normal((5, n), dtype=np.float32)
+        blocks = column_blocks(weight)
+        assert blocks.shape == (-(-n // COLUMN_BLOCK), 5, COLUMN_BLOCK)
+        assert blocks.flags.c_contiguous
+        columns = np.concatenate(list(blocks), axis=1)
+        np.testing.assert_array_equal(columns[:, :n], weight)
+        assert not columns[:, n:].any()
+
+    @pytest.mark.parametrize("n_rows", [2, 4, 6])
+    def test_blocked_product_equals_the_plain_product(self, rng, n_rows):
+        """Same products to float32 rounding, padding columns zero."""
+        weight = rng.standard_normal((16, 1300), dtype=np.float32)
+        x = rng.standard_normal((n_rows, 16), dtype=np.float32)
+        out = tiled_block_matmul(x, column_blocks(weight))
+        assert out.shape == (n_rows, 3 * COLUMN_BLOCK)
+        np.testing.assert_allclose(out[:, :1300], x @ weight, rtol=1e-5, atol=1e-5)
+        assert not out[:, 1300:].any()
 
     def test_row_bits_ignore_batch_slot_neighbours_and_threads(self):
         shapes = _all_decode_gemm_shapes()
+        assert ("blocked", 256, 6155) in shapes
         digests = {}
         for threads in ("1", "2"):
             report = _run_probe(_TILE_PROBE, json.dumps(shapes), threads)
             assert report["n_failures"] == 0, (
                 f"OPENBLAS_NUM_THREADS={threads}: {report['n_failures']} rows changed "
-                f"bits with their batch ([K, N, batch, slot]: {report['failures']}); "
-                f"BLAS: {report['blas']}"
+                f"bits with their batch ([kernel, K, N, batch, slot]: "
+                f"{report['failures']}); BLAS: {report['blas']}"
             )
             digests[threads] = report["digests"]
         changed = [s for s, a, b in zip(shapes, digests["1"], digests["2"]) if a != b]
@@ -202,6 +246,56 @@ class TestPrunedPrefill:
         assert not report["failures"], (
             f"OPENBLAS_NUM_THREADS={threads}: pruned prefill changed bits for "
             f"[model, length, mode] {report['failures']}; BLAS: {report['blas']}"
+        )
+
+
+#: Runs in a fresh interpreter: the e2e model (llama2-7b sim, retrieval
+#: weights) prefills two prompts cold into pool pages, then decodes both
+#: greedily in one batch.  Prints a digest per logits row: each prompt's
+#: first-token row, then every decode row, in order.
+_SERVED_PROBE = """
+import hashlib, json, sys
+import numpy as np
+from repro.kvpool import BlockPool
+from repro.model.config import get_sim_config
+from repro.model.transformer import Transformer
+from repro.model.weights import build_retrieval_weights
+
+spec = json.loads(sys.argv[1])
+config = get_sim_config("llama2-7b", 6155)
+model = Transformer(config, build_retrieval_weights(config))
+pool = BlockPool(config.n_layers, config.n_kv_heads, config.head_dim, block_size=16)
+rng = np.random.default_rng(0)
+caches, rows = [], []
+for length in spec["prompts"]:
+    cache = model.new_cache(capacity=length + spec["steps"], pool=pool)
+    rows.append(model.prefill(rng.integers(0, config.vocab_size, size=length).tolist(), cache))
+    caches.append(cache)
+tokens = [int(np.argmax(row)) for row in rows]
+for _ in range(spec["steps"]):
+    step = model.decode_step_batch(tokens, caches)
+    rows.extend(step)
+    tokens = [int(np.argmax(row)) for row in step]
+print(json.dumps({
+    "digests": [hashlib.sha256(row.tobytes()).hexdigest()[:16] for row in rows],
+    "tokens": tokens,
+}))
+"""
+
+
+class TestServedLogitsThreadInvariance:
+    def test_prefill_and_decode_logits_equal_at_one_and_two_threads(self):
+        """A cold prefill, then 10 decode steps batched with another sequence:
+        every logits row has the same bits at 1 and 2 BLAS threads."""
+        spec = {"prompts": [301, 140], "steps": 10}
+        reports = {t: _run_probe(_SERVED_PROBE, json.dumps(spec), t) for t in ("1", "2")}
+        one, two = reports["1"]["digests"], reports["2"]["digests"]
+        assert len(one) == len(spec["prompts"]) * (1 + spec["steps"])
+        changed = [i for i, (a, b) in enumerate(zip(one, two)) if a != b]
+        assert not changed, (
+            f"logits rows {changed} changed bits between 1 and 2 BLAS threads "
+            f"(rows 0-1 are the first-token logits, then two per decode step); "
+            f"BLAS: {np.show_config(mode='dicts')['Build Dependencies']['blas']}"
         )
 
 

@@ -571,6 +571,7 @@ class TestOneShotAdmission:
             long.n_prompt_tokens, block_size
         )
         held = engine._states[decoding].prepared.cache.n_blocks
+        prefilled = engine.exec_stats.n_prefill_tokens
         engine.step()
         assert [s.request_id for s in engine.scheduler.waiting] == [
             rolled_back,
@@ -587,9 +588,18 @@ class TestOneShotAdmission:
         )
         assert engine._states[decoding].prepared.cache.n_blocks >= held
         engine.assert_consistent()
+        # The rollback re-peeks the index: the head is charged for the pages
+        # it lost and waits until they fit, instead of being prefilled and
+        # rolled back again on every step.
+        assert engine._states[rolled_back].cached_blocks_hint == 0
         while engine.has_pending:
             engine.step()
         served = engine.result(rolled_back)
+        assert served.stats.n_preemptions <= 2
+        assert (
+            engine.exec_stats.n_prefill_tokens - prefilled
+            <= 2 * long.n_prompt_tokens + engine.result(behind).n_prompt_tokens
+        )
         token_ids, stopped_by, _ = oracle(engine, long)
         assert (served.token_ids, served.stopped_by) == (token_ids, stopped_by)
         assert served.stats.scheduled_at <= engine.result(behind).stats.scheduled_at
