@@ -5,7 +5,7 @@ backends, ``max_running=4``) through the fused batched engine with a
 :class:`~repro.profiling.StepProfiler` attached and reports the numbers the
 optimisation pass is judged by: decode tokens per second of stepped wall
 time, step-time p50/p95, and the per-phase breakdown (schedule / gather /
-dequant / project / attend / mlp / logits / verify / bookkeeping).
+dequant / project / attend / mlp / logits / bookkeeping).
 
 Every run appends one sample to ``benchmarks/results/BENCH_decode.json`` —
 the perf-trajectory artifact whose series shows how decode throughput moves

@@ -10,7 +10,7 @@ each stream's final SSE chunk) on the other.  A
 :class:`~repro.profiling.StepProfiler` rides along on the engine so every
 sample also records where engine step time went (per-phase seconds and
 fractions: schedule / gather / dequant / project / attend / mlp / logits /
-verify / bookkeeping).
+bookkeeping).
 
 Alongside the human-readable table, the run appends one sample to
 ``benchmarks/results/BENCH_serve.json`` — the perf-trajectory artifact

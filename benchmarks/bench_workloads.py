@@ -43,7 +43,7 @@ from benchmarks.conftest import RESULTS_DIR
 from repro.core.config import CocktailConfig
 from repro.datasets.longbench import build_dataset, build_vocabulary
 from repro.evaluation.setup import build_model, build_tokenizer
-from repro.serving import InferenceEngine, SpeculativeConfig
+from repro.serving import InferenceEngine
 from repro.serving.adaptive import SloPolicy
 from repro.serving.server import ServerCore, ServingServer
 from repro.workloads import (
@@ -204,22 +204,17 @@ AB_COST_MODEL = StepCostModel(
 
 
 def _ab_engine(model, tokenizer, vocab, clock, *, adaptive):
-    kwargs = dict(
-        max_running=4,
-        clock=clock,
-        speculative=SpeculativeConfig(k=4, adaptive=adaptive),
-    )
+    kwargs = dict(max_running=4, clock=clock)
     if adaptive:
         kwargs["slo_policy"] = SloPolicy()
     return _fresh_engine(model, tokenizer, vocab, **kwargs)
 
 
 def test_bench_workloads_adaptive_ab(results_dir):
-    """A/B the adaptive control loops against the static knobs.
+    """A/B the SLO-aware scheduler against the static FIFO/LIFO order.
 
     Both arms replay identical traces under the same cost-aware virtual
-    clock with speculation at ``k=4``; the *on* arm additionally runs the
-    two loops this gate judges: the adaptive draft windows and the
+    clock; the *on* arm additionally runs the policy this gate judges, the
     SLO-aware scheduler (``SloPolicy``).  The measured bar (ROADMAP item 3): per-scenario
     goodput must not regress on either scenario and must strictly improve
     on at least one, with every oracle still bit-identical.

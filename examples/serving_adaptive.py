@@ -1,22 +1,17 @@
 #!/usr/bin/env python
-"""Adaptive control loops: draft windows and SLO scheduling.
+"""SLO-aware scheduling under a cost-aware virtual clock.
 
 A mixed-class batch — interactive chat turns arriving alongside batch and
-background summarization jobs — is served under a cost-aware virtual clock
-by an engine running both adaptive loops from :mod:`repro.serving.adaptive`:
+background summarization jobs — is served by an engine running the
+:class:`~repro.serving.adaptive.SloPolicy`: it admits interactive work
+past queued batch jobs and picks preemption victims by class and deadline
+slack.
 
-* every sequence's **draft window** adapts to its observed speculation
-  acceptance (EWMA): predictable text earns deeper windows, adversarial
-  text degrades to plain decoding with periodic one-token probes;
-* the **SLO policy** admits interactive work past queued batch jobs and
-  picks preemption victims by class and deadline slack.
-
-The step loop prints the live trace — each step's virtual cost, the
-per-class waiting/running counts and the per-request draft windows with
-their smoothed acceptance — so you can watch the windows widen and the
-interactive request jump the queue.  Outputs stay bit-identical to a
-static engine: the example asserts it by replaying the same requests
-without any controller.
+The step loop prints the live trace — each step's virtual cost and the
+per-class waiting/running counts — so you can watch the interactive
+requests jump the queue.  Outputs stay bit-identical to a FIFO engine:
+the example asserts it by replaying the same requests without the
+policy.
 
 Run with:  PYTHONPATH=src python examples/serving_adaptive.py
 """
@@ -26,28 +21,22 @@ from __future__ import annotations
 from repro.core.config import CocktailConfig
 from repro.datasets.longbench import build_dataset, build_vocabulary
 from repro.evaluation.setup import build_model, build_tokenizer
-from repro.serving import (
-    GenerationRequest,
-    InferenceEngine,
-    SloPolicy,
-    SpeculativeConfig,
-)
+from repro.serving import GenerationRequest, InferenceEngine, SloPolicy
 from repro.workloads import StepCostModel, VirtualClock
 
 #: The virtual clock charges each step for the work it actually did.
 COST_MODEL = StepCostModel(base=1.0, prefill_token_cost=0.05, forward_row_cost=0.02)
 
 
-def build_engine(model, tokenizer, vocab, *, adaptive, clock) -> InferenceEngine:
-    kwargs = dict(
+def build_engine(model, tokenizer, vocab, *, slo_policy, clock) -> InferenceEngine:
+    return InferenceEngine(
+        model,
+        tokenizer,
+        CocktailConfig(),
+        lexicon=vocab.lexicon,
         max_running=3,
         clock=clock,
-        speculative=SpeculativeConfig(k=6, adaptive=adaptive),
-    )
-    if adaptive:
-        kwargs["slo_policy"] = SloPolicy()
-    return InferenceEngine(
-        model, tokenizer, CocktailConfig(), lexicon=vocab.lexicon, **kwargs
+        slo_policy=slo_policy,
     )
 
 
@@ -69,8 +58,7 @@ def make_requests(samples):
 
 def work_snapshot(engine) -> tuple[int, int]:
     stats = engine.exec_stats
-    rows = stats.n_decode_tokens + stats.n_drafted_tokens - stats.n_accepted_tokens
-    return stats.n_prefill_tokens, rows
+    return stats.n_prefill_tokens, stats.n_decode_tokens
 
 
 def main() -> None:
@@ -81,7 +69,7 @@ def main() -> None:
     requests = make_requests(samples)
 
     clock = VirtualClock()
-    engine = build_engine(model, tokenizer, vocab, adaptive=True, clock=clock)
+    engine = build_engine(model, tokenizer, vocab, slo_policy=SloPolicy(), clock=clock)
     rids = [engine.submit(request) for request in requests]
     by_rid = {rid: request.slo_class for rid, request in zip(rids, requests)}
     print(f"submitted {len(rids)} requests: "
@@ -99,21 +87,14 @@ def main() -> None:
             forward_rows=rows_after - rows_before,
         )
         clock.advance(cost)
-        adaptive = engine.adaptive_stats()
         classes = " ".join(
             f"{cls}:{counts['waiting']}/{counts['running']}"
-            for cls, counts in sorted(adaptive["slo"].items())
-        )
-        windows = " ".join(
-            f"{rid}:{reading['window']}"
-            + (f"({reading['ewma']:.2f})" if reading["ewma"] is not None else "")
-            for rid, reading in sorted(adaptive["draft_windows"].items())
+            for cls, counts in sorted(engine.adaptive_stats()["slo"].items())
         )
         done = [e.request_id for e in events if e.is_last]
         print(
             f"step {step:>3} | t={clock.now:7.1f} (cost {cost:5.1f}) "
-            f"| waiting/running [{classes}] "
-            f"| windows [{windows}]"
+            f"| waiting/running [{classes}]"
             + (f" | done: {', '.join(done)}" if done else "")
         )
 
@@ -123,20 +104,17 @@ def main() -> None:
         stats = results[rid].stats
         print(
             f"  {rid} [{stats.slo_class:>11}]: {stats.n_generated} tokens, "
-            f"ttft {stats.ttft_seconds:.1f}, drafted {stats.drafted_tokens}, "
-            f"accepted {stats.accepted_tokens}"
+            f"ttft {stats.ttft_seconds:.1f}"
         )
 
-    # The controllers only move *when* work happens, never what is decoded:
-    # a static engine must produce bit-identical streams.
-    static = build_engine(
-        model, tokenizer, vocab, adaptive=False, clock=VirtualClock()
-    )
-    reference = static.run_batch(make_requests(samples))
+    # The policy only moves *when* work happens, never what is decoded: a
+    # FIFO engine must produce bit-identical streams.
+    fifo = build_engine(model, tokenizer, vocab, slo_policy=None, clock=VirtualClock())
+    reference = fifo.run_batch(make_requests(samples))
     assert [results[rid].token_ids for rid in rids] == [
         r.token_ids for r in reference
-    ], "adaptive and static decodes must be bit-identical"
-    print("\nadaptive outputs verified bit-identical to the static engine")
+    ], "SLO-scheduled and FIFO decodes must be bit-identical"
+    print("\nSLO-scheduled outputs verified bit-identical to the FIFO engine")
 
 
 if __name__ == "__main__":

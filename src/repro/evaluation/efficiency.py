@@ -13,7 +13,7 @@ real continuous-batching engine.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro.core.config import CocktailConfig
 from repro.datasets.base import DatasetSpec
@@ -36,9 +36,6 @@ from repro.hardware.throughput import throughput_curve
 from repro.model.config import SIM_MODEL_NAMES, get_model_spec
 from repro.serving.engine import InferenceEngine
 from repro.serving.request import GenerationRequest
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.serving.spec import SpeculativeConfig
 
 #: Context length (tokens) charged per model in the memory/TPOT experiments —
 #: long-context models are evaluated near their longer windows, matching the
@@ -289,7 +286,6 @@ def serving_stats_table(
     seed: int = 0,
     repeats: int = 1,
     prefix_caching: bool = True,
-    speculative: "SpeculativeConfig | int | None" = None,
 ) -> ResultTable:
     """Measured serving stats from the real continuous-batching engine.
 
@@ -315,11 +311,6 @@ def serving_stats_table(
     mean fused-batch occupancy.  Execution is fused *across* methods (one
     forward advances a mixed batch of every method), so these two columns
     carry the same engine-wide value on every row.
-
-    ``speculative`` (a :class:`~repro.serving.spec.SpeculativeConfig` or an
-    int ``k``) turns on n-gram speculative decoding; the ``drafted`` /
-    ``accepted`` / ``accept %`` columns then report each method's measured
-    draft-acceptance outcome.
     """
     if n_requests < 1:
         raise ValueError(f"n_requests must be >= 1, got {n_requests}")
@@ -337,7 +328,6 @@ def serving_stats_table(
         seed=seed,
         max_running=max_running,
         prefix_caching=prefix_caching,
-        speculative=speculative,
     )
     samples = SampleGenerator(vocab, SERVING_SAMPLE_SPEC, seed=seed).generate_many(
         n_requests
@@ -369,9 +359,6 @@ def serving_stats_table(
             "saved B",
             "fwd/tok",
             "batch occ",
-            "drafted",
-            "accepted",
-            "accept %",
         ],
     )
     for method in methods:
@@ -400,101 +387,4 @@ def serving_stats_table(
         table.set(row, "saved B", sum(r.stats.cached_bytes for r in rows) / n)
         table.set(row, "fwd/tok", engine.exec_stats.forwards_per_token)
         table.set(row, "batch occ", engine.exec_stats.mean_batch_occupancy)
-        drafted = sum(r.stats.drafted_tokens for r in rows)
-        accepted = sum(r.stats.accepted_tokens for r in rows)
-        table.set(row, "drafted", float(drafted))
-        table.set(row, "accepted", float(accepted))
-        table.set(row, "accept %", 100.0 * accepted / drafted if drafted else 0.0)
     return table
-
-
-def speculative_decode_table(
-    n_requests: int = 4,
-    methods: Sequence[str] = ("dense", "cocktail", "fp16", "atom"),
-    *,
-    model_name: str = "llama2-7b",
-    max_new_tokens: int = 48,
-    max_running: int = 4,
-    chunk_size: int = 32,
-    seed: int = 0,
-    k: int = 6,
-) -> ResultTable:
-    """Measured speculative-vs-baseline decode execution (``fig5_speculative``).
-
-    The same concurrent request mix is served twice through otherwise
-    identical batched engines — once with n-gram speculative decoding
-    (``SpeculativeConfig(k=...)``), once without — on a repetitive
-    workload: greedy decoding of the simulation models settles into short
-    cycles (``stop_on_special=False`` keeps it decoding through them),
-    which is exactly the self-similar traffic prompt-lookup drafting
-    exploits.  Outputs are **asserted bit-identical** between the two rows
-    before the table is built — greedy verification is exact, so
-    speculation must change only the forward count.  The acceptance bar is
-    the ``fwd/tok`` ratio: the speculative engine must issue at least 1.5x
-    fewer target-model forwards per generated token, with the measured
-    draft acceptance rate reported alongside.
-    """
-    from repro.serving.spec import SpeculativeConfig
-
-    vocab = shared_vocabulary()
-    tokenizer = build_tokenizer(vocab)
-    model = build_model(model_name, tokenizer, seed=seed)
-    config = CocktailConfig(chunk_size=chunk_size)
-    samples = SampleGenerator(vocab, SERVING_SAMPLE_SPEC, seed=seed).generate_many(
-        n_requests
-    )
-    table = ResultTable(
-        title=f"Speculative vs baseline decode execution ({n_requests} requests, "
-        f"k={k})",
-        row_names=["speculative", "baseline"],
-        column_names=[
-            "fwd/tok",
-            "accept %",
-            "drafted",
-            "accepted",
-            "tokens",
-            "steps",
-        ],
-    )
-    outputs = {}
-    for row, speculative in (
-        ("speculative", SpeculativeConfig(k=k)),
-        ("baseline", None),
-    ):
-        engine = InferenceEngine(
-            model,
-            tokenizer,
-            config,
-            lexicon=vocab.lexicon,
-            seed=seed,
-            max_running=max_running,
-            prefix_caching=False,  # both rows serve cold for a fair clock
-            speculative=speculative,
-        )
-        results = engine.run_batch(
-            [
-                GenerationRequest(
-                    sample.context_words,
-                    sample.query_words,
-                    max_new_tokens=max_new_tokens,
-                    backend=methods[i % len(methods)],
-                    stop_on_special=False,
-                )
-                for i, sample in enumerate(samples)
-            ]
-        )
-        outputs[row] = [(r.token_ids, r.stopped_by) for r in results]
-        stats = engine.exec_stats
-        table.set(row, "fwd/tok", stats.forwards_per_token)
-        table.set(row, "accept %", 100.0 * stats.acceptance_rate)
-        table.set(row, "drafted", float(stats.n_drafted_tokens))
-        table.set(row, "accepted", float(stats.n_accepted_tokens))
-        table.set(row, "tokens", float(stats.n_decode_tokens))
-        table.set(row, "steps", float(stats.n_steps))
-    if outputs["speculative"] != outputs["baseline"]:
-        raise AssertionError(
-            "speculative decoding diverged from the greedy baseline — "
-            "verification must be output-identical"
-        )
-    return table
-

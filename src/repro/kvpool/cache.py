@@ -30,8 +30,7 @@ packed rows decoded from the encoder's in-memory codes), so a freshly
 prepared sequence's first decode step decodes nothing.  Otherwise a
 rebuild (first read, after packing, after a swap) decodes the pages
 straight into them and drops the decoded rows; an append writes its
-full-precision rows into the mirror beside their page; a speculative
-rollback shrinks the valid length.
+full-precision rows into the mirror beside their page.
 
 Preemption uses the pool's swap interface: :meth:`swap_out` detaches every
 *exclusively-owned* page to a host-side store (freeing pool capacity for
@@ -66,7 +65,7 @@ class _Mirror:
     ``k_t`` is ``(h, d, capacity)`` and ``v_t`` ``(h, capacity, d)``; the
     first ``valid`` token columns/rows equal the layer's pages (packed runs
     decoded), and ``valid`` is the layer's length.  Columns past ``valid``
-    are scratch the next append or rollback overwrites in place, so
+    are scratch the next append overwrites in place, so
     handed-out views are valid until the cache's next write.
     """
 
@@ -252,23 +251,7 @@ class PagedKVCache:
         sequences in the round observe the same pool availability the
         sequential check-then-allocate interleaving would produce.
         """
-        return self.block_cost_for_tokens(1)
-
-    def block_cost_for_tokens(self, n_tokens: int) -> int:
-        """Pool pages appending ``n_tokens`` more rows would newly allocate.
-
-        The speculative planner sizes its draft window with this: a verify
-        run appends up to ``k + 1`` rows at once, and the engine both
-        checks :meth:`~repro.kvpool.pool.BlockPool.can_allocate` and
-        reserves this many pages before deferring the fused forward, so
-        drafting can never make a round claim pages a sequential
-        one-token-per-step engine would not have been granted.
-        """
-        if n_tokens < 0:
-            raise ValueError(f"n_tokens must be >= 0, got {n_tokens}")
-        needed = BlockTable.blocks_for_tokens(
-            self.length + n_tokens, self.table.block_size
-        )
+        needed = BlockTable.blocks_for_tokens(self.length + 1, self.table.block_size)
         return max(0, needed - len(self.table.block_ids))
 
     def live_tokens(self) -> int:
@@ -357,43 +340,6 @@ class PagedKVCache:
                 mirror = self._mirrors[layer_index] = self._resized_mirror(mirror, start + n)
             _write_rows(mirror, start, k_new, v_new)
             mirror.valid = start + n
-
-    def truncate(self, n_tokens: int) -> None:
-        """Roll the decode tail back to ``n_tokens`` rows (all layers).
-
-        This is the speculative-decoding rollback: a verify forward
-        appended rows for every drafted token, and the rejected tail must
-        vanish as if it had never been computed.  Only rows *past the
-        context region* can be truncated — context pages may be packed,
-        shared with other sequences or adopted from the prefix index, and
-        none of those are this sequence's to shrink.  The decode tail, by
-        contrast, was appended through :meth:`append_layer`, whose
-        copy-on-write discipline guarantees the affected pages are
-        privately owned: pages left wholly beyond the new length are
-        released back to the pool, and the stale rows of the straddling
-        page are simply overwritten by the next append.  The mirrors only
-        shrink their valid length, so a rollback decodes nothing.
-        """
-        self._check_writable()
-        if n_tokens < self.n_context:
-            raise ValueError(
-                f"cannot truncate into the context region "
-                f"({n_tokens} < {self.n_context})"
-            )
-        if n_tokens > min(self._layer_lengths):
-            raise ValueError(
-                f"cannot truncate to {n_tokens}: a layer holds only "
-                f"{min(self._layer_lengths)} rows"
-            )
-        keep = BlockTable.blocks_for_tokens(n_tokens, self.table.block_size)
-        for block_id in self.table.block_ids[keep:]:
-            self.pool.release(block_id)
-        del self.table.block_ids[keep:]
-        self._layer_lengths = [n_tokens] * self.n_layers
-        for layer_index, mirror in self._mirrors.items():
-            mirror.valid = min(mirror.valid, n_tokens)
-            if mirror.capacity > 2 * n_tokens:  # a long rollback returns its headroom
-                self._mirrors[layer_index] = self._resized_mirror(mirror, n_tokens)
 
     # -- reads ---------------------------------------------------------------
 
@@ -543,7 +489,7 @@ class PagedKVCache:
     def _resized_mirror(self, mirror: _Mirror, length: int) -> _Mirror:
         """A mirror sized for ``length`` rows holding ``mirror``'s valid prefix.
 
-        Growth and a long rollback both copy floats; neither re-decodes.
+        Growth copies floats; it never re-decodes.
         """
         resized = _Mirror(self.n_kv_heads, self.head_dim, self._mirror_capacity(length))
         valid = resized.valid = mirror.valid

@@ -1,17 +1,17 @@
 """Multi-head attention with KV caching.
 
 Supports grouped-query attention (GQA), causal masking, RoPE or table
-positional encodings, prefill over a block of tokens and decode/verify rows
-of many sequences against their layer caches.  The cache argument is
-duck-typed: anything exposing ``append``/``keys``/``values`` works, which is
-how the same attention code drives both the dense
+positional encodings, prefill over a block of tokens and one decode row
+for each of many sequences against their layer caches.  The cache argument
+is duck-typed: anything exposing ``append``/``keys``/``values`` works, which
+is how the same attention code drives both the dense
 :class:`~repro.model.kv_cache.LayerKVCache` and the pool-backed
 :class:`~repro.kvpool.cache.PagedLayerView` (whose ``kv_mirrors`` serves
 packed context pages dequantized, head-major).
 
 Decode hot-path notes
 ---------------------
-Decode and speculative verify rows of every running sequence go through
+The decode rows of every running sequence go through
 :meth:`AttentionLayer.forward_rows` as one stack.  The ``[Wq | Wk | Wv]``
 and ``wo`` projections run through :func:`tiled_matmul`, one NumPy call
 whose every BLAS call multiplies exactly two rows: a row's bits are then
@@ -19,9 +19,9 @@ those of the 2-row-tile class, fixed whatever the batch size, the row's
 slot and its neighbours, and the BLAS thread count (a plain stacked GEMM
 switches kernels with the row count).  The unembedding joins the class
 through :func:`tiled_block_matmul`, against L2-sized column blocks of its
-weight.  Attention itself stays per sequence and per row:
+weight.  Attention itself stays per sequence:
 
-- each query row scores the keys up to its own position, so the
+- each query row scores its cache's keys up to its own position, so the
   strictly-causal case skips masking entirely;
 - caches may expose ``kv_mirrors()`` returning head-major transposed K/V
   views maintained incrementally (see ``PagedLayerView``), which replaces
@@ -466,29 +466,24 @@ class AttentionLayer:
         hidden: np.ndarray,
         caches: Sequence[LayerKVCache],
         positions: np.ndarray,
-        spans: Sequence[tuple[int, int]],
     ) -> np.ndarray:
-        """Decode/verify rows of several sequences: ``(n, d_model)`` in and out.
+        """One decode row per sequence: ``(n, d_model)`` in and out.
 
-        Rows ``spans[i] = (start, stop)`` of the stack are sequence ``i``'s
-        run, at ``positions[start:stop]``.  The projections run once over
-        the whole stack through :func:`tiled_matmul` (``n`` even; rows in
-        no span are padding).  Each run appends all its K/V rows to
-        ``caches[i]``, then each of its rows attends the keys up to its own
-        position — exactly the operands a one-token step at that position
-        reads, so a verify row equals the decode step it stands for.
+        Row ``i`` of the stack is ``caches[i]``'s next token, at
+        ``positions[i]``; rows past ``len(caches)`` are padding.  The
+        projections run once over the whole stack through
+        :func:`tiled_matmul` (``n`` even).  Each row appends its K/V to its
+        cache, then attends all of that cache's keys, its own the last.
         """
         with profiling_span("project"):
             q, k, v = self._split_qkv(tiled_matmul(hidden, self._w_qkv), positions)
         context = np.zeros((hidden.shape[0], self._q_width), dtype=np.float32)
-        for cache, (start, stop) in zip(caches, spans):
-            cache.append(k[start:stop], v[start:stop])
+        for row, cache in enumerate(caches):
+            cache.append(k[row : row + 1], v[row : row + 1])
             with profiling_span("attend"):
                 k_heads, v_heads = self._head_major(cache)
-                for row in range(start, stop):
-                    n_kv = int(positions[row]) + 1
-                    context[row] = self._attend_row(
-                        q[row : row + 1], k_heads[:, :, :n_kv], v_heads[:, :n_kv], n_kv - 1
-                    ).reshape(-1)
+                context[row] = self._attend_row(
+                    q[row : row + 1], k_heads, v_heads, int(positions[row])
+                ).reshape(-1)
         with profiling_span("attend"):
             return tiled_matmul(context, self._wo_flat)

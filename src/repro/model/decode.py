@@ -17,12 +17,7 @@ behind a backend-supplied step function and exposes it two ways:
   :class:`BatchedDecodeStep` can run every session's bookkeeping first and
   then compute all pending forwards through **one fused call** per engine
   step; this is how the serving engine in :mod:`repro.serving` advances
-  every in-flight sequence,
-* :meth:`DecodeSession.complete_verify` — the speculative variant of phase
-  2: the fused call was a multi-token *verify* forward over
-  ``[token, *drafts]``, and the session greedily accepts the drafted
-  prefix the target model agrees with (exact under greedy sampling, so
-  speculation never changes outputs — only the forward count).
+  every in-flight sequence.
 
 The per-step order of operations is load-bearing and matches the historical
 loops exactly: the budget check precedes the stop-token check (a request
@@ -40,7 +35,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.model.sampling import greedy_sample
-from repro.profiling import span as profiling_span
 
 #: The three terminal states a decode session can report.
 STOP_REASONS: tuple[str, ...] = ("stop_token", "max_tokens", "cache_full")
@@ -136,16 +130,6 @@ class DecodeSession:
         """
         return self._max_new_tokens - len(self.generated)
 
-    @property
-    def next_token(self) -> int:
-        """The token the next :meth:`begin_step` will emit (if it emits).
-
-        The speculative-decoding planner peeks this to seed the draft
-        proposer: drafts continue the history *including* this token, since
-        the verify forward feeds it first.
-        """
-        return self._next_id
-
     def begin_step(self) -> tuple[int | None, bool]:
         """Phase 1 of a (possibly fused) decode step: everything but the forward.
 
@@ -177,45 +161,6 @@ class DecodeSession:
     def complete_step(self, logits: np.ndarray) -> None:
         """Phase 2: consume the forward's logits and sample the next token."""
         self._next_id = int(self._sampler(logits))
-
-    def complete_verify(
-        self, drafts: Sequence[int], logits_rows: Sequence[np.ndarray]
-    ) -> list[int]:
-        """Phase 2 of a *speculative* step: verify drafts against the target.
-
-        The verify forward fed ``[token, d_1, .., d_k]`` (the token
-        :meth:`begin_step` emitted plus ``k`` drafted guesses) and produced
-        one logits row per input; ``logits_rows[i]`` is the target model's
-        distribution for the position *after* input ``i``.  Verification
-        replays the exact sequential state machine: sample the target's own
-        next token from row ``i``, run the budget check, then the
-        stop-token check (the load-bearing order of :meth:`begin_step`),
-        and accept ``d_{i+1}`` only if it *is* that token.  The first
-        mismatch (or terminal outcome) ends acceptance; the corrected
-        target token becomes :attr:`next_token` for the following step, so
-        even a zero-acceptance verify wastes drafts but never diverges.
-
-        Returns the accepted tokens, in order, for the caller to emit; the
-        caller is responsible for rolling the rejected tail's cache rows
-        back (they were appended by the verify forward but the sequential
-        path would never have computed them).
-        """
-        next_id = int(self._sampler(logits_rows[0]))
-        accepted: list[int] = []
-        for draft, logits in zip(drafts, logits_rows[1:]):
-            if len(self.generated) >= self._max_new_tokens:
-                self.stopped_by = "max_tokens"
-                break
-            if next_id in self._stop_set:
-                self.stopped_by = "stop_token"
-                break
-            if int(draft) != next_id:
-                break
-            self.generated.append(next_id)
-            accepted.append(next_id)
-            next_id = int(self._sampler(logits))
-        self._next_id = next_id
-        return accepted
 
     def advance(self) -> int | None:
         """Execute one decode step.
@@ -257,21 +202,11 @@ class BatchedDecodeStep:
         which the fused model forward appends to).
     reserve:
         Optional callback taking a page count.  Called with
-        ``session.step_cost()`` (or the explicit ``step_cost`` handed to
-        :meth:`add`) whenever an added session will run a forward, so later
-        sessions' capacity checks see the pool as a one-at-a-time round
-        would have left it.  The caller releases the reservation before
-        :meth:`commit` (the fused forward then performs the real
-        allocations).
-    verify_batch_fn:
-        ``(token_lists, payloads) -> list_of_logits_blocks`` — the fused
-        *speculative verify* forward (the engine passes
-        :meth:`~repro.model.transformer.Transformer.forward_rows`), where
-        ``token_lists[i]`` is ``[token, d_1, .., d_k]`` for sequence ``i``
-        and the returned block holds one logits row per input token; the
-        call runs inside the profiler's ``verify`` span.  Required only
-        when any :meth:`add` carries drafts; a round without drafts always
-        takes the plain ``step_batch_fn`` path.
+        ``session.step_cost()`` whenever an added session will run a
+        forward, so later sessions' capacity checks see the pool as a
+        one-at-a-time round would have left it.  The caller releases the
+        reservation before :meth:`commit` (the fused forward then performs
+        the real allocations).
     """
 
     def __init__(
@@ -279,15 +214,10 @@ class BatchedDecodeStep:
         step_batch_fn: Callable[[list[int], list], list[np.ndarray]],
         *,
         reserve: Callable[[int], None] | None = None,
-        verify_batch_fn: Callable[[list[list[int]], list], list] | None = None,
     ):
         self._step_batch_fn = step_batch_fn
-        self._verify_batch_fn = verify_batch_fn
         self._reserve = reserve
-        self._pending: list[tuple[DecodeSession, int, object, tuple[int, ...]]] = []
-        #: Per-pending-entry accepted draft tokens of the last :meth:`commit`
-        #: (empty lists on the plain path); aligned with the add order.
-        self.accepted_drafts: list[list[int]] = []
+        self._pending: list[tuple[DecodeSession, int, object]] = []
 
     @property
     def n_pending(self) -> int:
@@ -295,76 +225,39 @@ class BatchedDecodeStep:
         return len(self._pending)
 
     def add(
-        self,
-        session: DecodeSession,
-        payload: object = None,
-        *,
-        drafts: Sequence[int] = (),
-        step_cost: int | None = None,
+        self, session: DecodeSession, payload: object = None
     ) -> tuple[int | None, bool]:
         """Run phase 1 for one session; queue its forward if it needs one.
-
-        ``drafts`` turns the queued forward into a speculative verify over
-        ``[token, *drafts]`` — :meth:`commit` then runs the session's
-        propose→verify→accept phase and records the surviving tokens in
-        :attr:`accepted_drafts` (the caller emits them and rolls back the
-        rejected cache tail).  ``step_cost`` overrides the session's own
-        single-token cost probe for the reservation callback — a verify
-        appends up to ``1 + len(drafts)`` rows, so the caller passes the
-        page cost of the whole run.
 
         Returns the session's ``(token, needs_forward)`` pair (see
         :meth:`DecodeSession.begin_step`).
         """
-        if drafts and self._verify_batch_fn is None:
-            raise ValueError("drafts require a verify_batch_fn")
         token, needs_forward = session.begin_step()
         if needs_forward:
-            if step_cost is None and session.step_cost is not None:
+            if self._reserve is not None and session.step_cost is not None:
                 step_cost = session.step_cost()
-            if self._reserve is not None and step_cost:
-                self._reserve(step_cost)
-            self._pending.append((session, token, payload, tuple(drafts)))
+                if step_cost:
+                    self._reserve(step_cost)
+            self._pending.append((session, token, payload))
         return token, needs_forward
 
     def commit(self) -> int:
         """Execute the fused forward and complete every pending session.
 
         Returns the batch size of the fused call (0 when nothing was
-        pending, in which case no forward runs at all).  With drafts
-        queued, the single fused call is the verify forward; every
-        session's acceptance outcome lands in :attr:`accepted_drafts`.
+        pending, in which case no forward runs at all).
         """
-        self.accepted_drafts = []
         if not self._pending:
             return 0
         pending, self._pending = self._pending, []
-        payloads = [payload for _, _, payload, _ in pending]
-        if any(drafts for _, _, _, drafts in pending):
-            token_lists = [[token, *drafts] for _, token, _, drafts in pending]
-            with profiling_span("verify"):
-                logits_blocks = self._verify_batch_fn(token_lists, payloads)
-            if len(logits_blocks) != len(pending):
-                raise RuntimeError(
-                    f"fused verify returned {len(logits_blocks)} logits blocks "
-                    f"for {len(pending)} sequences"
-                )
-            for (session, _, _, drafts), rows in zip(pending, logits_blocks):
-                if len(rows) != 1 + len(drafts):
-                    raise RuntimeError(
-                        f"verify returned {len(rows)} logits rows for "
-                        f"{1 + len(drafts)} input tokens"
-                    )
-                self.accepted_drafts.append(session.complete_verify(drafts, rows))
-        else:
-            tokens = [token for _, token, _, _ in pending]
-            logits_list = self._step_batch_fn(tokens, payloads)
-            if len(logits_list) != len(pending):
-                raise RuntimeError(
-                    f"fused step returned {len(logits_list)} logits rows for "
-                    f"{len(pending)} sequences"
-                )
-            for (session, _, _, _), logits in zip(pending, logits_list):
-                session.complete_step(logits)
-            self.accepted_drafts = [[] for _ in pending]
+        tokens = [token for _, token, _ in pending]
+        payloads = [payload for _, _, payload in pending]
+        logits_list = self._step_batch_fn(tokens, payloads)
+        if len(logits_list) != len(pending):
+            raise RuntimeError(
+                f"fused step returned {len(logits_list)} logits rows for "
+                f"{len(pending)} sequences"
+            )
+        for (session, _, _), logits in zip(pending, logits_list):
+            session.complete_step(logits)
         return len(pending)

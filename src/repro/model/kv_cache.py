@@ -87,14 +87,6 @@ class LayerKVCache:
         self.k[:n] = np.asarray(k_new, dtype=np.float32)
         self.v[:n] = np.asarray(v_new, dtype=np.float32)
 
-    def truncate(self, n_rows: int) -> None:
-        """Shrink the valid region to ``n_rows`` (storage is kept)."""
-        if n_rows < 0 or n_rows > self.length:
-            raise ValueError(
-                f"n_rows must be in [0, {self.length}], got {n_rows}"
-            )
-        self.length = n_rows
-
     def clone(self) -> "LayerKVCache":
         """Deep copy of this layer cache (allocates only the valid region)."""
         copy = LayerKVCache(self.n_kv_heads, self.head_dim, self.capacity)
@@ -162,22 +154,6 @@ class ModelKVCache:
         layer = self.layers[layer_index]
         layer.k[: self.n_context] = np.asarray(k_new, dtype=np.float32)
         layer.v[: self.n_context] = np.asarray(v_new, dtype=np.float32)
-
-    def truncate(self, n_tokens: int) -> None:
-        """Roll the decode tail back to ``n_tokens`` rows in every layer.
-
-        Speculative-decoding rollback for the dense reference cache: rows
-        for rejected draft tokens are dropped as if never computed.  Like
-        the paged cache, the context region is off limits — only the
-        decode tail can shrink.
-        """
-        if n_tokens < self.n_context:
-            raise ValueError(
-                f"cannot truncate into the context region "
-                f"({n_tokens} < {self.n_context})"
-            )
-        for layer in self.layers:
-            layer.truncate(n_tokens)
 
     def snapshot(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Return per-layer copies of all valid K/V rows."""

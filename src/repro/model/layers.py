@@ -58,16 +58,15 @@ class TransformerBlock:
         hidden: np.ndarray,
         caches: Sequence[LayerKVCache],
         positions: np.ndarray,
-        spans: Sequence[tuple[int, int]],
     ) -> np.ndarray:
-        """Decode/verify rows of several sequences (appends their K/V).
+        """One decode row per sequence (appends their K/V).
 
         Norms, residuals and activations are row-local, so they run over
         the whole stack, pad row included; every GEMM runs on 2-row tiles
         (see :meth:`AttentionLayer.forward_rows`).
         """
         attn_out = self.attention.forward_rows(
-            self.norm_attn.forward(hidden), caches, positions, spans
+            self.norm_attn.forward(hidden), caches, positions
         )
         hidden = hidden + attn_out
         return hidden + self.mlp.forward(self.norm_mlp.forward(hidden), tiled_matmul)

@@ -45,11 +45,10 @@ class GenerationResult:
 class Transformer:
     """A decoder-only transformer.
 
-    Prefill runs one sequence.  Every decode and verify row goes through
+    Prefill runs one sequence.  Every decode row goes through
     :meth:`forward_rows`: the paper's accuracy experiments call it through
     :meth:`decode_step`, one sequence at a time, and the serving engine
-    through :meth:`decode_step_batch` (a speculative round calls
-    :meth:`forward_rows` itself), one forward per round over the whole
+    through :meth:`decode_step_batch`, one forward per round over the whole
     running set.  A row's logits are the same bits either way.
     """
 
@@ -159,56 +158,43 @@ class Transformer:
 
     def forward_rows(
         self,
-        runs: Sequence[Sequence[int]],
+        token_ids: Sequence[int],
         caches: Sequence[ModelKVCache],
-    ) -> list[np.ndarray]:
-        """The one decode/verify forward: append each run to its cache.
+    ) -> np.ndarray:
+        """The one decode forward: append ``token_ids[i]`` to ``caches[i]``.
 
-        ``runs[i]`` is ``[token]`` for a decode step or ``[token, *drafts]``
-        for a speculative verify, whose caller checks the drafts against
-        the logits and truncates the rejected tail's rows (see
-        :meth:`~repro.kvpool.cache.PagedKVCache.truncate`); run lengths may
-        differ per sequence.  Returns, per run, a ``(len(run), vocab)``
-        array: one next-token logits row per input token.  The runs' rows
-        are stacked and each weight GEMM, the unembedding included, runs
-        once over 2-row tiles (:func:`~repro.model.attention.tiled_matmul`,
-        :meth:`_logits`), so a row's bits depend neither on its batch nor
-        on its run's length nor on the BLAS thread count.  Attention stays
-        per sequence.
+        Returns ``(len(caches), vocab)`` next-token logits, one row per
+        sequence.  The rows are stacked and each weight GEMM, the
+        unembedding included, runs once over 2-row tiles
+        (:func:`~repro.model.attention.tiled_matmul`, :meth:`_logits`), so
+        a row's bits depend neither on its batch nor on the BLAS thread
+        count.  Attention stays per sequence.
         """
-        if len(runs) != len(caches):
-            raise ValueError(f"{len(runs)} token runs for {len(caches)} caches")
-        tokens: list[int] = []
-        positions: list[int] = []
-        spans: list[tuple[int, int]] = []
-        for run, cache in zip(runs, caches):
-            start = cache.length
-            if len(run) == 0:
-                raise ValueError("a run needs at least one token")
-            if start + len(run) > cache.capacity:
-                raise ValueError(
-                    f"run of {len(run)} tokens does not fit the cache "
-                    f"(length {start}, capacity {cache.capacity})"
-                )
-            spans.append((len(tokens), len(tokens) + len(run)))
-            tokens.extend(run)
-            positions.extend(range(start, start + len(run)))
-        n_rows = len(tokens)
+        if len(token_ids) != len(caches):
+            raise ValueError(f"{len(token_ids)} tokens for {len(caches)} caches")
+        n_rows = len(token_ids)
         if not n_rows:
-            return []
+            return np.empty((0, self.config.vocab_size), dtype=np.float32)
+        positions: list[int] = []
+        for cache in caches:
+            if cache.length >= cache.capacity:
+                raise ValueError(
+                    f"token does not fit the cache (length {cache.length}, "
+                    f"capacity {cache.capacity})"
+                )
+            positions.append(cache.length)
         # An odd stack gets one zero row (at position 0) so every tile has two.
         hidden = np.zeros((n_rows + n_rows % 2, self.config.d_model), dtype=np.float32)
-        hidden[:n_rows] = self.embed(tokens, np.asarray(positions))
+        hidden[:n_rows] = self.embed(token_ids, np.asarray(positions))
         positions = np.asarray(positions + [0] * (n_rows % 2))
         for index, block in enumerate(self.blocks):
             layer_caches = [cache.layers[index] for cache in caches]
-            hidden = block.forward_rows(hidden, layer_caches, positions, spans)
-        logits = self._logits(hidden)
-        return [logits[start:stop] for start, stop in spans]
+            hidden = block.forward_rows(hidden, layer_caches, positions)
+        return self._logits(hidden)[:n_rows]
 
     def decode_step(self, token_id: int, cache: ModelKVCache) -> np.ndarray:
         """Append ``token_id`` to ``cache``; return the next-token logits."""
-        return self.forward_rows([[token_id]], [cache])[0][0]
+        return self.forward_rows([token_id], [cache])[0]
 
     def decode_step_batch(
         self,
@@ -217,10 +203,10 @@ class Transformer:
     ) -> list[np.ndarray]:
         """Append ``token_ids[i]`` to ``caches[i]``; one logits row per sequence.
 
-        The serving engine's plain round: the whole running set moves one
-        token in one :meth:`forward_rows` call.
+        The serving engine's round: the whole running set moves one token
+        in one :meth:`forward_rows` call.
         """
-        return [rows[0] for rows in self.forward_rows([[t] for t in token_ids], caches)]
+        return list(self.forward_rows(token_ids, caches))
 
     def generate(
         self,

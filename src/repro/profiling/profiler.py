@@ -1,8 +1,8 @@
 """Lightweight per-phase wall-time profiling for the serving engine.
 
 The engine's hot path is annotated with :func:`span` markers — ``schedule``,
-``gather``, ``dequant``, ``project``, ``attend``, ``verify`` — plus one
-``step`` span wrapping :meth:`EngineCore.step`.  When no profiler is
+``gather``, ``dequant``, ``project``, ``attend``, ``mlp``, ``logits`` —
+plus one ``step`` span wrapping :meth:`EngineCore.step`.  When no profiler is
 attached every marker collapses to a shared no-op context manager, so the
 annotations cost nanoseconds on the production path.
 
@@ -54,7 +54,6 @@ CORE_PHASES = (
     "attend",
     "mlp",
     "logits",
-    "verify",
     "bookkeeping",
 )
 

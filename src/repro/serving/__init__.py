@@ -14,14 +14,8 @@
   admitted through one scratch prefill, in the step that admits it, and
   served out of a shared paged :class:`~repro.kvpool.BlockPool` with
   actually-packed quantized context storage.
-* :mod:`repro.serving.spec` — speculative decoding: the
-  :class:`DraftProposer` registry (n-gram prompt lookup by default) and
-  :class:`SpeculativeConfig`, driving multi-token verify forwards through
-  the batched decode path with greedy (output-identical) verification.
-* :mod:`repro.serving.adaptive` — feedback control loops over the static
-  knobs: :class:`DraftWindowController` (per-sequence speculation depth
-  from observed acceptance) and :class:`SloPolicy` (priority-class
-  admission and deadline-aware preemption).  Both opt-in.
+* :mod:`repro.serving.adaptive` — :class:`SloPolicy`, opt-in
+  priority-class admission and deadline-aware preemption.
 * :mod:`repro.serving.sharded` — data-parallel execution:
   :class:`ShardedEngine` fronts N private engine workers behind the
   single-core protocol, with a :class:`ShardRouter` placing each request
@@ -35,7 +29,7 @@
   (imported on demand; nothing here depends on it).
 """
 
-from repro.serving.adaptive import DraftWindowController, SloPolicy
+from repro.serving.adaptive import SloPolicy
 from repro.serving.backends import (
     DecodeBackend,
     PrefillJob,
@@ -48,14 +42,6 @@ from repro.serving.backends import (
     register_backend,
 )
 from repro.serving.engine import EngineCore, ExecutionStats, InferenceEngine
-from repro.serving.spec import (
-    DraftProposer,
-    NgramProposer,
-    SpeculativeConfig,
-    create_proposer,
-    proposer_names,
-    register_proposer,
-)
 from repro.serving.request import (
     SLO_CLASSES,
     GenerationRequest,
@@ -102,13 +88,6 @@ __all__ = [
     "ShardRouter",
     "ShardWorker",
     "GlobalPrefixIndex",
-    "SpeculativeConfig",
-    "DraftProposer",
-    "NgramProposer",
-    "register_proposer",
-    "proposer_names",
-    "create_proposer",
-    "DraftWindowController",
     "SloPolicy",
     "SLO_CLASSES",
 ]

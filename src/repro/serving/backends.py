@@ -165,16 +165,10 @@ class PreparedSequence:
         which the session appends to.  The engine drives everything else
         through it: the round's one fused
         :meth:`~repro.model.transformer.Transformer.decode_step_batch`
-        forward and speculative rollback
-        (:meth:`~repro.kvpool.cache.PagedKVCache.truncate`), admission and
-        preemption accounting (``live_tokens``), swap preemption
-        (``swap_out`` / ``swap_in``), the finished result's
+        forward, admission and preemption accounting (``live_tokens``),
+        swap preemption (``swap_out`` / ``swap_in``), the finished result's
         ``details["kv_bytes"]`` (``measured_bytes``), ``/v1/stats``
         (``working_set_bytes``) and page return (``release``).
-    prompt_ids:
-        Token IDs of the full prompt, kept for the speculative-decoding
-        draft proposer (prompt-lookup drafting matches n-grams over prompt
-        + generated history).
     cached_tokens, cache_hit_blocks, cached_bytes:
         Prefix-reuse outcome of this preparation: context tokens / pool
         pages adopted from the engine's prefix index and the measured bytes
@@ -186,7 +180,6 @@ class PreparedSequence:
     n_prompt_tokens: int
     n_context_tokens: int
     cache: PagedKVCache = field(repr=False)
-    prompt_ids: tuple[int, ...]
     cached_tokens: int = 0
     cache_hit_blocks: int = 0
     cached_bytes: int = 0
@@ -251,7 +244,7 @@ class DecodeBackend(abc.ABC):
         returned :attr:`PreparedSequence.cache` must be a
         :class:`~repro.kvpool.cache.PagedKVCache` over the engine's pool,
         and the session must decode over it: the engine advances it in the
-        round's fused forward, swaps, truncates and releases it.
+        round's fused forward, swaps and releases it.
         """
 
     # -- prefix reuse ---------------------------------------------------------
@@ -451,7 +444,6 @@ class QuantizedDenseBackend(DecodeBackend):
             cached_tokens=matched_tokens,
             cache_hit_blocks=len(matched_ids),
             cached_bytes=cached_bytes,
-            prompt_ids=tuple(prompt),
         )
 
 

@@ -74,7 +74,6 @@ from repro.serving.scheduler import (
     SequenceState,
     terminal_event,
 )
-from repro.serving.spec import DraftProposer, SpeculativeConfig, create_proposer
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.serving.adaptive import SloPolicy
@@ -92,14 +91,13 @@ class ExecutionStats:
 
     Every decode round runs at most one fused forward over the whole
     running set, so ``forwards_per_token`` approaches
-    ``1 / mean_batch_occupancy`` (and falls below it when speculative
-    drafts are accepted).
+    ``1 / mean_batch_occupancy``.
     """
 
     #: Engine iterations (:meth:`InferenceEngine.step` calls).
     n_steps: int = 0
-    #: Model decode invocations: the round's one ``decode_step_batch`` /
-    #: verify ``forward_rows`` call (at most one per step).
+    #: Model decode invocations: the round's one ``decode_step_batch``
+    #: call (at most one per step).
     n_forward_calls: int = 0
     #: Summed batch sizes of those invocations.
     n_fused_sequences: int = 0
@@ -111,19 +109,8 @@ class ExecutionStats:
     #: Context tokens whose rows prefill jobs copied from the row tier
     #: instead of computing (:class:`~repro.kvpool.rows.ContextRowCache`).
     n_prefill_reused_tokens: int = 0
-    #: Draft tokens attached to verify forwards (speculative decoding).
-    n_drafted_tokens: int = 0
-    #: Drafted tokens the greedy verification accepted — each one a
-    #: generated token that cost no extra target-model forward, which is
-    #: what pushes ``forwards_per_token`` below the batched floor of
-    #: ``1 / mean_batch_occupancy``.
-    n_accepted_tokens: int = 0
-    #: Decode steps of sampled (non-greedy) sequences that would otherwise
-    #: have drafted: greedy verification cannot check a sampled token, so
-    #: these steps ran without speculation.
-    n_spec_skipped_sampled: int = 0
     #: Per-phase wall-clock seconds (schedule / gather / dequant / project /
-    #: attend / verify / bookkeeping, …) accumulated by an attached
+    #: attend / bookkeeping, …) accumulated by an attached
     #: :class:`repro.profiling.StepProfiler`; empty unless one was attached.
     phase_times: dict[str, float] = field(default_factory=dict)
 
@@ -133,13 +120,6 @@ class ExecutionStats:
         if not self.n_forward_calls:
             return 0.0
         return self.n_fused_sequences / self.n_forward_calls
-
-    @property
-    def acceptance_rate(self) -> float:
-        """Fraction of drafted tokens accepted (0.0 before any drafting)."""
-        if not self.n_drafted_tokens:
-            return 0.0
-        return self.n_accepted_tokens / self.n_drafted_tokens
 
     @property
     def forwards_per_token(self) -> float:
@@ -207,24 +187,6 @@ class EngineCore:
         mainly bounds an *unbounded* pool's growth — which is why unbounded
         pools default to :data:`DEFAULT_PREFIX_CACHE_BLOCKS` instead of
         ``None`` (pass an explicit value to change it).
-    speculative:
-        Speculative-decoding knobs (:class:`~repro.serving.spec.SpeculativeConfig`,
-        or a plain ``int`` shorthand for ``SpeculativeConfig(k=...)``).
-        Each engine step a draft proposer (n-gram prompt lookup by
-        default) guesses up to ``k`` continuation tokens per in-flight
-        sequence; ONE fused verify forward checks every guess against the
-        target model, accepted tokens are emitted at zero extra forwards
-        and the rejected tail's cache rows are rolled back
-        (:meth:`~repro.kvpool.cache.PagedKVCache.truncate`).  Greedy
-        verification is exact, so outputs are bit-identical to plain
-        decoding for every backend.  ``SpeculativeConfig(backends=...)``
-        limits drafting to the named backends (an unknown name raises at
-        construction); unlisted backends and non-greedy sampling (counted
-        in ``ExecutionStats.n_spec_skipped_sampled``) take the plain fused
-        step.  Drafted rows reserve pool pages through the same ledger as
-        the batched round, so speculation never claims capacity a plain
-        decode round would not have been granted.  ``None`` (default)
-        disables.
     slo_policy:
         Optional :class:`~repro.serving.adaptive.SloPolicy`.  When set,
         :meth:`submit` stamps each request's class deadline, admission
@@ -251,7 +213,6 @@ class EngineCore:
         max_live_blocks: int | None = None,
         prefix_caching: bool = True,
         prefix_cache_blocks: int | None = None,
-        speculative: SpeculativeConfig | int | None = None,
         slo_policy: "SloPolicy | None" = None,
         clock: Callable[[], float] = time.perf_counter,
     ):
@@ -299,28 +260,12 @@ class EngineCore:
             max_live_blocks=max_live_blocks,
             slo_policy=slo_policy,
         )
-        if isinstance(speculative, bool):
-            raise ValueError(
-                "speculative takes a SpeculativeConfig or an int k, not a bool"
-            )
-        if isinstance(speculative, int):
-            speculative = SpeculativeConfig(k=speculative)
-        self.speculative: SpeculativeConfig | None = speculative
-        self._proposer: DraftProposer | None = None
-        if speculative is not None:
-            self._proposer = create_proposer(speculative)
         self.exec_stats = ExecutionStats()
         self._clock = clock
         self._backends: dict[str, DecodeBackend] = {}
         self._states: dict[str, SequenceState] = {}
         self._results: dict[str, GenerationResult] = {}
         self._counter = 0
-        if self.speculative is not None and self.speculative.backends is not None:
-            # Fail at construction, not at the first request: every backend
-            # hands over a truncatable pool cache, so a name only has to
-            # resolve.
-            for name in self.speculative.backends:
-                self.get_backend(name)
 
     # -- backends ------------------------------------------------------------
 
@@ -616,19 +561,8 @@ class EngineCore:
         pool; every check therefore observes exactly the availability the
         sequential check-then-allocate interleaving would have produced, and
         outcomes (including ``cache_full``) are that interleaving's.
-
-        With ``speculative`` configured, phase 1 additionally asks the
-        draft proposer for up to ``k`` continuation guesses per batched
-        sequence (window clamped by decode budget, cache capacity and pool
-        headroom — the drafted rows are reserved like any deferred
-        allocation); the one fused call becomes a *verify* forward
-        over ``[token, *drafts]`` per sequence, and a third phase emits the
-        accepted tokens and truncates the rejected tails' cache rows.
         """
         events: list[TokenEvent] = []
-        #: States whose verify outcome phase 3 must absorb, aligned with the
-        #: batch's pending (add) order.
-        spec_queue: list[tuple[SequenceState, int]] = []
         reserved = 0
 
         def reserve(n_blocks: int) -> None:
@@ -637,27 +571,16 @@ class EngineCore:
                 self.pool.reserve(n_blocks)
                 reserved += n_blocks
 
-        batch = BatchedDecodeStep(
-            self.model.decode_step_batch,
-            reserve=reserve,
-            verify_batch_fn=(
-                self.model.forward_rows if self.speculative is not None else None
-            ),
-        )
+        batch = BatchedDecodeStep(self.model.decode_step_batch, reserve=reserve)
         try:
             for state in self.scheduler.decode_order():
                 prepared = state.prepared
-                drafts, step_cost = self._plan_drafts(state)
-                token, needs_forward = batch.add(
-                    prepared.session, prepared.cache, drafts=drafts, step_cost=step_cost
-                )
+                token, _ = batch.add(prepared.session, prepared.cache)
                 state.stats.n_decode_steps += 1
                 if token is not None:
                     events.append(self._emit_token(state, token))
                 if prepared.session.finished:
                     events.append(self._finalize(state))
-                elif needs_forward and self.speculative is not None:
-                    spec_queue.append((state, len(drafts)))
         finally:
             if reserved:
                 self.pool.unreserve(reserved)
@@ -665,108 +588,6 @@ class EngineCore:
         if batch_size:
             self.exec_stats.n_forward_calls += 1
             self.exec_stats.n_fused_sequences += batch_size
-        for (state, n_drafts), accepted in zip(spec_queue, batch.accepted_drafts):
-            events.extend(self._absorb_verified(state, n_drafts, accepted))
-        return events
-
-    def _plan_drafts(self, state: SequenceState) -> tuple[list[int], int | None]:
-        """Phase 0 of a speculative step: propose and clamp this sequence's drafts.
-
-        Returns ``(drafts, step_cost)`` where ``step_cost`` is the pool-page
-        cost of the whole verify run (``None`` defers to the session's own
-        single-token probe).  The draft window is clamped three ways so
-        that speculation can only ever *shrink* to plain decoding, never
-        diverge from it:
-
-        * decode budget — drafts beyond ``max_new_tokens`` could never be
-          emitted, so they are not proposed;
-        * cache capacity — the verify run's ``1 + k`` rows must fit, which
-          keeps the plain step's ``cache_full`` semantics intact (a
-          sequence near its capacity degrades to ``k = 0``, i.e. exactly
-          the plain step);
-        * pool headroom — the run's new pages must be allocatable *now*,
-          under the round's reservation ledger, so drafting never claims
-          pages a plain decode round would not have been granted.
-
-        Sequences that cannot speculate — non-greedy sampling (counted in
-        ``n_spec_skipped_sampled``), backends not opted in, no history to
-        look up — return an empty draft (the plain fused step).
-        """
-        spec = self.speculative
-        if spec is None:
-            return [], None
-        prepared = state.prepared
-        session = prepared.session
-        if session.finished:
-            return [], None
-        if (
-            spec.backends is not None
-            and state.request.backend.lower() not in spec.backends
-        ):
-            return [], None
-        if not state.request.sampling.is_greedy:
-            self.exec_stats.n_spec_skipped_sampled += 1
-            return [], None
-        cache = prepared.cache
-        # After this step's token, at most remaining_budget - 1 more tokens
-        # can ever be emitted; drafting past that is pure waste.
-        window = min(spec.k, session.remaining_budget - 1)
-        if spec.adaptive:
-            # Per-sequence feedback: the controller's window (grown/shrunk
-            # from this sequence's observed acceptance) caps the static k.
-            # Window 0 is a plain decode round, exactly as if speculation
-            # were off for this sequence this step.
-            if state.draft_window is None:
-                state.draft_window = spec.build_window_controller()
-            window = min(window, state.draft_window.next_window())
-        # The verify run appends 1 + window rows; keep it inside capacity so
-        # mid-verify acceptance can never outrun the plain step's
-        # cache_full check (which this round's begin_step still performs).
-        window = min(window, cache.capacity - cache.length - 1)
-        if window < 1:
-            return [], None
-        block_cost = cache.block_cost_for_tokens
-        while window > 0 and not self.pool.can_allocate(block_cost(1 + window)):
-            window -= 1
-        if window < 1:
-            return [], None
-        history = list(prepared.prompt_ids)
-        history.extend(session.generated)
-        history.append(session.next_token)
-        drafts = self._proposer.propose(history, window)[:window]
-        if not drafts:
-            return [], None
-        return [int(t) for t in drafts], block_cost(1 + len(drafts))
-
-    def _absorb_verified(
-        self, state: SequenceState, n_drafts: int, accepted: list[int]
-    ) -> list[TokenEvent]:
-        """Phase 3 of a speculative step: emit survivors, roll back the rest.
-
-        The verify forward appended one cache row per drafted token; the
-        greedy verification (:meth:`~repro.model.decode.DecodeSession.
-        complete_verify`) accepted a prefix of them.  Accepted tokens are
-        emitted through the normal streaming path (they are *exactly* the
-        tokens plain decoding would have produced); the rejected
-        tail's rows are truncated from the cache — and their pages returned
-        to the pool — as if they had never been computed.
-        """
-        events: list[TokenEvent] = []
-        stats = state.stats
-        stats.drafted_tokens += n_drafts
-        stats.accepted_tokens += len(accepted)
-        self.exec_stats.n_drafted_tokens += n_drafts
-        self.exec_stats.n_accepted_tokens += len(accepted)
-        if state.draft_window is not None:
-            state.draft_window.observe(n_drafts, len(accepted))
-        for token in accepted:
-            events.append(self._emit_token(state, token))
-        n_rejected = n_drafts - len(accepted)
-        if n_rejected:
-            cache = state.prepared.cache
-            cache.truncate(cache.length - n_rejected)
-        if state.prepared.session.finished:
-            events.append(self._finalize(state))
         return events
 
     def _emit_token(self, state: SequenceState, token: int) -> TokenEvent:
@@ -941,25 +762,13 @@ class EngineCore:
         return self.context_rows.stats_payload()
 
     def adaptive_stats(self) -> dict:
-        """Current readings of the configured adaptive controllers.
+        """Current readings of the configured SLO policy.
 
-        Empty when no controller is configured (so hosts can omit the
-        section entirely); otherwise one sub-dict per active loop:
-        ``draft_windows`` (per-sequence window/EWMA of live adaptive
-        speculation controllers), and ``slo`` (per-class counts of the
-        waiting and running sets).
+        Empty without one (so hosts can omit the section entirely);
+        otherwise ``slo``: per-class counts of the waiting and running
+        sets.
         """
         payload: dict = {}
-        if self.speculative is not None and self.speculative.adaptive:
-            windows = {
-                state.request_id: {
-                    "window": state.draft_window.window,
-                    "ewma": state.draft_window.ewma,
-                }
-                for state in self._states.values()
-                if state.draft_window is not None
-            }
-            payload["draft_windows"] = windows
         if self.slo_policy is not None:
             by_class: dict[str, dict[str, int]] = {}
             for bucket, states in (

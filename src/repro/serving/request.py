@@ -191,19 +191,6 @@ class RequestStats:
     #: ran over the rest of the prompt only).  Independent of
     #: ``cached_tokens``: rows save the forward, pages save encode and pack.
     prefill_reused_tokens: int = 0
-    #: Draft tokens proposed for this request's verify forwards
-    #: (speculative decoding; 0 when speculation was off or inapplicable).
-    drafted_tokens: int = 0
-    #: Drafted tokens the target model's greedy verification accepted —
-    #: generated tokens that cost no extra model forward.
-    accepted_tokens: int = 0
-
-    @property
-    def acceptance_rate(self) -> float:
-        """Fraction of drafted tokens accepted (0.0 before any drafting)."""
-        if not self.drafted_tokens:
-            return 0.0
-        return self.accepted_tokens / self.drafted_tokens
 
     @property
     def queue_seconds(self) -> float | None:

@@ -32,7 +32,7 @@ from repro.serving.request import GenerationRequest, RequestStats, TokenEvent
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.baselines.base import KVQuantizationPlan
     from repro.kvpool.pool import BlockPool
-    from repro.serving.adaptive import DraftWindowController, SloPolicy
+    from repro.serving.adaptive import SloPolicy
 
 
 @dataclass
@@ -68,9 +68,6 @@ class SequenceState:
     #: for classes with no deadline budget).  Preemption measures slack
     #: against it.
     deadline: float | None = None
-    #: Per-sequence adaptive draft-window controller, created lazily by the
-    #: engine on the first speculative round when the config asks for it.
-    draft_window: "DraftWindowController | None" = None
 
     @property
     def request_id(self) -> str:

@@ -401,10 +401,6 @@ class ServerCore:
                 "n_steps": exec_stats.n_steps,
                 "n_forward_calls": exec_stats.n_forward_calls,
                 "n_decode_tokens": exec_stats.n_decode_tokens,
-                "n_drafted_tokens": exec_stats.n_drafted_tokens,
-                "n_accepted_tokens": exec_stats.n_accepted_tokens,
-                "n_spec_skipped_sampled": exec_stats.n_spec_skipped_sampled,
-                "acceptance_rate": exec_stats.acceptance_rate,
                 "forwards_per_token": exec_stats.forwards_per_token,
                 "mean_batch_occupancy": exec_stats.mean_batch_occupancy,
                 "n_running": engine.n_running,

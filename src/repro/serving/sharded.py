@@ -510,9 +510,6 @@ class ShardedEngine:
             merged.n_decode_tokens += stats.n_decode_tokens
             merged.n_prefill_tokens += stats.n_prefill_tokens
             merged.n_prefill_reused_tokens += stats.n_prefill_reused_tokens
-            merged.n_drafted_tokens += stats.n_drafted_tokens
-            merged.n_accepted_tokens += stats.n_accepted_tokens
-            merged.n_spec_skipped_sampled += stats.n_spec_skipped_sampled
             for name, seconds in stats.phase_times.items():
                 merged.phase_times[name] = (
                     merged.phase_times.get(name, 0.0) + seconds

@@ -74,10 +74,8 @@ class StepCostModel:
                   + forward_row_cost   * (forward rows computed)
 
     where *forward rows computed* counts the rows model forwards processed
-    this step: each plain decode emits one row, and a speculative verify
-    of ``d`` drafts processes ``1 + d`` rows but emits ``1 + accepted``,
-    so the row count works out to ``decode_tokens + drafted - accepted``
-    from the engine's own counters.  The clock feeds latency *stamps*
+    this step: each decode emits one row, so the row count is the
+    engine's own ``n_decode_tokens`` counter.  The clock feeds latency *stamps*
     only — token outputs never depend on it — so runs stay bit-identical
     to fixed-``step_time`` replays while TTFT/TPOT/goodput become
     cost-aware.  This is what lets the adaptive A/B measure a controller:
@@ -198,8 +196,7 @@ class EngineDriver:
     def _work_snapshot(self) -> tuple[int, int]:
         """(prefill tokens, computed forward rows) counters so far."""
         stats = self.engine.exec_stats
-        rows = stats.n_decode_tokens + stats.n_drafted_tokens - stats.n_accepted_tokens
-        return stats.n_prefill_tokens, rows
+        return stats.n_prefill_tokens, stats.n_decode_tokens
 
     def run(self, trace: WorkloadTrace) -> TraceRun:
         engine = self.engine

@@ -9,7 +9,7 @@ reference engine.
 
 Why a sequential replay is a valid oracle for *any* execution: the engine
 guarantees bit-identical outputs regardless of batching, preemption, KV
-swapping, prefix adoption or speculation, and every sampled request
+swapping or prefix adoption, and every sampled request
 carries an explicit per-request seed.  So the outputs of a quiet,
 one-at-a-time run are exactly what a chaotic concurrent run of the same
 trace must produce — token for token.

@@ -13,7 +13,7 @@ output, the structural floor on prefix-cache block hits, and the expected
 token accounting.  Oracles are stamped by
 :func:`repro.workloads.generator.attach_oracles`, which replays the trace
 sequentially through an unpressured reference engine — by the engine's
-bit-identity guarantees, *any* concurrent, preempted, speculated or
+bit-identity guarantees, *any* concurrent, preempted or
 quantization-mixed execution of the same trace must reproduce those
 outputs exactly.
 """

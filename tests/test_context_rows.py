@@ -511,7 +511,7 @@ class TestReuseIsVisible:
 
     def test_no_new_constructor_parameter(self):
         parameters = inspect.signature(EngineCore.__init__).parameters.values()
-        assert sum(p.kind is p.KEYWORD_ONLY for p in parameters) == 12
+        assert sum(p.kind is p.KEYWORD_ONLY for p in parameters) == 11
 
 
 # -- routing keys and the carried plan ---------------------------------------------

@@ -1,8 +1,7 @@
 """Decode hot-path optimizations: every fast path must be bit-identical.
 
 The perf pass replaced full-history re-gathers with incremental tail
-fills, separate projection GEMMs with merged-weight GEMMs, and the Python
-n-gram scan with a vectorized one.  Each rewrite claims bit-identity with
+fills and separate projection GEMMs with merged-weight GEMMs.  Each rewrite claims bit-identity with
 the code it replaced; these tests pin that claim against the
 straightforward reference computation.
 """
@@ -17,7 +16,6 @@ from repro.model.config import ModelConfig
 from repro.model.mlp import silu
 from repro.model.transformer import Transformer
 from repro.model.weights import build_random_weights
-from repro.serving.spec import NgramProposer
 
 
 def _assert_identical(fast: np.ndarray, reference: np.ndarray) -> None:
@@ -157,41 +155,6 @@ class TestIncrementalTailGather:
         assert k_t2.shape[2] == 15
         np.testing.assert_array_equal(k_t2, layer.keys().transpose(1, 2, 0))
         np.testing.assert_array_equal(v_t2, layer.values().transpose(1, 0, 2))
-
-
-class TestVectorizedNgramParity:
-    @staticmethod
-    def reference(proposer, token_ids, max_tokens):
-        """The original pure-Python suffix scan."""
-        tokens = list(token_ids)
-        n = len(tokens)
-        limit = min(max_tokens, proposer.k)
-        if limit < 1 or n <= proposer.min_ngram:
-            return []
-        for size in range(min(proposer.max_ngram, n - 1), proposer.min_ngram - 1, -1):
-            suffix = tokens[n - size :]
-            for start in range(n - size - 1, -1, -1):
-                if tokens[start : start + size] == suffix:
-                    return tokens[start + size : start + size + limit]
-        return []
-
-    def test_fuzz_against_reference(self, rng):
-        for _ in range(300):
-            proposer = NgramProposer(
-                k=int(rng.integers(1, 6)),
-                max_ngram=int(rng.integers(1, 5)) + 1,
-                min_ngram=1,
-            )
-            history = rng.integers(0, 6, size=int(rng.integers(0, 30))).tolist()
-            max_tokens = int(rng.integers(0, 8))
-            assert proposer.propose(history, max_tokens) == self.reference(
-                proposer, history, max_tokens
-            ), (proposer.k, proposer.max_ngram, history, max_tokens)
-
-    def test_repeating_loop_is_drafted(self):
-        proposer = NgramProposer(k=4, max_ngram=3)
-        history = [1, 2, 3, 4, 1, 2, 3, 4, 1, 2]
-        assert proposer.propose(history, 4) == [3, 4, 1, 2]
 
 
 class TestCausalMasks:

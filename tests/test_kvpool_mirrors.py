@@ -3,11 +3,9 @@
 :class:`~repro.kvpool.cache.PagedKVCache` keeps no per-sequence float rows
 besides its mirrors.  These tests pin the contract:
 
-* after any sequence of append / pack / adopt / copy-on-write / truncate /
-  swap operations, the mirrors equal the reference rows and hold at most
+* after any sequence of append / pack / adopt / copy-on-write / swap
+  operations, the mirrors equal the reference rows and hold at most
   twice the valid rows (a hypothesis walk);
-* a speculative rollback shrinks the mirrors' valid length and decodes
-  nothing, while tokens stay those of sequential greedy decoding;
 * the physical-memory probes (``BlockPool.physical_bytes``,
   ``working_set_bytes``) count what is actually held;
 * the per-sequence float bytes of four long Cocktail sequences stay under
@@ -86,7 +84,6 @@ _OPS = st.lists(
         st.tuples(st.just("append"), st.integers(1, 9)),
         st.tuples(st.just("pack"), st.lists(_BITS, min_size=1, max_size=40)),
         st.tuples(st.just("share"), st.integers(0, 30)),
-        st.tuples(st.just("truncate"), st.integers(0, 30)),
         st.tuples(st.just("swap"), st.just(0)),
     ),
     min_size=1,
@@ -116,7 +113,7 @@ def test_mirrors_equal_reference_rows_after_every_operation(ops, n_adopted, seed
             pool.retain(block_id)
         donor.release()
         cache.adopt_blocks(adopted, n_adopted * BS)
-        cache.mark_context(n_adopted * BS)  # adopted rows are context: never truncated
+        cache.mark_context(n_adopted * BS)  # adopted rows are context
         ref_k, ref_v = decoded_k[:, : n_adopted * BS], decoded_v[:, : n_adopted * BS]
         # The unpacked floats of the adopted region, as a later pack's encoder sees them.
         raw_k, raw_v = k[:, : n_adopted * BS], v[:, : n_adopted * BS]
@@ -153,11 +150,6 @@ def test_mirrors_equal_reference_rows_after_every_operation(ops, n_adopted, seed
             block_id = cache.table.block_ids[arg % len(cache.table.block_ids)]
             pool.retain(block_id)
             extra_refs.append(block_id)
-        elif op == "truncate":
-            n = cache.n_context + arg % (length - cache.n_context + 1)
-            cache.truncate(n)
-            ref_k, ref_v = ref_k[:, :n], ref_v[:, :n]
-            raw_k, raw_v = raw_k[:, :n], raw_v[:, :n]
         else:
             cache.swap_out()
             assert cache.working_set_bytes() == 0
@@ -219,71 +211,6 @@ class TestPhysicalBytes:
         assert cache.working_set_bytes() == 40 * ROW_BYTES
         cache.release()
         assert cache.working_set_bytes() == 0
-
-
-def test_rollback_decodes_nothing_and_keeps_greedy_tokens(
-    retrieval_model, tokenizer, vocab, monkeypatch
-):
-    """20 verify/truncate rounds over a packed cache: no decode call, same tokens."""
-    model = retrieval_model
-    config = model.config
-    words = vocab.all_words()
-    prompt = tokenizer.encode(words[100:160] + ["<sep>"] + words[110:113])
-    n_context = 60
-    token_bits = np.random.default_rng(5).choice([2, 4, FP16], size=n_context).astype(np.int64)
-    pool = BlockPool(config.n_layers, config.n_kv_heads, config.head_dim, block_size=8)
-
-    def packed_cache():
-        cache = model.new_cache(pool=pool)
-        logits = model.prefill(prompt, cache)
-        cache.mark_context(n_context)
-        cache.pack_context(
-            [
-                encode_per_token_groups(
-                    layer.keys()[:n_context], layer.values()[:n_context],
-                    token_bits, config.head_dim,
-                )
-                for layer in cache.layers
-            ]
-        )
-        return cache, logits
-
-    # The oracle: plain sequential greedy decoding.
-    sequential, logits = packed_cache()
-    oracle_tokens, oracle_logits = [int(np.argmax(logits))], []
-    for _ in range(60):
-        oracle_logits.append(model.decode_step(oracle_tokens[-1], sequential))
-        oracle_tokens.append(int(np.argmax(oracle_logits[-1])))
-
-    speculative, _ = packed_cache()
-    model.decode_step(oracle_tokens[0], speculative)  # the first read builds the mirrors
-    emitted = [oracle_tokens[0]]
-    next_token = int(np.argmax(oracle_logits[0]))
-    calls = []
-    real = cache_module.decode_runs
-    monkeypatch.setattr(cache_module, "decode_runs", lambda runs: calls.append(runs) or real(runs))
-    for round_index in range(20):
-        # ``n_good`` correct drafts, then wrong ones: every round rejects.
-        n_good = round_index % 4
-        i = len(emitted)
-        drafts = oracle_tokens[i + 1 : i + 1 + n_good]
-        drafts += [(oracle_tokens[i + 1 + n_good] + 1) % config.vocab_size] * (4 - n_good)
-        rows = model.forward_rows([[next_token, *drafts]], [speculative])[0]
-        for j in range(n_good + 1):
-            np.testing.assert_array_equal(rows[j], oracle_logits[i + j])
-        accepted = 0
-        while accepted < 4 and int(np.argmax(rows[accepted])) == drafts[accepted]:
-            accepted += 1
-        assert accepted == n_good
-        emitted += [next_token, *drafts[:accepted]]
-        next_token = int(np.argmax(rows[accepted]))
-        speculative.truncate(speculative.length - (4 - accepted))
-        assert speculative.length == len(prompt) + len(emitted)
-    assert emitted == oracle_tokens[: len(emitted)]
-    assert next_token == oracle_tokens[len(emitted)]
-    assert calls == []
-    sequential.release()
-    speculative.release()
 
 
 def test_four_long_cocktail_sequences_fit_the_float_budget(

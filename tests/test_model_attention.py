@@ -78,7 +78,7 @@ class TestAttentionLayer:
         cache_inc = LayerKVCache(config.n_kv_heads, config.head_dim, 16)
         layer.forward_prefill(hidden[:4], cache_inc, np.arange(4))
         padded = np.vstack([hidden[4:5], np.zeros_like(hidden[:1])])
-        out_last = layer.forward_rows(padded, [cache_inc], np.array([4, 0]), [(0, 1)])
+        out_last = layer.forward_rows(padded, [cache_inc], np.array([4, 0]))
         np.testing.assert_allclose(out_full[4:5], out_last[:1], atol=1e-5)
         np.testing.assert_allclose(cache_full.keys(), cache_inc.keys(), atol=1e-6)
 

@@ -1,6 +1,6 @@
 """The row forward's numerics: a row's bits never depend on its batch.
 
-Every decode and verify row goes through ``Transformer.forward_rows``,
+Every decode row goes through ``Transformer.forward_rows``,
 whose weight GEMMs run on 2-row tiles (``tiled_matmul``, and
 ``tiled_block_matmul`` over the unembedding's column blocks).  These tests
 pin the property that makes one forward per round safe: a row's output is
@@ -351,17 +351,3 @@ class TestRowForwardInvariance:
                         err_msg=f"batch {batch}, slot {slot}, step {step}",
                     )
                 tokens = [int(np.argmax(rows[order.index(i)])) for i in range(batch)]
-
-    def test_mixed_verify_runs_equal_sequential_steps(self, model, kind, rng):
-        """Uneven verify runs (odd row total) in one forward, row by row."""
-        vocab = model.config.vocab_size
-        lengths = [1, 3, 2, 5, 1, 4, 1]
-        batched, reference = _caches(model, kind, _prompts(model, rng, len(lengths)))
-        runs = [rng.integers(0, vocab, size=n).tolist() for n in lengths]
-        blocks = model.forward_rows(runs, batched)
-        assert [len(block) for block in blocks] == lengths
-        for run, block, cache in zip(runs, blocks, reference):
-            for token, row in zip(run, block):
-                np.testing.assert_array_equal(row, model.decode_step(token, cache))
-        for cache, twin in zip(batched, reference):
-            assert cache.length == twin.length

@@ -155,7 +155,7 @@ class TestReporting:
 
     def test_core_phase_names_cover_engine_annotations(self):
         assert {"schedule", "gather", "dequant", "project", "attend", "mlp",
-                "logits", "verify", "bookkeeping"} == set(CORE_PHASES)
+                "logits", "bookkeeping"} == set(CORE_PHASES)
 
     def test_cprofile_capture(self):
         profiler = StepProfiler(cprofile=True)

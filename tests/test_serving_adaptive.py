@@ -1,4 +1,4 @@
-"""Adaptive control loops: controllers, engine wiring, SLO scheduling."""
+"""SLO-aware scheduling: the policy, its engine wiring and the wire format."""
 
 from __future__ import annotations
 
@@ -6,17 +6,12 @@ import pytest
 
 from repro.core.config import CocktailConfig
 from repro.serving import InferenceEngine
-from repro.serving.adaptive import DraftWindowController, SloPolicy
+from repro.serving.adaptive import SloPolicy
 from repro.serving.request import (
     GenerationRequest,
     WireFormatError,
     request_from_wire,
     result_to_wire,
-)
-from repro.serving.spec import (
-    DraftProposer,
-    SpeculativeConfig,
-    register_proposer,
 )
 
 
@@ -24,92 +19,6 @@ def make_engine(vocab, tokenizer, model, **kwargs) -> InferenceEngine:
     return InferenceEngine(
         model, tokenizer, CocktailConfig(), lexicon=vocab.lexicon, **kwargs
     )
-
-
-class TestDraftWindowController:
-    def test_starts_at_ceiling(self):
-        controller = DraftWindowController(k=4)
-        assert controller.window == 4
-        assert controller.next_window() == 4
-
-    def test_grows_additively_under_high_acceptance(self):
-        controller = DraftWindowController(k=6, alpha=1.0)
-        controller.window = 2
-        controller.observe(4, 4)  # acceptance 1.0 >= grow threshold
-        assert controller.window == 3
-        controller.observe(4, 4)
-        assert controller.window == 4
-
-    def test_never_exceeds_ceiling(self):
-        controller = DraftWindowController(k=3, alpha=1.0)
-        for _ in range(5):
-            controller.observe(3, 3)
-        assert controller.window == 3
-
-    def test_shrinks_multiplicatively_under_low_acceptance(self):
-        controller = DraftWindowController(k=8, alpha=1.0)
-        controller.observe(8, 0)
-        assert controller.window == 4
-        controller.observe(4, 0)
-        assert controller.window == 2
-
-    def test_collapses_to_zero_and_probes(self):
-        controller = DraftWindowController(k=4, alpha=1.0, probe_interval=3)
-        for _ in range(4):
-            controller.observe(4, 0)
-        assert controller.window == 0
-        # Two plain rounds, then a single-token probe, then plain again.
-        assert controller.next_window() == 0
-        assert controller.next_window() == 0
-        assert controller.next_window() == 1
-        assert controller.next_window() == 0
-
-    def test_recovers_from_collapse_via_probe(self):
-        controller = DraftWindowController(
-            k=4, alpha=1.0, probe_interval=1, grow_threshold=0.8
-        )
-        for _ in range(4):
-            controller.observe(4, 0)
-        assert controller.window == 0
-        assert controller.next_window() == 1  # probe immediately
-        controller.observe(1, 1)  # the probe landed
-        assert controller.window == 1
-        assert controller.next_window() == 1
-
-    def test_min_window_floor(self):
-        controller = DraftWindowController(k=4, alpha=1.0, min_window=2)
-        for _ in range(6):
-            controller.observe(4, 0)
-        assert controller.window == 2
-
-    def test_ewma_smoothing(self):
-        controller = DraftWindowController(k=4, alpha=0.5)
-        controller.observe(4, 4)
-        assert controller.ewma == 1.0
-        controller.observe(4, 0)
-        assert controller.ewma == 0.5
-
-    def test_zero_draft_rounds_are_ignored(self):
-        controller = DraftWindowController(k=4)
-        controller.observe(0, 0)
-        assert controller.ewma is None
-        assert controller.window == 4
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(k=0),
-            dict(k=4, alpha=0.0),
-            dict(k=4, alpha=1.5),
-            dict(k=4, grow_threshold=0.4, shrink_threshold=0.5),
-            dict(k=4, min_window=5),
-            dict(k=4, min_window=-1),
-            dict(k=4, probe_interval=0),
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            DraftWindowController(**kwargs)
 
 
 class TestSloPolicy:
@@ -133,111 +42,8 @@ class TestSloPolicy:
             SloPolicy(ranks={})
 
 
-class AdversarialProposer(DraftProposer):
-    """Drafts tokens that greedy verification will always reject."""
-
-    name = "adversarial"
-
-    def __init__(self, vocab_size: int = 100):
-        self.vocab_size = vocab_size
-
-    def propose(self, token_ids, max_tokens):
-        # Propose the *successor* of whatever greedy decoding would pick
-        # at each position — never the argmax, so acceptance collapses.
-        last = int(token_ids[-1]) if token_ids else 0
-        return [(last + i + 1) % self.vocab_size for i in range(max_tokens)]
-
-
-register_proposer(
-    "adversarial",
-    lambda config: AdversarialProposer(),
-    overwrite=True,
-)
-
-
 class TestAdaptiveEngine:
-    """Engine-level wiring of the three controllers."""
-
-    def test_acceptance_collapse_matches_greedy_oracle(
-        self, vocab, tokenizer, retrieval_model, tiny_samples
-    ):
-        """An all-reject proposer collapses the window without diverging.
-
-        The adaptive arm degrades to plain decoding (window 0, occasional
-        probes); output must stay bit-identical to a no-speculation run,
-        and the drafted-token count must be far below the static arm's.
-        """
-        sample = tiny_samples[0]
-
-        def request():
-            return GenerationRequest(
-                sample.context_words[:40],
-                sample.query_words,
-                max_new_tokens=16,
-                backend="dense",
-            )
-
-        plain = make_engine(vocab, tokenizer, retrieval_model)
-        oracle = plain.run(request())
-
-        static = make_engine(
-            vocab, tokenizer, retrieval_model,
-            speculative=SpeculativeConfig(proposer="adversarial", k=4),
-        )
-        static_result = static.run(request())
-
-        adaptive = make_engine(
-            vocab, tokenizer, retrieval_model,
-            speculative=SpeculativeConfig(
-                proposer="adversarial", k=4, adaptive=True, probe_interval=4
-            ),
-        )
-        adaptive_result = adaptive.run(request())
-
-        assert static_result.token_ids == oracle.token_ids
-        assert adaptive_result.token_ids == oracle.token_ids
-        assert adaptive_result.stopped_by == oracle.stopped_by
-        # Acceptance stayed far below the shrink threshold (the proposer may
-        # fluke a token), and the controller stopped paying for full-width
-        # drafts once the window collapsed.
-        assert (
-            static.exec_stats.n_accepted_tokens
-            < 0.1 * static.exec_stats.n_drafted_tokens
-        )
-        assert (
-            adaptive.exec_stats.n_drafted_tokens
-            < static.exec_stats.n_drafted_tokens
-        )
-
-    def test_high_acceptance_keeps_full_window(
-        self, vocab, tokenizer, retrieval_model, tiny_samples
-    ):
-        """With the n-gram proposer accepting well, adaptive == static."""
-        sample = tiny_samples[0]
-
-        def request():
-            return GenerationRequest(
-                sample.context_words[:40],
-                sample.query_words,
-                max_new_tokens=16,
-                backend="dense",
-            )
-
-        static = make_engine(
-            vocab, tokenizer, retrieval_model, speculative=4
-        )
-        static_result = static.run(request())
-        adaptive = make_engine(
-            vocab, tokenizer, retrieval_model,
-            speculative=SpeculativeConfig(k=4, adaptive=True),
-        )
-        adaptive_result = adaptive.run(request())
-        assert adaptive_result.token_ids == static_result.token_ids
-        # High acceptance must not shrink speculation below the static arm.
-        assert (
-            adaptive.exec_stats.n_accepted_tokens
-            == static.exec_stats.n_accepted_tokens
-        )
+    """Engine-level wiring of the SLO policy."""
 
     def test_slo_admission_prefers_higher_class(
         self, vocab, tokenizer, retrieval_model, tiny_samples
@@ -281,10 +87,9 @@ class TestAdaptiveEngine:
         wired = make_engine(
             vocab, tokenizer, retrieval_model,
             slo_policy=SloPolicy(),
-            speculative=SpeculativeConfig(k=4, adaptive=True),
         )
         payload = wired.adaptive_stats()
-        assert set(payload) == {"draft_windows", "slo"}
+        assert set(payload) == {"slo"}
 
 
 class TestSloWireFormat:

@@ -244,6 +244,25 @@ class TestModelBatchedForward:
         model.prefill(tokenizer.encode(["the", "<sep>", "the"]), cache)
         with pytest.raises(ValueError, match="caches"):
             model.decode_step_batch([1, 2], [cache])
+        full = model.new_cache(capacity=3)
+        model.prefill(tokenizer.encode(["the", "<sep>", "the"]), full)
+        with pytest.raises(ValueError, match="does not fit"):
+            model.decode_step_batch([1], [full])
+
+    def test_next_token_block_cost(self, retrieval_model, tokenizer):
+        """The page a decode row will claim: 0 while its page has room."""
+        config = retrieval_model.config
+        pool = BlockPool(config.n_layers, config.n_kv_heads, config.head_dim, block_size=8)
+        cache = retrieval_model.new_cache(pool=pool)
+        retrieval_model.prefill(tokenizer.encode(["the"] * 5 + ["<sep>", "the"]), cache)
+        assert cache.next_token_block_cost() == 0  # row 8 fits the first page
+        retrieval_model.decode_step(3, cache)
+        assert cache.next_token_block_cost() == 1  # row 9 opens a second page
+        blocks = pool.n_allocated
+        retrieval_model.decode_step(3, cache)
+        assert pool.n_allocated == blocks + 1
+        assert cache.next_token_block_cost() == 0
+        cache.release()
 
 
 class TestGatherContextMemo:

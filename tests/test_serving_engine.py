@@ -361,7 +361,6 @@ class TestSchedulerUnit:
             n_context_tokens=len(state.request.context_words),
             # The one cache method the scheduler reads.
             cache=SimpleNamespace(live_tokens=lambda: live),
-            prompt_ids=(),
         )
 
     def test_slot_limit_gates_admission(self):

@@ -23,7 +23,7 @@ import pytest
 from repro.core.config import CocktailConfig
 from repro.serving import GlobalPrefixIndex, InferenceEngine, ShardedEngine
 from repro.serving.engine import EngineCore
-from repro.serving.request import GenerationRequest, SamplingParams
+from repro.serving.request import GenerationRequest
 from repro.serving.server import ServerCore, ServingServer
 from repro.serving.server.client import stream_completion
 from repro.workloads import (
@@ -158,27 +158,6 @@ class TestShardedFacade:
         results = engine.pop_results()
         assert len(results) == 4
         engine.assert_consistent()
-
-    def test_sampled_speculation_skips_sum_across_workers(
-        self, retrieval_model, tokenizer, vocab, tiny_samples
-    ):
-        engine = ShardedEngine(
-            make_factory(retrieval_model, tokenizer, vocab, speculative=4),
-            n_workers=2,
-        )
-        for i in range(4):
-            request = fp16_request(
-                tiny_samples[i % len(tiny_samples)].context_words[: 24 + i],
-                ("q", f"n{i}"),
-            )
-            request.sampling = SamplingParams(top_k=3, seed=i)
-            engine.submit(request)
-        drain(engine)
-        per_worker = [
-            w.engine.exec_stats.n_spec_skipped_sampled for w in engine.workers
-        ]
-        assert all(per_worker)
-        assert engine.exec_stats.n_spec_skipped_sampled == sum(per_worker)
 
 
 class TestCacheAwareRouting:

@@ -242,16 +242,14 @@ class TestEngineStress:
         assert pool.allocated_bytes() == 0
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_chaotic_serving_with_speculation(
+    def test_chaotic_serving_with_long_decodes(
         self, vocab, tokenizer, retrieval_model, tiny_samples, seed
     ):
-        """The same pressure cooker with n-gram speculative decoding on:
-        draft windows clamp against the starved pool, verify rollbacks
-        release rejected pages (KVQuant's fitted codec included), and every
+        """The same pressure cooker with decodes that run past their stop
+        token, over five backends (KVQuant's fitted codec included): decode
+        rows claim pages from the starved pool, and every
         structural invariant — plus bit-identical outputs against the replay
         oracles — must survive."""
-        from repro.serving.spec import SpeculativeConfig
-
         generator = WorkloadGenerator(tiny_samples[:2], block_size=16)
         trace = generator.generate(
             "poisson",
@@ -263,7 +261,7 @@ class TestEngineStress:
             backends=("dense", "fp16", "cocktail", "kvquant", "blockwise"),
         )
         for request in trace:
-            request.stop_on_special = False  # decode into the repetitive regime
+            request.stop_on_special = False  # decode the full budget
         attach_oracles(trace, make_engine(retrieval_model, tokenizer, vocab))
 
         pool = starved_pool(retrieval_model.config)
@@ -274,15 +272,17 @@ class TestEngineStress:
             vocab,
             max_running=3,
             pool=pool,
-            max_live_tokens=148,
-            speculative=SpeculativeConfig(k=4),
+            # As in the sibling test: two prompts fit, a third round of
+            # decode rows does not, so every seed preempts.
+            max_live_tokens=132,
             clock=clock,
         )
         run = EngineDriver(engine, clock=clock).run(trace)
         check_oracles(run, hit_floors=False)
-        # Speculation genuinely engaged despite the pool pressure.
-        assert engine.exec_stats.n_drafted_tokens > 0
-        assert engine.exec_stats.n_accepted_tokens > 0
+        assert engine.exec_stats.n_decode_tokens == sum(
+            len(outcome.token_ids) for outcome in run.outcomes.values()
+        )
+        assert sum(outcome.n_preemptions for outcome in run.outcomes.values()) >= 1
 
         # Drain: every refcount hits zero once the index lets go.
         assert pool.n_allocated == engine.prefix_cache.n_blocks

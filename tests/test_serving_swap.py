@@ -198,7 +198,6 @@ class TestPreemptThrashGuard:
             n_context_tokens=len(state.request.context_words),
             # The one cache method the scheduler reads.
             cache=SimpleNamespace(live_tokens=lambda: live),
-            prompt_ids=(),
         )
         scheduler.enqueue(state)
         scheduler.mark_running(state)

@@ -446,9 +446,7 @@ class TestStatsGoldenShape:
         "slow_reader_policy", "max_stream_backlog",
     }
     ENGINE_KEYS = {
-        "n_steps", "n_forward_calls", "n_decode_tokens",
-        "n_drafted_tokens", "n_accepted_tokens",
-        "n_spec_skipped_sampled", "acceptance_rate", "forwards_per_token",
+        "n_steps", "n_forward_calls", "n_decode_tokens", "forwards_per_token",
         "mean_batch_occupancy",
         "n_running", "n_waiting",
     }
