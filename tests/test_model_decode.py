@@ -89,3 +89,85 @@ class TestDecodeSession:
 
     def test_check_max_new_tokens_passthrough(self):
         assert check_max_new_tokens(3) == 3
+
+
+def counting_session(script: list[int], **kwargs) -> tuple[DecodeSession, list[int]]:
+    """A :func:`scripted_session` that also records every token its step
+    function (the backend forward) is called with."""
+    logits = np.eye(max(script) + 1, dtype=np.float32)
+    iterator = iter(script[1:])
+    forwarded: list[int] = []
+
+    def step_fn(token: int) -> np.ndarray:
+        forwarded.append(token)
+        return logits[next(iterator)]
+
+    return DecodeSession(step_fn, logits[script[0]], **kwargs), forwarded
+
+
+class TestDecodeStepPhases:
+    """One decode step is ``begin_step`` then, when it needs a forward,
+    ``complete_step``; ``advance`` is exactly that pair."""
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 5])
+    def test_every_budgeted_token_runs_its_forward(self, budget):
+        """The final budgeted token's forward still runs; its successor is
+        never emitted."""
+        session, forwarded = counting_session([4, 5, 6, 7, 8, 9], max_new_tokens=budget)
+        generated, stopped_by = session.run()
+        assert generated == [4, 5, 6, 7, 8][:budget]
+        assert forwarded == generated
+        assert stopped_by == "max_tokens"
+
+    def test_phases_equal_advance(self):
+        script = [5, 6, 7, 3, 9]
+        phased, forwarded = counting_session(script, max_new_tokens=8, stop_ids=(3,))
+        reference = scripted_session(script, max_new_tokens=8, stop_ids=(3,))
+        logits = np.eye(10, dtype=np.float32)
+        while not phased.finished:
+            token, needs_forward = phased.begin_step()
+            assert token == reference.advance()
+            if needs_forward:
+                phased.complete_step(logits[script[len(phased.generated)]])
+        assert (phased.generated, phased.stopped_by) == (reference.generated, reference.stopped_by)
+        assert phased.generated == [5, 6, 7] and forwarded == []
+
+    def test_stop_token_ends_the_step_without_a_forward(self):
+        session, forwarded = counting_session([5, 3], max_new_tokens=4, stop_ids=(3,))
+        assert session.begin_step() == (5, True)
+        session.complete_step(np.eye(6, dtype=np.float32)[3])
+        assert session.begin_step() == (None, False)
+        assert session.stopped_by == "stop_token"
+        assert forwarded == []
+
+    def test_cache_full_on_the_first_step(self):
+        session, forwarded = counting_session(
+            [5, 6], max_new_tokens=4, has_capacity=lambda: False
+        )
+        assert session.begin_step() == (5, False)
+        assert (session.generated, session.stopped_by) == ([5], "cache_full")
+        assert session.advance() is None and forwarded == []
+
+    def test_remaining_budget_counts_down(self):
+        session = scripted_session([5, 6, 7, 8], max_new_tokens=3)
+        assert (session.max_new_tokens, session.remaining_budget) == (3, 3)
+        seen = []
+        while not session.finished:
+            session.advance()
+            seen.append((session.n_generated, session.remaining_budget))
+        assert seen == [(1, 2), (2, 1), (3, 0), (3, 0)]
+
+    def test_sampler_sees_the_first_logits_and_every_forward(self):
+        rows = np.eye(9, dtype=np.float32)
+        seen: list[int] = []
+
+        def sampler(logits: np.ndarray) -> int:
+            seen.append(int(np.argmax(logits)))
+            return (seen[-1] + 1) % 9
+
+        session = DecodeSession(
+            lambda token: rows[token], rows[2], max_new_tokens=3, sampler=sampler
+        )
+        generated, _ = session.run()
+        assert seen == [2, 3, 4, 5]
+        assert generated == [3, 4, 5]

@@ -351,3 +351,67 @@ class TestRowForwardInvariance:
                         err_msg=f"batch {batch}, slot {slot}, step {step}",
                     )
                 tokens = [int(np.argmax(rows[order.index(i)])) for i in range(batch)]
+
+    def test_membership_changes_between_rounds(self, model, kind, rng):
+        """Twelve rounds over six caches, each round a random subset in a
+        random order (odd and even sizes, page edges crossed mid-batch):
+        every row equals ``decode_step`` on a twin, and each cache ends
+        holding its twin's keys and values."""
+        vocab = model.config.vocab_size
+        batched, reference = _caches(model, kind, _prompts(model, rng, 6))
+        tokens = rng.integers(0, vocab, size=6).tolist()
+        for step in range(12):
+            members = rng.permutation(6)[: rng.integers(1, 7)].tolist()
+            rows = model.decode_step_batch(
+                [tokens[i] for i in members], [batched[i] for i in members]
+            )
+            for slot, i in enumerate(members):
+                expected = model.decode_step(tokens[i], reference[i])
+                np.testing.assert_array_equal(
+                    rows[slot], expected, err_msg=f"step {step}, cache {i}, slot {slot}"
+                )
+                tokens[i] = int(np.argmax(expected))
+        for mine, twin in zip(batched, reference):
+            _assert_same_rows(mine, twin)
+
+    def test_forward_rows_appends_one_row_per_cache(self, model, kind, rng):
+        """``forward_rows`` returns one logits row per cache and grows each
+        cache by exactly one row, its twin's; an odd batch's padding row is
+        written to no cache and claims no page."""
+        vocab = model.config.vocab_size
+        for batch in range(1, 6):
+            batched, reference = _caches(model, kind, _prompts(model, rng, batch))
+            lengths = [cache.length for cache in batched]
+            tokens = rng.integers(0, vocab, size=batch).tolist()
+            logits = model.forward_rows(tokens, batched)
+            assert logits.shape == (batch, vocab)
+            assert [cache.length for cache in batched] == [n + 1 for n in lengths]
+            for token, mine, twin in zip(tokens, batched, reference):
+                model.decode_step(token, twin)
+                _assert_same_rows(mine, twin)
+                if kind == "paged":
+                    assert mine.n_blocks == twin.n_blocks
+
+    def test_refused_batch_leaves_every_cache_untouched(self, model, kind, rng):
+        """A token count that differs from the cache count, or one full cache,
+        refuses the whole batch before any row is appended."""
+        vocab = model.config.vocab_size
+        assert model.forward_rows([], []).shape == (0, vocab)
+        batched, _ = _caches(model, kind, _prompts(model, rng, 3))
+        full = model.new_cache(capacity=4)
+        model.prefill([1, 2, 3, 4], full)
+        lengths = [cache.length for cache in batched]
+        with pytest.raises(ValueError, match="3 caches"):
+            model.forward_rows([1, 2], batched)
+        with pytest.raises(ValueError, match="does not fit"):
+            model.forward_rows([1, 2, 3, 4], [*batched, full])
+        assert [cache.length for cache in batched] == lengths
+        assert full.length == 4
+
+
+def _assert_same_rows(mine, twin) -> None:
+    """Two caches hold the same length and the same K/V rows in every layer."""
+    assert mine.length == twin.length
+    for index, (a, b) in enumerate(zip(mine.layers, twin.layers)):
+        np.testing.assert_array_equal(a.keys(), b.keys(), err_msg=f"layer {index} keys")
+        np.testing.assert_array_equal(a.values(), b.values(), err_msg=f"layer {index} values")

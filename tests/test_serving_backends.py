@@ -7,6 +7,7 @@ import pytest
 from repro.baselines.registry import BASELINE_NAMES, get_baseline
 from repro.core.config import CocktailConfig
 from repro.core.pipeline import CocktailPipeline
+from repro.serving import backends as backends_module
 from repro.serving.backends import (
     QuantizedDenseBackend,
     backend_names,
@@ -74,6 +75,36 @@ class TestRegistry:
                 get_baseline("kivi"),
                 backend=QuantizedDenseBackend(engine, get_baseline("kivi")),
             )
+
+
+    def test_registered_factory_builds_once_on_first_use(
+        self, engine, tiny_samples, monkeypatch
+    ):
+        """A globally registered factory is not called when the engine is
+        built; the first lookup (here a submit) builds the backend, and every
+        later lookup, in any case, returns that instance."""
+        built = []
+
+        def factory(target):
+            built.append(QuantizedDenseBackend(target, get_baseline("kivi")))
+            return built[-1]
+
+        monkeypatch.setitem(backends_module._BACKEND_FACTORIES, "kivi-lazy", factory)
+        fresh = InferenceEngine(
+            engine.model, engine.tokenizer, CocktailConfig(chunk_size=16)
+        )
+        assert built == []
+        sample = tiny_samples[0]
+        fresh.submit(
+            GenerationRequest(
+                sample.context_words, sample.query_words, max_new_tokens=2,
+                backend="kivi-lazy",
+            )
+        )
+        assert len(built) == 1
+        assert fresh.get_backend("KIVI-LAZY") is built[0]
+        assert fresh.get_backend("kivi-lazy") is built[0]
+        assert len(built) == 1
 
 
 class TestBackendExecution:

@@ -214,6 +214,70 @@ class TestBatchedDecodeStepUnit:
         with pytest.raises(RuntimeError, match="logits rows"):
             batch.commit()
 
+    def test_mixed_round_forwards_only_live_sessions(self):
+        """One round holding a stopping, a cache-full and two live sessions:
+        the fused forward sees only the live tokens and payloads, in the
+        order they were added, and each live session gets its own row."""
+        stopping, _ = self.make_session([7], stop_ids=(7,))
+        full, _ = self.make_session([2, 5], has_capacity=lambda: False)
+        first, _ = self.make_session([3, 1])
+        second, _ = self.make_session([4, 6])
+        seen = []
+
+        def step_batch(tokens, payloads):
+            seen.append((list(tokens), list(payloads)))
+            rows = np.zeros((len(tokens), 8), dtype=np.float32)
+            rows[0, 6], rows[1, 1] = 1.0, 1.0  # swapped on purpose
+            return list(rows)
+
+        batch = BatchedDecodeStep(step_batch)
+        added = [
+            batch.add(session, name)
+            for session, name in [
+                (first, "first"), (stopping, "stopping"), (full, "full"), (second, "second"),
+            ]
+        ]
+        assert added == [(3, True), (None, False), (2, False), (4, True)]
+        assert batch.n_pending == 2
+        assert batch.commit() == 2
+        assert seen == [([3, 4], ["first", "second"])]
+        assert first.begin_step() == (6, True)
+        assert second.begin_step() == (1, True)
+
+    def test_commit_empties_the_batch(self):
+        session, _ = self.make_session([3, 5])
+        calls = []
+
+        def step_batch(tokens, payloads):
+            calls.append(tokens)
+            return [np.zeros(8, dtype=np.float32)]
+
+        batch = BatchedDecodeStep(step_batch)
+        batch.add(session)
+        assert batch.commit() == 1
+        assert batch.n_pending == 0
+        assert batch.commit() == 0
+        assert calls == [[3]]
+
+    def test_reservation_skips_free_and_terminal_steps(self):
+        """Only a queued forward with a nonzero page cost is reserved."""
+        reserved = []
+        free, _ = self.make_session([3, 5])
+        free.step_cost = lambda: 0
+        stopping, _ = self.make_session([7], stop_ids=(7,))
+        stopping.step_cost = lambda: 1
+        full, _ = self.make_session([2, 5], has_capacity=lambda: False)
+        full.step_cost = lambda: 1
+        unprobed, _ = self.make_session([4, 5])
+        batch = BatchedDecodeStep(
+            lambda tokens, payloads: [np.zeros(8, dtype=np.float32)] * len(tokens),
+            reserve=reserved.append,
+        )
+        for session in (free, stopping, full, unprobed):
+            batch.add(session)
+        assert reserved == []
+        assert batch.commit() == 2
+
 
 class TestModelBatchedForward:
     def test_decode_step_batch_matches_decode_step(self, retrieval_model, tokenizer):
@@ -263,6 +327,30 @@ class TestModelBatchedForward:
         assert pool.n_allocated == blocks + 1
         assert cache.next_token_block_cost() == 0
         cache.release()
+
+    @pytest.mark.parametrize("block_size", [4, 8, 16])
+    def test_next_token_block_cost_walks_page_edges(
+        self, retrieval_model, tokenizer, block_size
+    ):
+        """Over 40 decode rows, a row costs one page exactly when the
+        cache's pages are full, and the pool grows by that cost."""
+        config = retrieval_model.config
+        pool = BlockPool(
+            config.n_layers, config.n_kv_heads, config.head_dim, block_size=block_size
+        )
+        cache = retrieval_model.new_cache(pool=pool)
+        retrieval_model.prefill(tokenizer.encode(["the"] * 9 + ["<sep>", "the"]), cache)
+        costs = []
+        for _ in range(40):
+            cost = cache.next_token_block_cost()
+            assert cost == (cache.length % block_size == 0)
+            before = pool.n_allocated
+            retrieval_model.decode_step(3, cache)
+            assert pool.n_allocated == before + cost
+            costs.append(cost)
+        assert sum(costs) == -(-cache.length // block_size) - -(-11 // block_size)
+        cache.release()
+        assert pool.n_allocated == 0
 
 
 class TestGatherContextMemo:

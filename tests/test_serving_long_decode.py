@@ -6,15 +6,19 @@ fill their pages and claim new ones mid-stream from the shared pool.  Each
 test drives one piece of shared serving code through that regime and
 checks tokens against the per-request ``oracle`` or an unpressured engine:
 mid-stream preemption, warm prefix hits, the fitted KIVI/KVQuant codecs,
-cancellation and a starved bounded pool.
+cancellation and a starved bounded pool.  ``TestLongDecodePerBackend``
+repeats each regime with every sequence on one backend, plus a homogeneous
+fused batch and seeded top-k sampling.
 """
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.config import CocktailConfig
 from repro.kvpool import BlockPool
 from repro.serving.engine import InferenceEngine
-from repro.serving.request import GenerationRequest
+from repro.serving.request import GenerationRequest, SamplingParams
 
 CHUNK_SIZE = 16
 
@@ -159,6 +163,39 @@ class TestLongDecodeCancellation:
         assert_pool_drains(engine)
 
 
+def serve_starved(vocab, tokenizer, model, samples, backends, capacity_blocks):
+    """Serve two 56-word-context requests over a pool of ``capacity_blocks``
+    pages (unbounded when ``None``); returns their outcomes and preemptions."""
+    config = model.config
+    pool = None
+    if capacity_blocks:
+        pool = BlockPool(
+            config.n_layers,
+            config.n_kv_heads,
+            config.head_dim,
+            block_size=16,
+            capacity_blocks=capacity_blocks,
+        )
+    engine = make_engine(
+        vocab, tokenizer, model, max_running=2, pool=pool, prefix_caching=False
+    )
+    results = engine.run_batch(
+        [
+            GenerationRequest(
+                sample.context_words[:56],
+                sample.query_words,
+                max_new_tokens=12,
+                backend=backend,
+                stop_on_special=False,
+            )
+            for sample, backend in zip(samples[:2], backends)
+        ]
+    )
+    assert_pool_drains(engine)
+    preemptions = sum(r.stats.n_preemptions for r in results)
+    return [outcome(r) for r in results], preemptions
+
+
 class TestLongDecodeUnderPoolPressure:
     def test_bounded_pool_matches_the_unbounded_engine(
         self, vocab, tokenizer, retrieval_model, tiny_samples
@@ -167,45 +204,125 @@ class TestLongDecodeUnderPoolPressure:
         unbounded is 10 pages), so a decode row finds it full mid-stream and
         a sequence is swapped out; the streams still equal an unbounded
         engine's and no page leaks."""
-        config = retrieval_model.config
+        args = (vocab, tokenizer, retrieval_model, tiny_samples, ("dense", "fp16"))
+        reference, _ = serve_starved(*args, None)
+        bounded, preemptions = serve_starved(*args, 10)
+        assert bounded == reference
+        assert preemptions >= 1
 
-        def serve(capacity_blocks):
-            pool = (
-                BlockPool(
-                    config.n_layers,
-                    config.n_kv_heads,
-                    config.head_dim,
-                    block_size=16,
-                    capacity_blocks=capacity_blocks,
-                )
-                if capacity_blocks
-                else None
-            )
-            engine = make_engine(
-                vocab,
-                tokenizer,
-                retrieval_model,
-                max_running=2,
-                pool=pool,
-                prefix_caching=False,
-            )
-            results = engine.run_batch(
-                [
-                    GenerationRequest(
-                        sample.context_words[:56],
-                        sample.query_words,
-                        max_new_tokens=12,
-                        backend=backend,
-                        stop_on_special=False,
-                    )
-                    for sample, backend in zip(tiny_samples[:2], ("dense", "fp16"))
-                ]
-            )
-            assert_pool_drains(engine)
-            preemptions = sum(r.stats.n_preemptions for r in results)
-            return [outcome(r) for r in results], preemptions
 
-        reference, _ = serve(None)
-        bounded, preemptions = serve(10)
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
+class TestLongDecodePerBackend:
+    """Each backend alone over full budgets: its own fused batch, sampled
+    streams, mid-stream preemption, warm prefix hits, a cancelled neighbour
+    and a starved pool."""
+
+    def test_homogeneous_batch_fuses_and_matches_the_oracle(
+        self, backend, vocab, tokenizer, retrieval_model, tiny_samples, oracle
+    ):
+        """Three sequences of one backend decode 24 tokens each in 24
+        rounds of one three-row forward."""
+        engine = make_engine(vocab, tokenizer, retrieval_model, max_running=3)
+        requests = make_requests(tiny_samples, (backend,) * 3)
+        results = engine.run_batch(requests)
+        assert_matches_oracle(engine, requests, results, oracle)
+        stats = engine.exec_stats
+        assert stats.n_decode_tokens == 3 * 24
+        assert stats.n_forward_calls == 24
+        assert stats.mean_batch_occupancy == 3.0
+        assert_pool_drains(engine)
+
+    def test_sampled_streams_match_the_oracle(
+        self, backend, vocab, tokenizer, retrieval_model, tiny_samples, oracle
+    ):
+        """Top-k sampled requests draw their own seeded streams inside the
+        fused round, beside a greedy neighbour, for the whole budget."""
+        samplings = (
+            SamplingParams(top_k=4, temperature=0.9, seed=3),
+            SamplingParams(top_k=8, temperature=1.3, seed=5),
+            SamplingParams(),
+        )
+        requests = [
+            GenerationRequest(
+                sample.context_words,
+                sample.query_words,
+                max_new_tokens=24,
+                backend=backend,
+                stop_on_special=False,
+                sampling=sampling,
+            )
+            for sample, sampling in zip(tiny_samples, samplings)
+        ]
+        engine = make_engine(vocab, tokenizer, retrieval_model, max_running=3)
+        results = engine.run_batch(requests)
+        assert_matches_oracle(engine, requests, results, oracle)
+        assert all(r.stats.n_generated == 24 for r in results)
+        assert engine.exec_stats.mean_batch_occupancy == 3.0
+        assert_pool_drains(engine)
+
+    def test_mid_stream_preemption_matches_the_oracle(
+        self, backend, vocab, tokenizer, retrieval_model, tiny_samples, oracle
+    ):
+        requests = make_requests(tiny_samples, (backend,) * 3, 16)
+        budget = requests[0].n_prompt_tokens + requests[1].n_prompt_tokens + 1
+        engine = make_engine(
+            vocab, tokenizer, retrieval_model, max_running=3, max_live_tokens=budget
+        )
+        results = engine.run_batch(requests)
+        assert sum(r.stats.n_preemptions for r in results) >= 1
+        assert_matches_oracle(engine, requests, results, oracle)
+        assert all(r.stats.n_generated == 16 for r in results)
+        assert_pool_drains(engine)
+
+    def test_warm_prefix_hits_decode_like_a_cold_engine(
+        self, backend, vocab, tokenizer, retrieval_model, tiny_samples
+    ):
+        engine = make_engine(vocab, tokenizer, retrieval_model)
+        reference = make_engine(vocab, tokenizer, retrieval_model, prefix_caching=False)
+
+        def serve(target):
+            results = target.run_batch(make_requests(tiny_samples[:2], (backend,) * 2))
+            return [r.token_ids for r in results], [outcome(r) for r in results]
+
+        cold, _ = serve(engine)
+        warm, warm_outcomes = serve(engine)
+        expected, _ = serve(reference)
+        assert cold == warm == expected
+        assert all(hit_blocks > 0 for *_, hit_blocks in warm_outcomes)
+        assert_pool_drains(engine)
+
+    def test_cancelled_neighbour_leaves_the_survivor_on_the_oracle(
+        self, backend, vocab, tokenizer, retrieval_model, tiny_samples, oracle
+    ):
+        """Cancelling one of two fused sequences 10 rounds in keeps what it
+        streamed (a prefix of its oracle tokens) and does not move one token
+        of the sequence that runs on."""
+        engine = make_engine(vocab, tokenizer, retrieval_model, max_running=2)
+        requests = make_requests(tiny_samples, (backend,) * 2, 32)
+        victim, survivor = (engine.submit(request) for request in requests)
+        for _ in range(10):
+            engine.step()
+        event = engine.cancel(victim)
+        assert event.stopped_by == "cancelled"
+        while engine.has_pending:
+            engine.step()
+        cancelled = engine.result(victim)
+        expected, _, _ = oracle(engine, requests[0])
+        assert 0 < len(cancelled.token_ids) < 32
+        assert cancelled.token_ids == expected[: len(cancelled.token_ids)]
+        token_ids, stopped_by, _ = oracle(engine, requests[1])
+        finished = engine.result(survivor)
+        assert (finished.token_ids, finished.stopped_by) == (token_ids, stopped_by)
+        assert_pool_drains(engine)
+
+    def test_starved_pool_matches_the_unbounded_engine(
+        self, backend, vocab, tokenizer, retrieval_model, tiny_samples
+    ):
+        """The 10-page pool of ``TestLongDecodeUnderPoolPressure`` with both
+        sequences on one backend: a decode row finds it full, a sequence
+        swaps, and the streams still equal an unbounded engine's."""
+        args = (vocab, tokenizer, retrieval_model, tiny_samples, (backend,) * 2)
+        reference, _ = serve_starved(*args, None)
+        bounded, preemptions = serve_starved(*args, 10)
         assert bounded == reference
         assert preemptions >= 1

@@ -23,7 +23,7 @@ import pytest
 from repro.core.config import CocktailConfig
 from repro.serving import GlobalPrefixIndex, InferenceEngine, ShardedEngine
 from repro.serving.engine import EngineCore
-from repro.serving.request import GenerationRequest
+from repro.serving.request import GenerationRequest, SamplingParams
 from repro.serving.server import ServerCore, ServingServer
 from repro.serving.server.client import stream_completion
 from repro.workloads import (
@@ -158,6 +158,40 @@ class TestShardedFacade:
         results = engine.pop_results()
         assert len(results) == 4
         engine.assert_consistent()
+
+    def test_sampled_requests_sum_every_counter_across_workers(
+        self, retrieval_model, tokenizer, vocab, tiny_samples
+    ):
+        """Seeded top-k requests on two workers: each counter of the merged
+        stats is the workers' sum, and every decode token came from a fused
+        forward row."""
+        engine = ShardedEngine(
+            make_factory(retrieval_model, tokenizer, vocab), n_workers=2
+        )
+        for i in range(4):
+            request = fp16_request(
+                tiny_samples[i % len(tiny_samples)].context_words[: 24 + i],
+                ("q", f"n{i}"),
+            )
+            request.sampling = SamplingParams(top_k=3, seed=i)
+            engine.submit(request)
+        drain(engine)
+        per_worker = [w.engine.exec_stats for w in engine.workers]
+        assert all(stats.n_decode_tokens for stats in per_worker)
+        merged = engine.exec_stats
+        for name in (
+            "n_steps",
+            "n_forward_calls",
+            "n_fused_sequences",
+            "n_decode_tokens",
+            "n_prefill_tokens",
+            "n_prefill_reused_tokens",
+        ):
+            assert getattr(merged, name) == sum(getattr(s, name) for s in per_worker), name
+        assert merged.n_decode_tokens == sum(
+            r.stats.n_generated for r in engine.pop_results().values()
+        )
+        assert merged.n_fused_sequences == merged.n_decode_tokens
 
 
 class TestCacheAwareRouting:
